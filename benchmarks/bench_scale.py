@@ -44,23 +44,6 @@ regression beyond ``--tolerance``, default 15%) and enforces that the
 elaborated backend stays at least ``--min-ratio`` times faster than the
 interpreted one — the CI perf guard.  Both verdicts are advisory when
 the current host differs from the one the baseline was recorded on.
-
-The fusion axis (schema 3)
---------------------------
-
-At the hot-spot ratio point (P=64) the sweep additionally measures both
-transit-fusion modes (``NUMACHINE_FUSE=off|on``, see
-:mod:`repro.interconnect.ring`) under both backends, asserting the
-exactness contract — identical final simulated time and
-``hop_equivalent == unfused events_run`` — and recording the event
-reduction and the fused/unfused wall-time ratio.  The event reduction is
-deterministic (a property of the event stream, not the host) and is
-gated hard at ``--min-fuse-reduction``; the wall ratio is a host
-property dominated by noise at the ~1-2% real effect size (the elided
-ring-hop events are the cheapest in the system — see EXPERIMENTS.md for
-the ceiling analysis), so ``--min-fuse-ratio`` only guards against
-fusion being an outright slowdown and is advisory off the recorded
-host.
 """
 
 from __future__ import annotations
@@ -106,77 +89,39 @@ RATIO_NPROCS = 64
 #: still fails it.
 DEFAULT_MIN_RATIO = 1.1
 
-#: transit-fusion modes measured at the ratio point
-FUSE_MODES = ("off", "on")
-
-#: minimum fraction of hot-spot P=64 events that fusion must elide
-#: (events_run reduction vs the unfused run).  Deterministic — the event
-#: stream does not depend on the host — so this gate fails hard.  The
-#: measured reduction at the default bench point is ~20.8%; the floor
-#: sits below it with margin for workload-parameter drift.
-DEFAULT_MIN_FUSE_REDUCTION = 0.15
-
-#: minimum fused/unfused wall-time ratio (>1 means fused is faster).
-#: The real effect is only ~1-2% on the elab backend — the elided hop
-#: events are the cheapest in the system, bounding the ceiling at
-#: ~1.26x even for a zero-cost fast path — so this floor only catches
-#: fusion becoming an outright slowdown, and is advisory off the
-#: recorded host.
-DEFAULT_MIN_FUSE_RATIO = 0.9
-
-
 def measure_point(
     workload_factory,
     nprocs: int,
     repeats: int,
     backend: str = "interp",
-    fuse: str | None = None,
 ) -> dict:
-    """Best-of-``repeats`` timing for one (workload, nprocs, backend, fuse)
-    point.  ``fuse`` forces ``NUMACHINE_FUSE`` for the measured runs
-    (``None`` keeps the ambient mode); the mode actually active plus the
-    fusion event accounting (elided hops, repair cancels, hop-equivalent
-    total) are recorded either way."""
-    saved = os.environ.get("NUMACHINE_FUSE")
-    if fuse is not None:
-        os.environ["NUMACHINE_FUSE"] = fuse
-    try:
-        walls = []
-        events = now = sched = counts = None
-        for _ in range(max(1, repeats)):
-            machine = Machine(MachineConfig.prototype(), backend=backend)
-            workload_factory().run(machine, nprocs=nprocs)
-            assert machine.backend == backend, (machine.backend, backend)
-            meter = machine.throughput()
-            if events is None:
-                events, now, sched = (
-                    meter["events_run"],
-                    machine.engine.now,
-                    meter["scheduler"],
-                )
-                counts = machine.event_counts()
-            else:
-                # determinism: every repeat must replay the exact same events
-                assert meter["events_run"] == events, (meter["events_run"], events)
-                assert machine.engine.now == now, (machine.engine.now, now)
-            walls.append(meter["wall_time_s"])
-    finally:
-        if fuse is not None:
-            if saved is None:
-                os.environ.pop("NUMACHINE_FUSE", None)
-            else:
-                os.environ["NUMACHINE_FUSE"] = saved
+    """Best-of-``repeats`` timing for one (workload, nprocs, backend)
+    point."""
+    walls = []
+    events = now = sched = None
+    for _ in range(max(1, repeats)):
+        machine = Machine(MachineConfig.prototype(), backend=backend)
+        workload_factory().run(machine, nprocs=nprocs)
+        assert machine.backend == backend, (machine.backend, backend)
+        meter = machine.throughput()
+        if events is None:
+            events, now, sched = (
+                meter["events_run"],
+                machine.engine.now,
+                meter["scheduler"],
+            )
+        else:
+            # determinism: every repeat must replay the exact same events
+            assert meter["events_run"] == events, (meter["events_run"], events)
+            assert machine.engine.now == now, (machine.engine.now, now)
+        walls.append(meter["wall_time_s"])
     best = min(walls)
     median = statistics.median(walls)
     return {
         "nprocs": nprocs,
         "backend": backend,
         "scheduler": sched,
-        "fuse": counts["fuse"],
         "events_run": events,
-        "events_fused": counts["fused"],
-        "events_cancelled": counts["cancels"],
-        "events_hop_equivalent": counts["hop_equivalent"],
         "final_now_ticks": now,
         "sim_time_ns": ticks_to_ns(now),
         "wall_time_s": best,
@@ -200,49 +145,6 @@ def host_fingerprint() -> dict:
     }
 
 
-def run_fusion_axis(factory, repeats: int) -> dict:
-    """Measure both transit-fusion modes at the hot-spot ratio point under
-    both backends, asserting the exactness contract and recording the
-    event reduction and fused/unfused wall ratio per backend."""
-    axis = {"nprocs": RATIO_NPROCS, "backends": {}}
-    for backend in BACKENDS:
-        cell = {}
-        for fuse in FUSE_MODES:
-            point = measure_point(
-                factory, RATIO_NPROCS, repeats, backend=backend, fuse=fuse
-            )
-            assert point["fuse"] == fuse, (point["fuse"], fuse)
-            cell[fuse] = point
-            print(
-                f"{'fusion':10s} P={RATIO_NPROCS:<3d} {backend:7s} "
-                f"fuse={fuse:3s} {point['events_run']:>8d} events  "
-                f"({point['events_fused']} fused, "
-                f"{point['events_cancelled']} repaired)  "
-                f"wall {point['wall_time_s']:.3f}s",
-                file=sys.stderr,
-            )
-        off, on = cell["off"], cell["on"]
-        # exactness contract: fusion elides events, never reorders them —
-        # same final time, and the hop-equivalent count reconstructs the
-        # unfused event count exactly
-        assert on["final_now_ticks"] == off["final_now_ticks"], (
-            backend, on["final_now_ticks"], off["final_now_ticks"],
-        )
-        assert on["events_hop_equivalent"] == off["events_run"], (
-            backend, on["events_hop_equivalent"], off["events_run"],
-        )
-        cell["event_reduction"] = (
-            1.0 - on["events_run"] / off["events_run"]
-            if off["events_run"] > 0 else 0.0
-        )
-        cell["fusion_wall_ratio"] = (
-            off["wall_time_s"] / on["wall_time_s"]
-            if on["wall_time_s"] > 0 else 0.0
-        )
-        axis["backends"][backend] = cell
-    return axis
-
-
 def run_sweep(
     points=DEFAULT_POINTS,
     ops: int = 400,
@@ -261,7 +163,7 @@ def run_sweep(
             lambda: LUContiguous(n=lu_n, block=lu_block),
         ),
     }
-    result = {"schema": 3, "machine": "prototype (64p, 4 stations x 4 rings)",
+    result = {"schema": 4, "machine": "prototype (64p, 4 stations x 4 rings)",
               "repeats": max(1, repeats), "host": host_fingerprint(),
               "workloads": {}}
     for name, (desc, factory) in workloads.items():
@@ -289,9 +191,6 @@ def run_sweep(
             )
             sweep["points"][str(p)] = cell
         result["workloads"][name] = sweep
-    result["fusion"] = run_fusion_axis(
-        workloads[CHECK_WORKLOAD][1], max(1, repeats)
-    )
     return result
 
 
@@ -309,7 +208,6 @@ def ledger_summary(result: dict) -> dict:
                     "wall_time_s": cell[backend]["wall_time_s"],
                     "events_run": cell[backend]["events_run"],
                     "scheduler": cell[backend]["scheduler"],
-                    "fuse": cell[backend].get("fuse", "off"),
                 }
                 for backend in BACKENDS
                 if backend in cell
@@ -317,56 +215,7 @@ def ledger_summary(result: dict) -> dict:
             if "elab_speedup" in cell:
                 points[p]["elab_speedup"] = cell["elab_speedup"]
         out["workloads"][name] = points
-    fusion = result.get("fusion")
-    if fusion:
-        digest = {"nprocs": fusion.get("nprocs"), "backends": {}}
-        for backend, cell in fusion.get("backends", {}).items():
-            digest["backends"][backend] = {
-                "event_reduction": cell.get("event_reduction"),
-                "fusion_wall_ratio": cell.get("fusion_wall_ratio"),
-                "events_fused": cell.get("on", {}).get("events_fused"),
-                "events_cancelled": cell.get("on", {}).get("events_cancelled"),
-            }
-        out["fusion"] = digest
     return out
-
-
-def check_fusion(
-    result: dict,
-    min_reduction: float = DEFAULT_MIN_FUSE_REDUCTION,
-    min_fuse_ratio: float = DEFAULT_MIN_FUSE_RATIO,
-) -> tuple[list, list]:
-    """Gate the fusion axis: event reduction is deterministic and fails
-    hard; the wall ratio is a host property and only guards against an
-    outright slowdown.  Returns (hard_failures, soft_failures)."""
-    hard, soft = [], []
-    fusion = result.get("fusion")
-    if not fusion:
-        print("check: no fusion axis in result, skipping fusion gates",
-              file=sys.stderr)
-        return hard, soft
-    for backend, cell in fusion.get("backends", {}).items():
-        reduction = cell.get("event_reduction", 0.0)
-        verdict = "OK" if reduction >= min_reduction else "BELOW FLOOR"
-        print(
-            f"check: hotspot P={fusion['nprocs']} {backend} fusion event "
-            f"reduction: {reduction:.1%} (floor {min_reduction:.0%}) -> "
-            f"{verdict}",
-            file=sys.stderr,
-        )
-        if verdict != "OK":
-            hard.append(f"{backend} fusion event reduction below floor")
-        ratio = cell.get("fusion_wall_ratio", 0.0)
-        verdict = "OK" if ratio >= min_fuse_ratio else "BELOW FLOOR"
-        print(
-            f"check: hotspot P={fusion['nprocs']} {backend} fused/unfused "
-            f"wall ratio: {ratio:.2f}x (floor {min_fuse_ratio:.2f}x) -> "
-            f"{verdict}",
-            file=sys.stderr,
-        )
-        if verdict != "OK":
-            soft.append(f"{backend} fused wall ratio below floor")
-    return hard, soft
 
 
 def check_regression(
@@ -374,16 +223,12 @@ def check_regression(
     baseline_path: Path,
     tolerance: float,
     min_ratio: float = DEFAULT_MIN_RATIO,
-    min_fuse_reduction: float = DEFAULT_MIN_FUSE_REDUCTION,
-    min_fuse_ratio: float = DEFAULT_MIN_FUSE_RATIO,
 ) -> int:
     """CI guard at the hot-spot P=16 point: interp events/s must not
     regress > ``tolerance`` vs the committed baseline, and the elab
     backend must stay at least ``min_ratio`` times faster than interp.
     Wall-clock verdicts are advisory on any host other than the one the
-    baseline was recorded on.  The fusion event-reduction gate (see
-    :func:`check_fusion`) is host-independent and fails regardless.
-    Returns a process exit code."""
+    baseline was recorded on.  Returns a process exit code."""
     try:
         baseline = json.loads(baseline_path.read_text())
     except FileNotFoundError:
@@ -432,8 +277,6 @@ def check_regression(
         if verdict != "OK":
             failures.append("elab/interp speedup below floor")
 
-    hard, soft = check_fusion(result, min_fuse_reduction, min_fuse_ratio)
-    failures.extend(soft)
 
     if failures and not same_host:
         # wall-clock rates are host properties; a slowdown measured on a
@@ -445,7 +288,6 @@ def check_regression(
             file=sys.stderr,
         )
         failures = []
-    failures.extend(hard)  # deterministic gates fail on any host
     if not failures:
         return 0
     print(f"check: FAILED — {', '.join(failures)}", file=sys.stderr)
@@ -471,14 +313,6 @@ def main(argv=None) -> int:
     ap.add_argument("--min-ratio", type=float, default=DEFAULT_MIN_RATIO,
                     help="minimum elab/interp events-per-second ratio for "
                     "--check (advisory off the recorded host)")
-    ap.add_argument("--min-fuse-reduction", type=float,
-                    default=DEFAULT_MIN_FUSE_REDUCTION,
-                    help="minimum fused events_run reduction at the ratio "
-                    "point for --check (deterministic, fails on any host)")
-    ap.add_argument("--min-fuse-ratio", type=float,
-                    default=DEFAULT_MIN_FUSE_RATIO,
-                    help="minimum fused/unfused wall-time ratio for --check "
-                    "(advisory off the recorded host)")
     ap.add_argument("--pre", type=Path, metavar="PRE_JSON",
                     help="embed this JSON under 'baseline_pre' (same-host "
                     "measurements of the pre-optimization core)")
@@ -497,8 +331,7 @@ def main(argv=None) -> int:
     ledger.append_entry("scale_sweep", ledger_summary(result))
     if args.check:
         return check_regression(result, args.check, args.tolerance,
-                                args.min_ratio, args.min_fuse_reduction,
-                                args.min_fuse_ratio)
+                                args.min_ratio)
     return 0
 
 

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.states import LineState
 from ..interconnect.packet import MsgType, Packet, acquire_packet
-from ..interconnect.ring import fusion_enabled
 from ..sim.engine import Engine, SimulationError, ns_to_ticks
 from ..sim.fifo import Fifo
 from ..sim.stats import StatGroup
@@ -111,12 +110,7 @@ class NetworkCache:
         self._ctr_migration_hits = None
         self._ctr_nacks = None
         self._ctr_conflict_nacks = None
-        #: service-done relay fusion (NUMACHINE_FUSE): the zero-extra done
-        #: event is merged into _service (see _service); the negative
-        #: content key keeps the done event's tie-break position identical
-        #: in both modes, which is what makes the merge exact
-        self.fused = fusion_enabled()
-        self.events_fused = 0
+        #: content key of the service-done event (see repro.sim.engine)
         self._done_key = ~engine.alloc_uid()
         engine.blocked_watchers.append(self._blocked_reason)
 
@@ -151,23 +145,13 @@ class NetworkCache:
         if v is not None:
             v.nc_event(self, pkt)
         # The done event carries this module's content key: unique (the
-        # _busy flag serializes services) and adjacent below any counter
-        # key, so a zero-extra done always pops immediately after this
-        # event — which is why the fused path may run its body inline.
+        # _busy flag serializes services) and sorting below any counter key
+        # at its tick.
         engine = self.engine
-        if extra:
-            engine.schedule_keyed_at(
-                engine.now + extra, self._done_key, self._service_done,
-                priority=1,
-            )
-        elif self.fused:
-            self.events_fused += 1
-            self._busy = False
-            self._pump()
-        else:
-            engine.schedule_keyed_at(
-                engine.now, self._done_key, self._service_done, priority=1
-            )
+        engine.schedule_keyed_at(
+            engine.now + (extra or 0), self._done_key, self._service_done,
+            priority=1,
+        )
 
     def _service_done(self) -> None:
         self._busy = False

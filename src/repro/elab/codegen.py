@@ -47,18 +47,10 @@ tests/test_obs_elab.py).  The two variants hash to different fingerprints
 (:func:`repro.elab.ir.config_elab_fingerprint`) and coexist in the module
 store.
 
-Transit fusion (``NUMACHINE_FUSE=on``) is a second compile-time axis
-(``MachineIR.fused``), orthogonal to instrumentation.  The fused variants
-route every ring send through the interpreted ``Ring._send`` — the
-reservation scan, wait-through closed forms and repair replays stay a
-single shared implementation — and compile the idle-wakeup deferrals
-(``_out_done`` / ``_up_done`` / ``_down_done``) and the NC / memory
-zero-extra service-done merge inline, mirroring the interpreted fused
-core event for event.  Unfused variants push ring arrivals, tail-lag
-bounces and done relays with the same *content-derived* sequence keys
-the interpreter uses (no tie-break counter draw), which is the invariant
-that makes fused and unfused streams order-identical (see
-repro.interconnect.ring and repro.sim.engine).
+Ring arrivals, tail-lag bounces and done relays are pushed with the same
+*content-derived* sequence keys the interpreter uses (no tie-break counter
+draw): those keys define the same-tick order the pinned fingerprints
+record (see repro.interconnect.ring and repro.sim.engine).
 
 Slotted base classes get subclasses with ``__slots__ = ()`` so instances can
 be re-classed in place (``obj.__class__ = Generated``); per-station and
@@ -123,8 +115,7 @@ def _push_event(ind: str, when: str, prio: int, cb: str, arg: str) -> str:
 def _push_keyed(ind: str, when: str, prio: int, key: str, cb: str, arg: str) -> str:
     """Inlined Engine.schedule_keyed_at: the event carries a
     *content-derived* sequence key and draws nothing from the tie-break
-    counter (see repro.sim.engine) — which is what lets transit fusion
-    elide the intermediate events without shifting later counter draws.
+    counter (see repro.sim.engine).
     """
     return (
         f"{ind}ev = ({when}, {prio}, {key}, {cb}, {arg})\n"
@@ -239,23 +230,15 @@ def _ring_send(
     slot: int,
     hop: int,
     instr: bool = False,
-    fused: bool = False,
 ) -> str:
-    """Ring send site: leaves the transmission start tick in ``start``.
+    """Inlined Ring._send (requires locals ``engine`` and ``now``); leaves
+    the transmission start tick in ``start``.
 
-    Unfused, Ring._send is inlined (requires locals ``engine`` and
-    ``now``): the arrival is pushed with its *content* key (no counter
-    draw) carrying the module-level ``_ring_arrive`` with the ring packed
-    into the arg — no bound-method allocation per hop.  The
-    ``packets_carried`` counter is observability-only telemetry,
-    maintained only by the instrumented variant.
-
-    Fused, the send routes through the interpreted ``Ring._send`` — the
-    reservation-table scan, wait-through closed forms, repair replays and
-    macro-event keys are a single implementation shared by both backends,
-    which is what keeps the fused elab core exact by construction."""
-    if fused:
-        return f"{ind}start = {ring}.inject({pos}, {pkt})\n"
+    The arrival is pushed with its *content* key (no counter draw) carrying
+    the module-level ``_ring_arrive`` with the ring packed into the arg —
+    no bound-method allocation per hop.  The ``packets_carried`` counter is
+    observability-only telemetry, maintained only by the instrumented
+    variant."""
     text = (
         f"{ind}link_free = {ring}._link_free\n"
         f"{ind}start = link_free[{pos}]\n"
@@ -354,7 +337,6 @@ def generate_source(ir: MachineIR) -> str:
     sizes = ir.ring_sizes
     size0 = sizes[0]
     instr = bool(ir.instrumented)
-    fused = bool(ir.fused)
     # the active coherence plug-in supplies the engine base classes and
     # their DISPATCH transition tables (repro.protocol); the generated
     # subclasses extend those, not the protocol-agnostic bases
@@ -373,7 +355,6 @@ def generate_source(ir: MachineIR) -> str:
     w('"""')
     w(f'FINGERPRINT = "{ir.fingerprint}"')
     w(f"INSTRUMENTED = {instr}")
-    w(f"FUSED = {fused}")
     w(f'PROTOCOL = "{proto.name}"')
     w("")
     w("from bisect import insort as _insort")
@@ -549,26 +530,16 @@ def generate_source(ir: MachineIR) -> str:
         w("")
         w(f"class ElabRingL{level}(Ring):")
         w("    __slots__ = ()")
-        if fused:
-            # the fused send (reservation scan, wait-through closed forms,
-            # repair replays) is a single shared implementation: inherit
-            # the interpreted Ring._send/halt_link unchanged
-            w("")
-        else:
-            if not instr:
-                # the plain variant's inlined sends drop packets_carried;
-                # flag it so the (fusion-only) repair rollback would match
-                w("    _count_carried = False")
-            w("")
-            w("    def inject(self, pos, packet):")
-            w("        engine = self.engine")
-            w("        now = engine.now")
-            w(_ring_send(i2, "self", "pos", "packet", size, slot, hop,
-                         instr).rstrip())
-            w("        return start")
-            w("")
-            w("    forward = inject")
-            w("")
+        w("")
+        w("    def inject(self, pos, packet):")
+        w("        engine = self.engine")
+        w("        now = engine.now")
+        w(_ring_send(i2, "self", "pos", "packet", size, slot, hop,
+                     instr).rstrip())
+        w("        return start")
+        w("")
+        w("    forward = inject")
+        w("")
 
     # ------------------------------------------------------------------
     # station ring interface
@@ -615,19 +586,6 @@ def generate_source(ir: MachineIR) -> str:
     w("        engine = self.engine")
     w("        now = engine.now")
     w(_fifo_push(i2, "f", "packet", instr=instr).rstrip())
-    if fused:
-        # resolve a deferred idle wakeup (see interfaces._enqueue_out):
-        # materialize it at its original (time, key) if it has not
-        # notionally fired yet, else absorb it
-        w("        free = self._out_free")
-        w("        if free is not None:")
-        w("            self._out_free = None")
-        w("            if free > now:")
-        w("                self.events_fused -= 1")
-        w(_push_keyed("                ", "free", 1, "self._out_done_key",
-                      "self._out_done", "None").rstrip())
-        w("            else:")
-        w("                self._out_busy = False")
     w("        self._pump_out()")
     w("")
     w("    def _pump_out(self):")
@@ -647,20 +605,13 @@ def generate_source(ir: MachineIR) -> str:
     w("            return")
     w("        ring = self.ring")
     w("        pos = self.pos")
-    w(_ring_send(i2, "ring", "pos", "packet", size0, slot, hop, instr,
-                 fused).rstrip())
+    w(_ring_send(i2, "ring", "pos", "packet", size0, slot, hop, instr).rstrip())
     w("        enq = packet.send_enq")
     w("        packet.send_enq = -1")
     w('        self.stats.accumulator("send_delay").add(start - enq if enq >= 0 else 0)')
     if instr:
         w(_stamp_pkt(i2, "packet", "ring.inject", "start").rstrip())
     w(f"        done = start + packet.flits * {slot}")
-    if fused:
-        w("        if not f._items:")
-        w("            # idle elision: defer the relay (interfaces._pump_out)")
-        w("            self._out_free = done")
-        w("            self.events_fused += 1")
-        w("            return")
     w(_push_keyed(i2, "done", 1, "self._out_done_key",
                   "self._out_done", "None").rstrip())
     w("")
@@ -684,14 +635,11 @@ def generate_source(ir: MachineIR) -> str:
         w("        elif state:")
     else:
         w("        if state:")
-    if fused:
-        w("            self.ring.forward(self.pos, packet)")
-    else:
-        w("            engine = self.engine")
-        w("            now = engine.now")
-        w("            ring = self.ring")
-        w("            pos = self.pos")
-        w(_ring_send(i3, "ring", "pos", "packet", size0, slot, hop, instr).rstrip())
+    w("            engine = self.engine")
+    w("            now = engine.now")
+    w("            ring = self.ring")
+    w("            pos = self.pos")
+    w(_ring_send(i3, "ring", "pos", "packet", size0, slot, hop, instr).rstrip())
     w("            return")
     w("        fld = packet.dest_mask & F0_MASK")
     w("        mybit = self._MYBIT")
@@ -705,19 +653,15 @@ def generate_source(ir: MachineIR) -> str:
     w("            else:")
     w("                self._accept(packet)")
     w("        else:")
-    if fused:
-        w("            self.ring.forward(self.pos, packet)")
-    else:
-        w("            engine = self.engine")
-        w("            now = engine.now")
-        w("            ring = self.ring")
-        w("            pos = self.pos")
-        w(_ring_send(i3, "ring", "pos", "packet", size0, slot, hop, instr).rstrip())
+    w("            engine = self.engine")
+    w("            now = engine.now")
+    w("            ring = self.ring")
+    w("            pos = self.pos")
+    w(_ring_send(i3, "ring", "pos", "packet", size0, slot, hop, instr).rstrip())
     w("")
-    # the tail-lag bounce carries the arrival-derived content key so the
-    # fused tail-lag merge reproduces it exactly (see interfaces._accept);
-    # _local_loopback / _accept_seq / _fused_accept are inherited — they
-    # delegate to _accept_body, which resolves to the generated one
+    # the tail-lag bounce carries the arrival-derived content key (see
+    # interfaces._accept); _local_loopback / _accept_seq are inherited —
+    # they delegate to _accept_body, which resolves to the generated one
     w("    def _accept(self, packet):")
     w(f"        tail = (packet.flits - 1) * {slot}")
     w("        if tail:")
@@ -726,9 +670,9 @@ def generate_source(ir: MachineIR) -> str:
                   "self._bounce_base | packet.flits",
                   "self._accept_body", "packet").rstrip())
     w("            return")
-    w("        self._accept_body(packet, True)")
+    w("        self._accept_body(packet)")
     w("")
-    w("    def _accept_body(self, packet, in_arrival=False):")
+    w("    def _accept_body(self, packet):")
     w("        now = self.engine.now")
     w("        packet.arr = now")
     if instr:
@@ -737,13 +681,7 @@ def generate_source(ir: MachineIR) -> str:
     w(_fifo_push(i2, "f", "packet", capacity=C["IN_CAP"], instr=instr).rstrip())
     w("        if depth >= IN_HW:")
     w("            ring = self.ring")
-    if fused:
-        # the interpreted halt_link also runs the reservation-conflict
-        # repair hook (with the same-tick arrival-order bit); never
-        # bypass it while fused transits are live
-        w("            ring.halt_link(self.pos, HALT, in_arrival)")
-    else:
-        w(_halt_link(i3, "ring", "self.pos", size0).rstrip())
+    w(_halt_link(i3, "ring", "self.pos", size0).rstrip())
     w('            self.stats.counter("input_halts").incr()')
     w("        if not self._handler_busy:")
     w("            f2 = self.in_fifo")
@@ -865,22 +803,8 @@ def generate_source(ir: MachineIR) -> str:
         w("        f = self.up_fifo")
         w(_fifo_push(i2, "f", "packet", capacity=C["IRI_CAP"], instr=instr).rstrip())
         w("        if depth >= IRI_HW:")
-        if fused:
-            # in-arrival: _enqueue_up only runs inside child-ring arrivals
-            w("            self.child.halt_link(self.child_pos, HALT, True)")
-        else:
-            w("            child = self.child")
-            w(_halt_link(i3, "child", "self.child_pos", ch_size).rstrip())
-        if fused:
-            w("        free = self._up_free")
-            w("        if free is not None:")
-            w("            self._up_free = None")
-            w("            if free > now:")
-            w("                self.events_fused -= 1")
-            w(_push_keyed("                ", "free", 1, "self._up_done_key",
-                          "self._up_done", "None").rstrip())
-            w("            else:")
-            w("                self._up_busy = False")
+        w("            child = self.child")
+        w(_halt_link(i3, "child", "self.child_pos", ch_size).rstrip())
         w("        self._pump_up()")
         w("")
         w("    def _pump_up(self):")
@@ -904,19 +828,14 @@ def generate_source(ir: MachineIR) -> str:
         w("        now = engine.now")
         w("        parent = self.parent")
         w("        pos = self.parent_pos")
-        w(_ring_send(i2, "parent", "pos", "packet", p_size, slot, hop, instr,
-                     fused).rstrip())
+        w(_ring_send(i2, "parent", "pos", "packet", p_size, slot, hop,
+                     instr).rstrip())
         w("        enq = packet.up_enq")
         w("        packet.up_enq = -1")
         w('        self.stats.accumulator("up_delay").add(start - enq if enq >= 0 else 0)')
         if instr:
             w(_stamp_pkt(i2, "packet", "iri.up_inject", "start").rstrip())
         w(f"        done = start + packet.flits * {slot}")
-        if fused:
-            w("        if not self.up_fifo._items:")
-            w("            self._up_free = done")
-            w("            self.events_fused += 1")
-            w("            return")
         w(_push_keyed(i2, "done", 1, "self._up_done_key",
                       "self._up_done", "None").rstrip())
         w("")
@@ -971,22 +890,8 @@ def generate_source(ir: MachineIR) -> str:
         w("        f = self.down_fifo")
         w(_fifo_push(i2, "f", "packet", capacity=C["IRI_CAP"], instr=instr).rstrip())
         w("        if depth >= IRI_HW:")
-        if fused:
-            # in-arrival: _enqueue_down only runs inside parent-ring arrivals
-            w("            self.parent.halt_link(self.parent_pos, HALT, True)")
-        else:
-            w("            parent = self.parent")
-            w(_halt_link(i3, "parent", "self.parent_pos", p_size).rstrip())
-        if fused:
-            w("        free = self._down_free")
-            w("        if free is not None:")
-            w("            self._down_free = None")
-            w("            if free > now:")
-            w("                self.events_fused -= 1")
-            w(_push_keyed("                ", "free", 1, "self._down_done_key",
-                          "self._down_done", "None").rstrip())
-            w("            else:")
-            w("                self._down_busy = False")
+        w("            parent = self.parent")
+        w(_halt_link(i3, "parent", "self.parent_pos", p_size).rstrip())
         w("        self._pump_down()")
         w("")
         w("    def _pump_down(self):")
@@ -1006,19 +911,14 @@ def generate_source(ir: MachineIR) -> str:
         w("        now = engine.now")
         w("        child = self.child")
         w("        pos = self.child_pos")
-        w(_ring_send(i2, "child", "pos", "packet", ch_size, slot, hop, instr,
-                     fused).rstrip())
+        w(_ring_send(i2, "child", "pos", "packet", ch_size, slot, hop,
+                     instr).rstrip())
         w("        enq = packet.down_enq")
         w("        packet.down_enq = -1")
         w('        self.stats.accumulator("down_delay").add(start - enq if enq >= 0 else 0)')
         if instr:
             w(_stamp_pkt(i2, "packet", "iri.down_inject", "start").rstrip())
         w(f"        done = start + packet.flits * {slot}")
-        if fused:
-            w("        if not self.down_fifo._items:")
-            w("            self._down_free = done")
-            w("            self.events_fused += 1")
-            w("            return")
         w(_push_keyed(i2, "done", 1, "self._down_done_key",
                       "self._down_done", "None").rstrip())
         w("")
@@ -1113,19 +1013,8 @@ def generate_source(ir: MachineIR) -> str:
             w("        else:")
             w("            extra = _NC_H[mtype._value_](self, pkt)")
             w("        engine = self.engine")
-            if fused:
-                w("        if extra:")
-                w(_push_keyed(i3, "engine.now + extra", 1, "self._done_key",
-                              done_fn, "self").rstrip())
-                w("        else:")
-                w("            # zero-extra service: the content-keyed done")
-                w("            # would pop immediately after this dispatch")
-                w("            # (see network_cache._service) — merge it")
-                w("            self.events_fused += 1")
-                w(f"            {done_fn}(self)")
-            else:
-                w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
-                              "self._done_key", done_fn, "self").rstrip())
+            w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
+                          "self._done_key", done_fn, "self").rstrip())
         else:
             w("    def _service(self, pkt):")
             if instr:
@@ -1135,19 +1024,8 @@ def generate_source(ir: MachineIR) -> str:
             w('            self, pkt, entry, bool(pkt.meta.get("local"))')
             w("        )")
             w("        engine = self.engine")
-            if fused:
-                w("        if extra:")
-                w(_push_keyed(i3, "engine.now + extra", 1, "self._done_key",
-                              done_fn, "self").rstrip())
-                w("        else:")
-                w("            # zero-extra service: the content-keyed done")
-                w("            # would pop immediately after this dispatch")
-                w("            # (see network_cache._service) — merge it")
-                w("            self.events_fused += 1")
-                w(f"            {done_fn}(self)")
-            else:
-                w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
-                              "self._done_key", done_fn, "self").rstrip())
+            w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
+                          "self._done_key", done_fn, "self").rstrip())
         w("")
         if svc == "nc" and proto.name == "numachine":
             # The local-request NACK storm is the hottest protocol path in

@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 #: bump whenever the generated module's shape or semantics change; stale
 #: on-disk modules are ignored (their fingerprint no longer matches)
-ELAB_SCHEMA = 5
+ELAB_SCHEMA = 6
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,8 @@ class MachineIR:
     #: transactions, ring packets_carried, CPU retries) inline — a separate
     #: fingerprint axis, so both variants coexist in the module store
     instrumented: bool = False
-    #: when True the generated core mirrors the transit-fusion fast path
-    #: (NUMACHINE_FUSE=on): ring sends route through the interpreted fused
-    #: ``Ring._send`` and the idle-wakeup / service-done elisions are
-    #: compiled in — a third fingerprint axis (see repro.interconnect.ring)
-    fused: bool = False
     #: coherence-protocol plug-in whose DISPATCH tables the generated core
-    #: compiles into dense dispatch — a fourth fingerprint axis
+    #: compiles into dense dispatch — a third fingerprint axis
     protocol: str = "numachine"
 
     # ------------------------------------------------------------------
@@ -185,10 +180,9 @@ class MachineIR:
                 )
             )
 
-        fused = bool(getattr(machine, "fused", False))
         protocol = getattr(machine, "protocol_name", "numachine")
         return cls(
-            fingerprint=config_elab_fingerprint(config, instrumented, fused, protocol),
+            fingerprint=config_elab_fingerprint(config, instrumented, protocol),
             num_levels=num_levels,
             levels=levels,
             num_stations=config.num_stations,
@@ -197,18 +191,16 @@ class MachineIR:
             stations=stations,
             iris=iris,
             instrumented=instrumented,
-            fused=fused,
             protocol=protocol,
         )
 
 
 def config_elab_fingerprint(
-    config, instrumented: bool = False, fused: bool = False,
-    protocol: str = "numachine",
+    config, instrumented: bool = False, protocol: str = "numachine",
 ) -> str:
     """Digest identifying a generated module: full config, package version,
-    elaborator schema, instrumentation axis, transit-fusion axis, coherence
-    protocol.  Any mismatch forces regeneration."""
+    elaborator schema, instrumentation axis, coherence protocol.  Any
+    mismatch forces regeneration."""
     import dataclasses
 
     from repro import __version__
@@ -218,7 +210,6 @@ def config_elab_fingerprint(
             "elab_schema": ELAB_SCHEMA,
             "version": __version__,
             "instrumented": bool(instrumented),
-            "fused": bool(fused),
             "protocol": str(protocol),
             "config": dataclasses.asdict(config),
         },

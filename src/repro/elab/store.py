@@ -8,8 +8,8 @@ version + elaborator schema + the ``instrumented`` axis, see
 :mod:`repro.elab.ir`) is embedded in both the filename and the module's
 ``FINGERPRINT`` constant, so a stale module can never be picked up after a
 config or code change — its name simply no longer matches — and the plain /
-instrumented and fused / unfused variants of one config (two independent
-axes, see :mod:`repro.elab.ir`) coexist as separate entries.
+instrumented variants of one config (see :mod:`repro.elab.ir`) coexist as
+separate entries.
 
 * ``NUMACHINE_CACHE=0`` disables the disk layer entirely (modules are
   generated and executed in memory every time);

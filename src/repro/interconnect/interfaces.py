@@ -27,7 +27,7 @@ from ..sim.engine import Engine
 from ..sim.fifo import Fifo
 from ..sim.stats import StatGroup
 from .packet import Packet, ROUTE_ASCEND, ROUTE_DELIVER, ROUTE_TO_SEQ
-from .ring import BOUNCE_FLIT_SHIFT, Ring, fusion_enabled
+from .ring import BOUNCE_FLIT_SHIFT, Ring
 from .routing import RoutingMaskCodec
 
 #: travel-mode values kept in ``Packet.route_state``
@@ -64,10 +64,7 @@ class StationRingInterface:
         "_out_busy",
         "_handler_busy",
         "_drain_busy",
-        "fused",
-        "events_fused",
         "_out_done_key",
-        "_out_free",
         "stats",
         "tracer",
         "verifier",
@@ -119,14 +116,8 @@ class StationRingInterface:
         self._out_busy = False
         self._handler_busy = False
         self._drain_busy = False
-        #: idle-port wakeup elision (NUMACHINE_FUSE): when the output FIFO
-        #: is empty at inject time the ``_out_done`` relay is deferred
-        #: rather than scheduled (see _pump_out / _enqueue_out); the
-        #: content key keeps its tie-break position identical either way
-        self.fused = fusion_enabled()
-        self.events_fused = 0
+        #: content key of the output-port release (see repro.sim.engine)
         self._out_done_key = ~engine.alloc_uid()
-        self._out_free: Optional[int] = None
         self.stats = StatGroup(f"S{station_id}.ri")
         #: transaction tracer (repro.obs), or None when tracing is off
         self.tracer = None
@@ -191,21 +182,7 @@ class StationRingInterface:
             packet.route_state = ASCEND
 
     def _enqueue_out(self, packet: Packet) -> None:
-        now = self.engine.now
-        self.out_fifo.push(packet, now)
-        free = self._out_free
-        if free is not None:
-            # a deferred idle wakeup is outstanding: materialize it if it
-            # has not notionally fired yet, else absorb it (the unfused
-            # done — content-keyed — ran before this counter-keyed event)
-            self._out_free = None
-            if free > now:
-                self.events_fused -= 1
-                self.engine.schedule_keyed_at(
-                    free, self._out_done_key, self._out_done, priority=1
-                )
-            else:
-                self._out_busy = False
+        self.out_fifo.push(packet, self.engine.now)
         self._pump_out()
 
     def _pump_out(self) -> None:
@@ -230,11 +207,6 @@ class StationRingInterface:
         if tr is not None:
             tr.stamp_pkt(packet, "ring.inject", start)
         done = start + packet.flits * self.ring.slot_ticks
-        if self.fused and self.out_fifo.empty:
-            # nothing to pump at ``done``: defer the relay (idle elision)
-            self._out_free = done
-            self.events_fused += 1
-            return
         self.engine.schedule_keyed_at(
             done, self._out_done_key, self._out_done, priority=1
         )
@@ -246,8 +218,7 @@ class StationRingInterface:
     def _local_loopback(self, packet: Packet) -> None:
         # Loopbacks are not anchored to a ring arrival, so their tail
         # bounce stays counter-keyed (the arrival-derived bounce key's
-        # uniqueness argument does not cover them) — and transit fusion
-        # consequently leaves the loopback path alone.
+        # uniqueness argument does not cover them).
         tail = (packet.flits - 1) * self.ring.slot_ticks
         if tail:
             self.engine.schedule(tail, self._accept_body, packet)
@@ -294,9 +265,7 @@ class StationRingInterface:
         # Deliver logic inlined from ring_arrival, with a counter-keyed
         # tail bounce: this entry is not anchored to a ring arrival, so the
         # arrival-derived bounce key's per-tick uniqueness argument does
-        # not cover it.  Only TO_SEQ packets reach here, and fusion always
-        # stops at the sequencing point, so both modes schedule these at
-        # identical stream positions.
+        # not cover it.
         fld = self.codec.field(packet.dest_mask, 0)
         mybit = 1 << self.station_bit
         if fld & mybit:
@@ -315,8 +284,7 @@ class StationRingInterface:
         """Downward path entry for ring deliveries: the input FIFO between
         ring and handler.  Multi-flit messages finish arriving
         ``(flits-1)`` slots after their head (cut-through tail lag); the
-        bounce event carries an arrival-derived content key so the fused
-        tail-lag merge can reproduce it exactly (see ring.py)."""
+        bounce event carries an arrival-derived content key (see ring.py)."""
         tail = (packet.flits - 1) * self.ring.slot_ticks
         if tail:
             engine = self.engine
@@ -325,7 +293,7 @@ class StationRingInterface:
                  self._accept_body, packet)
             )
             return
-        self._accept_body(packet, True)
+        self._accept_body(packet)
 
     def _accept_seq(self, packet: Packet) -> None:
         """Tail-lag gate for sequencing-point re-deliveries (counter-keyed,
@@ -336,38 +304,16 @@ class StationRingInterface:
             return
         self._accept_body(packet)
 
-    def _accept_body(self, packet: Packet, in_arrival: bool = False) -> None:
-        # in_arrival: called synchronously from inside this position's
-        # arrival event (single-flit fast path) rather than from the
-        # tail-lag bounce or a counter-keyed gate — the backpressure halt
-        # below then precedes same-tick arrivals at higher positions, which
-        # the fused conflict test must know (see Ring.halt_link)
+    def _accept_body(self, packet: Packet) -> None:
         packet.arr = self.engine.now
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "ri.arrive", self.engine.now)
         self.in_fifo.push(packet, self.engine.now)
         if self.in_fifo.pressured:
-            self.ring.halt_link(self.pos, self.ring.slot_ticks * 4, in_arrival)
+            self.ring.halt_link(self.pos, self.ring.slot_ticks * 4)
             self.stats.counter("input_halts").incr()
         self._pump_handler()
-
-    def _fused_accept(self, packet: Packet) -> None:
-        """Fused final delivery: the skipped sole-target arrival would have
-        cleared the level-0 field and bounced once for the tail lag — do
-        the clear here and run the post-tail accept body directly."""
-        packet.dest_mask = self.codec.with_field(packet.dest_mask, 0, 0)
-        self._accept_body(packet)
-
-    def fuse_profile(self, ring: Ring) -> tuple:
-        """Transit-fusion descriptor (see :class:`~repro.interconnect.ring.
-        RingMember`): a station passes ascending packets, passes ordered
-        multicasts unless it is the ring's sequencing point (single-ring
-        machines), and consumes deliveries addressed to its level-0 bit."""
-        codec = self.codec
-        dbm = codec.with_field(0, 0, 1 << self.station_bit)
-        others = codec._field_masks[0] & ~dbm
-        return (dbm, others, True, ring.seq_pos != self.pos, self._fused_accept)
 
     def _pump_handler(self) -> None:
         if self._handler_busy or self.in_fifo.empty:
@@ -452,12 +398,8 @@ class InterRingInterface:
         "down_fifo",
         "_up_busy",
         "_down_busy",
-        "fused",
-        "events_fused",
         "_up_done_key",
-        "_up_free",
         "_down_done_key",
-        "_down_free",
         "stats",
         "tracer",
     )
@@ -489,14 +431,9 @@ class InterRingInterface:
         self.down_fifo = Fifo(f"{name}.down", capacity=fifo_capacity)
         self._up_busy = False
         self._down_busy = False
-        #: idle-port wakeup elision, one per direction (see the station
-        #: ring interface's _pump_out / _enqueue_out)
-        self.fused = fusion_enabled()
-        self.events_fused = 0
+        #: content keys of the up/down port releases (see repro.sim.engine)
         self._up_done_key = ~engine.alloc_uid()
-        self._up_free: Optional[int] = None
         self._down_done_key = ~engine.alloc_uid()
-        self._down_free: Optional[int] = None
         self.stats = StatGroup(name)
         #: transaction tracer (repro.obs), or None when tracing is off
         self.tracer = None
@@ -509,20 +446,6 @@ class InterRingInterface:
             self._parent_arrival(packet)
         else:  # pragma: no cover - wiring error
             raise RuntimeError(f"{self.name} got packet from unknown ring")
-
-    def fuse_profile(self, ring: Ring) -> tuple:
-        """Transit-fusion descriptor.  On the child ring the switch stops
-        every ascending packet (it is the up link) and every ordered
-        multicast when it is the sequencing point; deliver-mode packets
-        have no bit at the switch position and pass through.  On the parent
-        ring it behaves like a station, keyed on the parent-level field."""
-        if ring is self.child:
-            return (0, 0, False, self.child.seq_pos != self.child_pos, None)
-        codec = self.codec
-        lvl = self.parent.level
-        dbm = codec.with_field(0, lvl, 1 << self.parent_pos)
-        others = codec._field_masks[lvl] & ~dbm
-        return (dbm, others, True, self.parent.seq_pos != self.parent_pos, None)
 
     # ---- child ring side ---------------------------------------------
     def _child_arrival(self, packet: Packet) -> None:
@@ -549,18 +472,7 @@ class InterRingInterface:
         packet.up_enq = self.engine.now
         self.up_fifo.push(packet, self.engine.now)
         if self.up_fifo.pressured:
-            # always called from inside the child-ring arrival event here
-            self.child.halt_link(self.child_pos, self.child.slot_ticks * 4, True)
-        free = self._up_free
-        if free is not None:
-            self._up_free = None
-            if free > self.engine.now:
-                self.events_fused -= 1
-                self.engine.schedule_keyed_at(
-                    free, self._up_done_key, self._up_done, priority=1
-                )
-            else:
-                self._up_busy = False
+            self.child.halt_link(self.child_pos, self.child.slot_ticks * 4)
         self._pump_up()
 
     def _pump_up(self) -> None:
@@ -589,10 +501,6 @@ class InterRingInterface:
         if tr is not None:
             tr.stamp_pkt(packet, "iri.up_inject", start)
         done = start + packet.flits * self.parent.slot_ticks
-        if self.fused and self.up_fifo.empty:
-            self._up_free = done
-            self.events_fused += 1
-            return
         self.engine.schedule_keyed_at(
             done, self._up_done_key, self._up_done, priority=1
         )
@@ -650,18 +558,7 @@ class InterRingInterface:
             tr.stamp_pkt(packet, "iri.down_enq", self.engine.now)
         self.down_fifo.push(packet, self.engine.now)
         if self.down_fifo.pressured:
-            # always called from inside the parent-ring arrival event here
-            self.parent.halt_link(self.parent_pos, self.parent.slot_ticks * 4, True)
-        free = self._down_free
-        if free is not None:
-            self._down_free = None
-            if free > self.engine.now:
-                self.events_fused -= 1
-                self.engine.schedule_keyed_at(
-                    free, self._down_done_key, self._down_done, priority=1
-                )
-            else:
-                self._down_busy = False
+            self.parent.halt_link(self.parent_pos, self.parent.slot_ticks * 4)
         self._pump_down()
 
     def _pump_down(self) -> None:
@@ -680,10 +577,6 @@ class InterRingInterface:
         if tr is not None:
             tr.stamp_pkt(packet, "iri.down_inject", start)
         done = start + packet.flits * self.child.slot_ticks
-        if self.fused and self.down_fifo.empty:
-            self._down_free = done
-            self.events_fused += 1
-            return
         self.engine.schedule_keyed_at(
             done, self._down_done_key, self._down_done, priority=1
         )

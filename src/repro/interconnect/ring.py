@@ -29,65 +29,21 @@ Flow control: when a member's input FIFO passes its high-water mark the
 member halts the upstream link (``halt_link``), modelling the paper's
 "operation of the ring that is feeding the buffer is temporarily halted".
 
-Transit fusion (``NUMACHINE_FUSE=on``, default off)
----------------------------------------------------
-
-Most ring events are pure pass-through hops: a packet ascending to the
-central ring, or circling past non-destination stations, triggers one
-``_send``/``_arrive`` pair per hop that does nothing but re-send.  When a
-packet's ``route_state``/``dest_mask`` prove it passes the next *k*
-positions without side effects, the fused path schedules **one** arrival
-event *k* hops ahead and applies the skipped links' ``link_free``/
-``busy``/``packets_carried`` updates in closed form — including waiting
-out already-reserved link time (*wait-through*): a link busy inside the
-window just delays the downstream send times, exactly as the hop-by-hop
-walk would have computed them.  When the final member is the packet's
-sole delivery target, the ``(flits-1)``-slot tail-lag bounce is folded
-into the same macro-event.  The canonical surface — ``now``, every
-latency accumulator, coherence/utilization stats — is bit-identical to
-the hop-by-hop run; only ``events_run`` shrinks.
-
-Exactness rests on two mechanisms.  First, arrival events carry
-*content-derived* sequence keys (``ring.uid``/position, see
-:mod:`repro.sim.engine`), so a macro-event sorts exactly where the
-hop-by-hop final arrival would have and eliding the intermediate events
-leaves the global tie-break counter untouched.  Second, because
-``halt_link`` (backpressure, fault injection) or a competing ``_send``
-can retroactively invalidate a fused window, every fused transit leaves
-a :class:`FusedTransit` record in the ring's segment reservation table.
-A conflicting operation detects the reservation, cancels the fused
-arrival via the engine's O(1) tombstone (:meth:`Engine.cancel`), rolls
-the skipped links back to their pre-fusion reservations, and replays the
-remainder hop-by-hop from the conflict position — after which the normal
-(exact) rules apply, including re-fusing further downstream.
+Event order: arrival events (and the tail-lag bounces the interfaces
+schedule on delivery) carry *content-derived* sequence keys built from the
+ring's ``uid`` and the position (see :mod:`repro.sim.engine`), not the
+engine's global counter.  Those keys define the same-tick tie-break order
+that the pinned protocol fingerprints and the benchmark's surface hashes
+depend on, so they must stay content-derived.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Protocol
 
 from ..sim.engine import Engine
 from ..sim.stats import BusyTracker, Counter
 from .packet import Packet
-
-
-def fusion_enabled(override=None) -> bool:
-    """Resolve the ``NUMACHINE_FUSE`` knob (``off``/``on``, default off)."""
-    raw = os.environ.get("NUMACHINE_FUSE", "off") if override is None else override
-    if isinstance(raw, bool):
-        return raw
-    name = str(raw).strip().lower()
-    if name in ("on", "1", "true", "yes"):
-        return True
-    if name in ("off", "0", "false", "no", ""):
-        return False
-    raise ValueError(f"unknown NUMACHINE_FUSE value {raw!r} (use 'off' or 'on')")
-
-
-def fusion_mode(override=None) -> str:
-    """The knob normalized to the string stamped in caches/ledgers."""
-    return "on" if fusion_enabled(override) else "off"
 
 
 #: content-key spaces at PRIO_ARRIVAL (positive; the counter never appears
@@ -102,37 +58,11 @@ BOUNCE_FLIT_SHIFT = 8
 BOUNCE_KEY = 1 << 30
 
 
-class FusedTransit:
-    """Segment reservation record for one in-flight fused multi-hop transit.
-
-    ``pos`` sent the packet; links ``pos+1 .. pos+m`` were reserved in
-    closed form.  ``arr`` holds the tick the packet reaches each skipped
-    position (the moment the hop-by-hop walk would have reserved its link)
-    and ``prev`` the links' pre-fusion ``link_free`` values — together the
-    conflict test and the rollback state.  The single macro-event
-    ``handle`` delivers at ``fpos``; ``accept`` is the final member's
-    fused-accept callback when the tail-lag merge applied, else ``None``
-    (plain ``ring_arrival``).  ``saved`` is the number of events this
-    fusion avoided, for hop-equivalent accounting.
-    """
-
-    __slots__ = ("packet", "pos", "m", "occupy", "prev", "arr",
-                 "fpos", "accept", "handle", "saved")
-
-
 class RingMember(Protocol):
     """Anything attached to a ring position."""
 
     def ring_arrival(self, ring: "Ring", packet: Packet) -> None:
         """Handle a packet whose last flit has arrived at this member."""
-        ...
-
-    def fuse_profile(self, ring: "Ring") -> tuple:
-        """Static transit-fusion descriptor for this member on ``ring``:
-        ``(dest_bit_mask, other_bits_mask, pass_ascend, pass_toseq,
-        fused_accept_or_None)``.  A deliver-state packet passes through iff
-        ``dest_mask & dest_bit_mask == 0``; ascend/to_seq packets pass iff
-        the respective flag is set."""
         ...
 
 
@@ -153,17 +83,9 @@ class Ring:
         "busy",
         "packets_carried",
         "halts",
-        "fused",
-        "events_fused",
         "_abase",
         "_bbase",
-        "_resv",
-        "_fuse_tab",
     )
-
-    #: generated plain-variant cores drop ``packets_carried``; their ring
-    #: classes clear this so the shared repair path skips the rollback too
-    _count_carried = True
 
     def __init__(
         self,
@@ -174,7 +96,6 @@ class Ring:
         slot_ticks: int,
         hop_ticks: int,
         seq_pos: int = 0,
-        fused: Optional[bool] = None,
     ) -> None:
         self.engine = engine
         self.name = name
@@ -197,27 +118,12 @@ class Ring:
         self.busy = BusyTracker(f"{name}.links")
         self.packets_carried = Counter(f"{name}.packets")
         self.halts = Counter(f"{name}.halts")
-        #: transit fusion (resolved from NUMACHINE_FUSE unless forced)
-        self.fused = fusion_enabled() if fused is None else bool(fused)
-        #: events avoided by fusion so far (hop-equivalent accounting)
-        self.events_fused = 0
-        #: segment reservation table: live FusedTransit records
-        self._resv: List[FusedTransit] = []
-        #: per-position fuse profiles, built lazily on the first fused send
-        self._fuse_tab = None
 
     # ------------------------------------------------------------------
     def attach(self, pos: int, member: RingMember) -> None:
         if self.members[pos] is not None:
             raise ValueError(f"{self.name} position {pos} already attached")
         self.members[pos] = member
-
-    def next_pos(self, pos: int) -> int:
-        return (pos + 1) % self.size
-
-    def distance(self, src: int, dst: int) -> int:
-        """Hops from src to dst travelling in ring direction."""
-        return (dst - src) % self.size
 
     # ------------------------------------------------------------------
     # transport
@@ -236,10 +142,6 @@ class Ring:
         # serialization time is charged once, at final delivery (the
         # interfaces add ``(flits-1)*slot`` when consuming).  The link is
         # reserved for all flits, so bandwidth and FIFO order are exact.
-        if self._resv:
-            # hop-by-hop this send would have reserved the link before any
-            # fused transit's future hop across it: repair those first
-            self._send_conflicts(pos)
         engine = self.engine
         link_free = self._link_free
         start = link_free[pos]
@@ -250,8 +152,6 @@ class Ring:
         link_free[pos] = start + occupy
         self.busy.busy += occupy
         self.packets_carried.value += 1
-        if self.fused:
-            return self._fused_send(pos, packet, start, occupy)
         np = pos + 1
         if np >= self.size:
             np = 0
@@ -261,284 +161,6 @@ class Ring:
         )
         return start
 
-    def _fused_send(self, pos: int, packet: Packet, start: int, occupy: int) -> int:
-        """Fusion fast path: link ``pos`` is already reserved; scan ahead
-        for pass-through positions, reserve their links in closed form
-        (waiting through existing reservations), and schedule the single
-        macro arrival."""
-        tab = self._fuse_tab
-        if tab is None:
-            tab = self._build_fuse_tab()
-            if tab is None:  # ring opted out of fusion: plain next hop
-                np = pos + 1
-                if np >= self.size:
-                    np = 0
-                self.engine._push(
-                    (start + self.hop_ticks, 0, self._abase | np,
-                     self._arrive, (np, packet))
-                )
-                return start
-        size = self.size
-        hop = self.hop_ticks
-        state = packet.route_state
-        dest = packet.dest_mask
-        np = pos + 1
-        if np >= size:
-            np = 0
-        dbm, others, pass_a, pass_t, accept = tab[np]
-        if state == 0:  # ROUTE_DELIVER
-            stop = dest & dbm
-        elif state == 1:  # ROUTE_ASCEND
-            stop = not pass_a
-        else:  # ROUTE_TO_SEQ
-            stop = not pass_t
-        if stop:
-            # the next member consumes or redirects the packet: nothing to
-            # fuse except possibly the tail-lag bounce — skip the window
-            # machinery entirely (the common case on short rings)
-            engine = self.engine
-            t = start + hop
-            if state == 0 and accept is not None and not (dest & others):
-                tail = (packet.flits - 1) * self.slot_ticks
-                if tail:
-                    self.events_fused += 1
-                    engine._push(
-                        (t + tail, 0,
-                         self._bbase | np << BOUNCE_FLIT_SHIFT | packet.flits,
-                         accept, packet)
-                    )
-                    return start
-            engine._push((t, 0, self._abase | np, self._arrive, (np, packet)))
-            return start
-        link_free = self._link_free
-        resv = self._resv
-        m = 0
-        p = pos
-        s = start  # send time on the current hop's link
-        prev = []
-        arr = []
-        limit = size - 1
-        while True:
-            # invariant: position ``np`` passes the packet through; try to
-            # take its link in closed form
-            a = s + hop  # the packet reaches np (and reserves its link) here
-            if resv:
-                # another fused transit crosses link np but arrives *later*
-                # than we do: hop-by-hop we would reserve first, so taking
-                # its closed-form reservation as wait-through time would
-                # invert the order.  End the window; our macro arrival's
-                # ordinary ``_send`` there will repair the other transit.
-                blocked = False
-                for rec in resv:
-                    jj = (np - rec.pos) % size
-                    if 1 <= jj <= rec.m and rec.arr[jj - 1] > a:
-                        blocked = True
-                        break
-                if blocked:
-                    break
-            f = link_free[np]
-            prev.append(f)
-            arr.append(a)
-            s = f if f > a else a  # wait-through: queue behind link time
-            link_free[np] = s + occupy
-            p = np
-            m += 1
-            if m >= limit:
-                break
-            np = p + 1
-            if np >= size:
-                np = 0
-            dbm, others, pass_a, pass_t, accept = tab[np]
-            if state == 0:
-                if dest & dbm:
-                    break
-            elif state == 1:
-                if not pass_a:
-                    break
-            elif not pass_t:
-                break
-        fpos = p + 1
-        if fpos >= size:
-            fpos = 0
-        t = s + hop  # head arrival tick at fpos
-        engine = self.engine
-        if m == limit:
-            # only the length-limit break leaves the tab locals one behind
-            dbm, others, _pass_a, _pass_t, accept = tab[fpos]
-        # Tail-lag merge: a sole-target delivery's arrival only gates the
-        # (flits-1)-slot tail bounce — fold that bounce into the macro event
-        # (see SRI._fused_accept).  The merged event reuses the bounce's own
-        # content key, so it sorts exactly like the unfused bounce would.
-        tail = (packet.flits - 1) * self.slot_ticks
-        merged = (
-            accept is not None
-            and tail
-            and state == 0
-            and dest & dbm
-            and not (dest & others)
-        )
-        if m == 0:
-            # no hops skipped: no reservation needed — the only link used
-            # was reserved normally, and an in-flight arrival can't be
-            # invalidated by a later halt
-            if merged:
-                self.events_fused += 1
-                engine._push(
-                    (t + tail, 0,
-                     self._bbase | fpos << BOUNCE_FLIT_SHIFT | packet.flits,
-                     accept, packet)
-                )
-            else:
-                engine._push((t, 0, self._abase | fpos, self._arrive,
-                              (fpos, packet)))
-            return start
-        self.busy.busy += occupy * m
-        self.packets_carried.value += m
-        rec = FusedTransit()
-        rec.packet = packet
-        rec.pos = pos
-        rec.m = m
-        rec.occupy = occupy
-        rec.prev = prev
-        rec.arr = arr
-        rec.fpos = fpos
-        rec.accept = accept if merged else None
-        rec.saved = m + 1 if merged else m
-        if merged:
-            rec.handle = engine.schedule_cancellable_keyed_at(
-                t + tail,
-                self._bbase | fpos << BOUNCE_FLIT_SHIFT | packet.flits,
-                self._fused_fire, rec,
-            )
-        else:
-            rec.handle = engine.schedule_cancellable_keyed_at(
-                t, self._abase | fpos, self._fused_fire, rec,
-            )
-        resv.append(rec)
-        self.events_fused += rec.saved
-        return start
-
-    def _build_fuse_tab(self):
-        tab = []
-        for member in self.members:
-            profile = getattr(member, "fuse_profile", None)
-            if profile is None:
-                # a partially attached ring or a stub member (tests,
-                # tooling) exposes no fuse profile: run this ring unfused
-                # rather than guess at its pass-through semantics
-                self.fused = False
-                return None
-            tab.append(profile(self))
-        self._fuse_tab = tab = tuple(tab)
-        return tab
-
-    def _fused_fire(self, rec: FusedTransit) -> None:
-        """The macro arrival of a fused transit: clear the reservation and
-        deliver exactly as the last hop-by-hop event would have."""
-        self._resv.remove(rec)
-        accept = rec.accept
-        if accept is None:
-            self.members[rec.fpos].ring_arrival(self, rec.packet)
-        else:
-            accept(rec.packet)
-
-    def _send_conflicts(self, pos: int) -> None:
-        now = self.engine.now
-        size = self.size
-        for rec in self._resv:
-            j = (pos - rec.pos) % size
-            # conflict iff the fused packet has not yet reached this link:
-            # hop-by-hop it would reserve at rec.arr[j-1], so a send before
-            # then must queue *ahead* of it, not behind its reservation
-            if 1 <= j <= rec.m and rec.arr[j - 1] > now:
-                self._repair_all()
-                return
-
-    def _halt_conflicts(
-        self, upstream: int, target: int, tie_pending: bool
-    ) -> None:
-        now = self.engine.now
-        size = self.size
-        for rec in self._resv:
-            j = (upstream - rec.pos) % size
-            # conflict iff the fused packet has not yet reached this link
-            # and the halt would have pushed the pre-fusion reservation out
-            # (hop-by-hop: exactly the halts that change start times/counts).
-            # ``tie_pending`` resolves the same-tick race: a virtual arrival
-            # at exactly ``now`` has already reserved the link only if its
-            # content key sorts before the halting event's (see halt_link)
-            if (
-                1 <= j <= rec.m
-                and (
-                    rec.arr[j - 1] > now
-                    or (tie_pending and rec.arr[j - 1] == now)
-                )
-                and target > rec.prev[j - 1]
-            ):
-                self._repair_all(upstream if tie_pending else None)
-                return
-
-    def _repair_all(self, tie_pos: Optional[int] = None) -> None:
-        """Unwind every live reservation with pending hops, newest first.
-
-        Repairing is conservative by construction — it reconstructs the
-        exact hop-by-hop pending state, so unwinding more than the one
-        conflicted transit never changes results, it only forgoes savings.
-        Unwinding *newest first* is what makes the blind ``prev`` restores
-        exact when windows overlap: a later fusion observed (and reserved
-        over) an earlier one's link values, so restores must nest like a
-        stack.  Conflicts are rare (backpressure/fault paths) and ``_resv``
-        is tiny, so the simplicity is worth a few extra replays.
-
-        ``tie_pos`` marks one link whose same-tick virtual arrival has NOT
-        yet run in hop-by-hop key order (see :meth:`halt_link`): a hop
-        reaching it at exactly ``now`` counts as pending, where every other
-        same-tick hop counts as already reserved.
-        """
-        now = self.engine.now
-        size = self.size
-        for rec in reversed(tuple(self._resv)):
-            # earliest pending hop: smallest j whose position the packet
-            # has not reached yet (arr is strictly increasing)
-            arr = rec.arr
-            m = rec.m
-            j = 1
-            while j <= m and (
-                arr[j - 1] < now
-                or (
-                    arr[j - 1] == now
-                    and (tie_pos is None or (rec.pos + j) % size != tie_pos)
-                )
-            ):
-                j += 1
-            if j <= m:
-                self._repair(rec, j)
-
-    def _repair(self, rec: FusedTransit, j: int) -> None:
-        """Cancel a fused transit invalidated at hop ``j`` and replay the
-        remainder hop-by-hop from the conflict position: roll the skipped
-        links back to their pre-fusion reservations and re-create the plain
-        arrival event the unfused run would have pending right now."""
-        engine = self.engine
-        engine.cancel(rec.handle)
-        self._resv.remove(rec)
-        link_free = self._link_free
-        size = self.size
-        undone = rec.m - j + 1
-        for i in range(j, rec.m + 1):
-            link_free[(rec.pos + i) % size] = rec.prev[i - 1]
-        self.busy.busy -= rec.occupy * undone
-        if self._count_carried:
-            self.packets_carried.value -= undone
-        # hops 1..j-1 stay genuinely saved; the macro event is replaced by
-        # the replay arrival (and its tombstone is netted out by
-        # ``engine.cancels`` in the hop-equivalent formula)
-        self.events_fused -= rec.saved - (j - 1)
-        rp = (rec.pos + j) % size
-        engine.schedule_keyed_at(
-            rec.arr[j - 1], self._abase | rp, self._arrive, (rp, rec.packet)
-        )
-
     def _arrive(self, arg) -> None:
         pos, packet = arg
         member = self.members[pos]
@@ -546,26 +168,11 @@ class Ring:
             raise RuntimeError(f"{self.name}: no member at position {pos}")
         member.ring_arrival(self, packet)
 
-    def halt_link(
-        self, into_pos: int, duration: int, in_arrival: bool = False
-    ) -> None:
+    def halt_link(self, into_pos: int, duration: int) -> None:
         """Backpressure: stop the link feeding ``into_pos`` for ``duration``
-        ticks (the upstream member cannot forward meanwhile).
-
-        ``in_arrival`` marks a halt issued from *inside* the arrival event
-        at ``into_pos`` (e.g. a single-flit accept that finds its FIFO
-        pressured).  It disambiguates the same-tick race against a fused
-        window: the halted link is reserved by the arrival at ``upstream``,
-        whose content key sorts after the current event's exactly when
-        ``upstream > into_pos`` — i.e. only for ``into_pos == 0``, where
-        hop-by-hop the halt lands *before* the reserving arrival runs and
-        the fused closed form must be repaired even at equal ticks."""
+        ticks (the upstream member cannot forward meanwhile)."""
         upstream = (into_pos - 1) % self.size
         target = self.engine.now + duration
-        if self._resv:
-            self._halt_conflicts(
-                upstream, target, in_arrival and upstream > into_pos
-            )
         if target > self._link_free[upstream]:
             self._link_free[upstream] = target
             self.halts.incr()

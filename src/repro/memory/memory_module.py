@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional
 from ..core.directory import DirEntry, Directory
 from ..core.states import LineState
 from ..interconnect.packet import MsgType, Packet, acquire_packet, release_packet
-from ..interconnect.ring import fusion_enabled
 from ..sim.engine import Engine, SimulationError, ns_to_ticks
 from ..sim.fifo import Fifo
 from ..sim.stats import StatGroup
@@ -100,9 +99,7 @@ class MemoryModule:
         #: transaction ids stamp each lock instance so stale intervention
         #: answers from an earlier, already-resolved round are ignored
         self._txn = 0
-        #: service-done relay fusion (NUMACHINE_FUSE); see NetworkCache
-        self.fused = fusion_enabled()
-        self.events_fused = 0
+        #: content key of the service-done event (see repro.sim.engine)
         self._done_key = ~engine.alloc_uid()
 
     # ==================================================================
@@ -148,22 +145,12 @@ class MemoryModule:
         v = self.verifier
         if v is not None:
             v.mem_event(self, pkt)
-        # Content-keyed done event; zero-extra dones merge into the service
-        # event when fusion is on (exactness argument in NetworkCache).
+        # Content-keyed done event (see NetworkCache._service).
         engine = self.engine
-        if extra:
-            engine.schedule_keyed_at(
-                engine.now + extra, self._done_key, self._service_done,
-                priority=1,
-            )
-        elif self.fused:
-            self.events_fused += 1
-            self._busy = False
-            self._pump()
-        else:
-            engine.schedule_keyed_at(
-                engine.now, self._done_key, self._service_done, priority=1
-            )
+        engine.schedule_keyed_at(
+            engine.now + (extra or 0), self._done_key, self._service_done,
+            priority=1,
+        )
 
     def _service_done(self) -> None:
         self._busy = False

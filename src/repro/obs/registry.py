@@ -100,15 +100,6 @@ def snapshot(machine, include_wall: bool = True) -> dict:
         "num_cpus": len(machine.cpus),
         "protocol": getattr(machine, "protocol_name", "numachine"),
     }
-    counts = getattr(machine, "event_counts", None)
-    if counts is not None:
-        # transit fusion (NUMACHINE_FUSE): macro-events vs the equivalent
-        # hop-by-hop event count, so fused and unfused runs stay comparable
-        ec = counts()
-        meta["fuse"] = ec["fuse"]
-        meta["events_fused"] = ec["fused"]
-        meta["events_cancelled"] = ec["cancels"]
-        meta["events_hop_equivalent"] = ec["hop_equivalent"]
     snap = {
         "schema": SNAPSHOT_SCHEMA,
         "meta": meta,
@@ -201,12 +192,6 @@ def to_prometheus(snap: dict, prefix: str = "numachine") -> str:
         # scrapes can group/filter ablation runs without re-keying metrics
         metric("protocol_info", "coherence protocol plug-in", "gauge",
                [((("protocol", meta["protocol"]),), 1)])
-    if "events_hop_equivalent" in meta:
-        metric("events_fused_total", "hop events elided by transit fusion",
-               "counter", [((), meta.get("events_fused", 0))])
-        metric("events_hop_equivalent_total",
-               "events the hop-by-hop walk would have run", "counter",
-               [((), meta.get("events_hop_equivalent", 0))])
 
     metric("counter_total", "component event counters", "counter",
            [((("name", k),), v) for k, v in sorted(snap.get("counters", {}).items())])

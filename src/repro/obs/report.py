@@ -87,12 +87,6 @@ def render_text(snap: dict, probe_limit: int = 24) -> str:
         f"{meta.get('num_cpus', '?')} cpus / {meta.get('num_stations', '?')} stations, "
         f"{meta.get('protocol', 'numachine')} protocol"
     )
-    if meta.get("fuse") == "on":
-        out.append(
-            f"     transit fusion on: {meta.get('events_fused', 0)} hop events "
-            f"elided ({meta.get('events_cancelled', 0)} fused transits "
-            f"repaired), {meta.get('events_hop_equivalent', 0)} hop-equivalent"
-        )
     if "events_per_sec" in meta:
         out.append(
             f"     {meta['events_per_sec']:.0f} events/s "

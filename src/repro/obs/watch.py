@@ -33,12 +33,12 @@ def _fmt_eta(seconds: Optional[float]) -> str:
     return f"{seconds / 3600:.1f}h"
 
 
-def _rates(lines: List[dict], key: str = "events_run") -> List[float]:
+def _rates(lines: List[dict]) -> List[float]:
     """Events/s of each inter-line interval, from the stream's own
     wall-clock stamps (robust across runs appended to one file)."""
     out: List[float] = []
     for prev, cur in zip(lines, lines[1:]):
-        de = cur["meta"].get(key, 0) - prev["meta"].get(key, 0)
+        de = cur["meta"].get("events_run", 0) - prev["meta"].get("events_run", 0)
         dw = cur["stream"]["wall_ts"] - prev["stream"]["wall_ts"]
         out.append(de / dw if dw > 0 and de >= 0 else 0.0)
     return out
@@ -55,48 +55,29 @@ def render_status(lines: List[dict], width: int = 60) -> str:
 
     done, total = st.get("cpus_done", 0), st.get("cpus_total", 0)
     state = "FINISHED" if st.get("final") else "running"
-    # under transit fusion the macro-event count undersells progress; rate
-    # and sparkline use hop-equivalents so fused/unfused runs compare, while
-    # the drain ETA keeps the macro rate (the queue holds macro events)
-    fused = meta.get("fuse") == "on" and "events_hop_equivalent" in meta
-    header = (
+    out.append(
         f"{state} [{meta.get('protocol', 'numachine')}]: "
         f"{meta.get('time_ns', 0):,.0f} ns simulated, "
-        f"{meta.get('events_run', 0):,} events"
-    )
-    if fused:
-        header += f" ({meta['events_hop_equivalent']:,} hop-equivalent)"
-    out.append(
-        header
-        + f", cpus {done}/{total} done, {st.get('pending', 0):,} events pending"
+        f"{meta.get('events_run', 0):,} events, "
+        f"cpus {done}/{total} done, {st.get('pending', 0):,} events pending"
     )
 
-    rates = _rates(lines, "events_hop_equivalent" if fused else "events_run")
+    rates = _rates(lines)
     rate = rates[-1] if rates else meta.get("events_per_sec", 0.0)
     if not st.get("final"):
         eta_cpu = None
         elapsed = st.get("wall_ts", 0) - lines[0]["stream"].get("wall_ts", 0)
         if done and total and done < total and elapsed > 0:
             eta_cpu = elapsed * (total - done) / done
-        if fused:
-            macro = _rates(lines)
-            drain_rate = macro[-1] if macro else 0.0
-        else:
-            drain_rate = rate
-        eta_drain = st.get("pending", 0) / drain_rate if drain_rate > 0 else None
+        eta_drain = st.get("pending", 0) / rate if rate > 0 else None
         out.append(
-            f"rate: {rate:,.0f} {'hop-equivalent ' if fused else ''}events/s   "
+            f"rate: {rate:,.0f} events/s   "
             f"eta {_fmt_eta(eta_cpu)} (cpu progress), "
             f">= {_fmt_eta(eta_drain)} (queue drain)"
         )
     elif "events_per_sec" in meta:
-        rate = meta["events_per_sec"]
-        if fused and meta.get("events_run"):
-            # macro-events/s understates a fused run; report the
-            # hop-equivalent rate so fused/unfused runs compare
-            rate = rate * meta["events_hop_equivalent"] / meta["events_run"]
         out.append(
-            f"rate: {rate:,.0f} {'hop-equivalent ' if fused else ''}events/s "
+            f"rate: {meta['events_per_sec']:,.0f} events/s "
             f"over the run ({meta.get('wall_s', 0):.3f} s wall)"
         )
 

@@ -26,9 +26,8 @@ Environment knobs:
   policy on demand; ``--stats`` and ``--clear`` are also available.
 
 The execution-strategy knobs — backend (``NUMACHINE_BACKEND``), event
-scheduler (``NUMACHINE_SCHED``), packet pooling (``NUMACHINE_POOL``) and
-transit fusion (``NUMACHINE_FUSE``) — are **in the key** even though all
-of them are bit-identical by contract on the canonical surface
+scheduler (``NUMACHINE_SCHED``) and packet pooling (``NUMACHINE_POOL``) —
+are **in the key** even though all of them are bit-identical by contract on the canonical surface
 (pinned by ``tests/test_engine_determinism.py`` and
 ``tests/test_elab_backend.py``).  A cached record also stores wall-clock
 throughput, and *that* is not strategy-invariant; keying on the strategy
@@ -49,7 +48,6 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ..interconnect.ring import fusion_mode
 from ..protocol import resolve_protocol_name
 from .record import RunRecord
 
@@ -107,7 +105,6 @@ def point_key(
             "backend": os.environ.get("NUMACHINE_BACKEND", "auto"),
             "sched": os.environ.get("NUMACHINE_SCHED", "auto"),
             "pool": os.environ.get("NUMACHINE_POOL", "1"),
-            "fuse": fusion_mode(),
         },
         sort_keys=True,
     )

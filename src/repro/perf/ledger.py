@@ -11,10 +11,6 @@ overwrites.
 Entries are append-only and host-stamped: rates from different hosts are
 not comparable (see ``bench_scale.host_fingerprint``), so any consumer
 should group by the ``host`` fingerprint before drawing trend lines.
-Each entry also stamps the ambient transit-fusion mode (``NUMACHINE_FUSE``
-at append time); a bench that sweeps both modes in one process carries the
-per-point mode inside its ``result`` payload as well, since event counts
-and wall rates are not comparable across fusion modes.
 
 Schema 4 adds ``kind``: ``"simulation"`` for the engine/scale/figure
 benches, ``"serving"`` for the job-server soak (``bench_serve.py`` —
@@ -33,7 +29,6 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from ..interconnect.ring import fusion_mode
 from ..protocol import resolve_protocol_name
 
 #: bump when the per-line layout changes incompatibly
@@ -85,7 +80,6 @@ def make_entry(bench: str, result: dict, kind: str = "simulation") -> dict:
         "kind": kind,
         "git_sha": git_sha(),
         "host": host_fingerprint(),
-        "fuse": fusion_mode(),
         "protocol": resolve_protocol_name(),
         "result": result,
     }

@@ -86,15 +86,15 @@ def canonical_surface(machine) -> dict:
     This is what the default protocol's bit-identity tests (and
     ``bench_ablations --check``) pin against
     ``tests/data/protocol_fingerprints.json``: final simulated time,
-    the hop-equivalent event count (invariant across transit-fusion
-    modes and backends), every NC / memory counter that fired, resource
-    utilizations and ring-interface delay means.  Wall-clock fields are
-    deliberately excluded — the surface must be deterministic.
+    the event count (invariant across backends), every NC / memory
+    counter that fired, resource utilizations and ring-interface delay
+    means.  Wall-clock fields are deliberately excluded — the surface must
+    be deterministic.
     """
-    ec = machine.event_counts()
     return {
         "now": machine.engine.now,
-        "hop_equivalent": ec["hop_equivalent"],
+        # key name pinned by the protocol fixture and the benchmark's surface hash
+        "hop_equivalent": machine.engine.events_run,
         "nc_stats": machine.nc_stats(),
         "memory_stats": machine.memory_stats(),
         "utilizations": machine.utilizations(),

@@ -33,13 +33,14 @@ Content-derived sequence keys
 
 The ``seq`` slot of an event tuple is normally allocated from the global
 counter, which makes every event's scheduling *position* part of the
-simulation's tie-break order.  That is exactly wrong for transit fusion
-(:mod:`repro.interconnect.ring`): a fused macro-event is scheduled earlier
-in the stream than the hop-by-hop event it replaces, so a counter seq
-would perturb every later same-tick tie.  Events that fusion may elide or
-reschedule therefore carry *content-derived* keys instead — values
-computed from stable identity (:meth:`Engine.alloc_uid`, position, flit
-count) that are identical no matter when the event was pushed:
+simulation's tie-break order.  Ring arrivals, their tail-lag bounces and
+the port/service release events of the ring interfaces, network caches
+and memory modules carry *content-derived* keys instead — values computed
+from stable identity (:meth:`Engine.alloc_uid`, position, flit count)
+that are identical no matter when the event was pushed.  These keys
+define the same-tick tie-break order that the pinned protocol
+fingerprints and the benchmark's surface hashes record, so they must not
+be switched back to counter keys (nor uid allocation reordered):
 
 * ``PRIO_ARRIVAL`` events (ring arrivals and their tail-lag bounces) use
   **positive** content keys; the counter is never used at that priority.
@@ -90,46 +91,6 @@ class DeadlockError(SimulationError):
     """Raised when the event queue drains while work remains outstanding."""
 
 
-class Cancellable:
-    """Handle for an event scheduled via :meth:`Engine.schedule_cancellable_at`.
-
-    Event tuples are immutable once pushed and neither scheduler supports
-    removal, so cancellation is a *tombstone*: the handle rides in the
-    tuple's callback slot and, once cancelled, fires as a no-op when the
-    scheduler eventually pops it.  Neither the heap nor the calendar queue
-    has to locate the tuple, which is what makes :meth:`Engine.cancel` O(1)
-    and scheduler-agnostic.  A tombstone still counts as one (empty) event
-    when popped; ``Engine.cancels`` lets accounting subtract them back out.
-    """
-
-    __slots__ = ("fn", "alive")
-
-    def __init__(self, fn: Callable[..., None]) -> None:
-        self.fn = fn
-        self.alive = True
-
-    def __call__(self, arg: Any = None) -> None:
-        if self.alive:
-            # firing consumes the handle: a later cancel() must report the
-            # event as already gone instead of counting a phantom tombstone
-            self.alive = False
-            if arg is None:
-                self.fn()
-            else:
-                self.fn(arg)
-
-    # A repaired-then-refused transit can push a replacement event at the
-    # exact (time, priority, key) of its cancelled tombstone, so tuple
-    # comparison can reach the callback slot.  Such ties only ever involve
-    # at most one *live* event (content keys are unique among live events),
-    # so their relative order is unobservable: compare as neither-less.
-    def __lt__(self, other: Any) -> bool:
-        return False
-
-    def __gt__(self, other: Any) -> bool:
-        return False
-
-
 class Engine:
     """A priority-queue discrete event scheduler.
 
@@ -149,7 +110,6 @@ class Engine:
         "_seq",
         "_uid",
         "_events_run",
-        "_cancels",
         "_running",
         "blocked_watchers",
         "wall_time_s",
@@ -173,7 +133,6 @@ class Engine:
         self._seq: int = 0
         self._uid: int = 0
         self._events_run: int = 0
-        self._cancels: int = 0
         self._running = False
         #: Set by components that are blocked waiting for something; checked
         #: on drain to distinguish completion from deadlock.
@@ -258,25 +217,6 @@ class Engine:
         self._seq = seq
         self._push((when, priority, seq, callback, arg))
 
-    def schedule_cancellable_at(
-        self,
-        when: int,
-        callback: Callable[..., None],
-        arg: Any = None,
-        priority: int = PRIO_NORMAL,
-    ) -> Cancellable:
-        """Like :meth:`schedule_at` but returns a :class:`Cancellable`
-        handle accepted by :meth:`cancel`.  Costs one small wrapper object
-        per event; reserve it for events that may genuinely be revoked
-        (e.g. fused ring transits invalidated by ``halt_link``)."""
-        if when < self.now:
-            raise SimulationError(f"schedule_at in the past: {when} < {self.now}")
-        handle = Cancellable(callback)
-        seq = self._seq + 1
-        self._seq = seq
-        self._push((when, priority, seq, handle, arg))
-        return handle
-
     def schedule_keyed_at(
         self,
         when: int,
@@ -291,35 +231,6 @@ class Engine:
         if when < self.now:
             raise SimulationError(f"schedule_at in the past: {when} < {self.now}")
         self._push((when, priority, key, callback, arg))
-
-    def schedule_cancellable_keyed_at(
-        self,
-        when: int,
-        key: int,
-        callback: Callable[..., None],
-        arg: Any = None,
-        priority: int = PRIO_ARRIVAL,
-    ) -> Cancellable:
-        """Content-keyed variant of :meth:`schedule_cancellable_at`."""
-        if when < self.now:
-            raise SimulationError(f"schedule_at in the past: {when} < {self.now}")
-        handle = Cancellable(callback)
-        self._push((when, priority, key, handle, arg))
-        return handle
-
-    def cancel(self, handle: Cancellable) -> bool:
-        """Revoke a pending cancellable event in O(1), under any scheduler.
-
-        Returns ``True`` if the event had not yet fired or been cancelled.
-        The tombstoned tuple stays queued (it pops as a no-op), so
-        ``pending`` and ``events_run`` still see it; :attr:`cancels` counts
-        how many such empty pops are in flight or already drained.
-        """
-        if handle.alive:
-            handle.alive = False
-            self._cancels += 1
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # execution
@@ -486,14 +397,6 @@ class Engine:
     def events_run(self) -> int:
         """Total events processed over the engine's lifetime."""
         return self._events_run
-
-    @property
-    def cancels(self) -> int:
-        """Lifetime count of events revoked via :meth:`cancel`.  Each one
-        eventually drains as an empty pop that still increments
-        ``events_run``; subtract this when comparing event totals against a
-        run that never cancelled anything."""
-        return self._cancels
 
     @property
     def events_per_sec(self) -> float:

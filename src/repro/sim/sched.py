@@ -47,16 +47,6 @@ keys are never scheduled in the past.
 Drained bucket lists are recycled through a small free list (`_list_pool`)
 — the calendar's "event record" pool: steady-state operation allocates no
 per-event containers beyond the event tuples themselves.
-
-Cancellation
-------------
-
-Neither scheduler supports removing a pushed event — the heap would need a
-position index and the calendar would have to search a bucket.  Instead the
-engine cancels by *tombstone* (:class:`repro.sim.engine.Cancellable`): the
-event's callback slot holds a handle that turns the pop into a no-op once
-revoked.  Both schedulers drain tombstones naturally in key order, so the
-mechanism is O(1) and needs nothing scheduler-specific here.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 
 from ..interconnect.topology import Interconnect, build_interconnect
 from ..interconnect.interfaces import StationRingInterface
-from ..interconnect.ring import fusion_enabled
 from ..sim.engine import DeadlockError, Engine, ns_to_ticks, ticks_to_ns
 from .address_map import AddressMap, PageAttributes, Region
 from .config import MachineConfig
@@ -58,10 +57,6 @@ class Machine:
 
         self._backend_pref = backend
         _backend.backend_name(backend)
-        # transit fusion (NUMACHINE_FUSE): resolved once at construction so
-        # every component and the elaborated core agree for the machine's
-        # whole lifetime even if the environment changes later
-        self.fused = fusion_enabled()
         # coherence protocol plug-in (NUMACHINE_PROTOCOL / config.protocol):
         # resolved once here so every layer agrees for the machine's lifetime
         from ..protocol import resolve_protocol
@@ -343,35 +338,6 @@ class Machine:
         spent inside the event loop, and events per second (host-dependent;
         reported by the engine microbench and the perf harness)."""
         return self.engine.throughput()
-
-    def event_counts(self) -> Dict[str, object]:
-        """Event accounting across the transit-fusion axis.
-
-        ``events`` is what the engine actually ran (macro-events when
-        ``NUMACHINE_FUSE=on``); ``fused`` is the number of hop events
-        fusion elided; ``cancels`` the repair tombstones the engine
-        popped; ``hop_equivalent = events + fused - cancels`` is the
-        hop-by-hop event count this run is exactly equivalent to — with
-        fusion off it equals ``events``, and a fused run reproduces the
-        unfused run's ``events`` here bit-exactly (see ring.py)."""
-        fused = 0
-        for ring in self.net.rings.values():
-            fused += ring.events_fused
-        for iri in self.net.iris:
-            fused += iri.events_fused
-        for st in self.stations:
-            fused += st.ring_interface.events_fused
-            fused += st.nc.events_fused
-            fused += st.memory.events_fused
-        events = self.engine.events_run
-        cancels = self.engine.cancels
-        return {
-            "fuse": "on" if self.fused else "off",
-            "events": events,
-            "fused": fused,
-            "cancels": cancels,
-            "hop_equivalent": events + fused - cancels,
-        }
 
     def utilizations(self) -> Dict[str, float]:
         now = self.engine.now

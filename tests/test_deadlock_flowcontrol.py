@@ -37,9 +37,7 @@ def test_flush_storm_completes_and_loses_nothing():
     caches to remote memory' — the stress the flow control must survive.
     The workload asserts every flushed value internally."""
     m = Machine(small_config())
-    FlushStorm(lines_per_cpu=24).run(m)
-    s = m.nc_stats()
-    assert s.get("wb_forwarded", 0) >= 1 or True  # data verified by workload
+    FlushStorm(lines_per_cpu=24).run(m)  # data verified by the workload
 
 
 def test_hotspot_contention_completes():
@@ -47,7 +45,7 @@ def test_hotspot_contention_completes():
     must still converge."""
     m = Machine(small_config())
     HotSpot(ops=80).run(m)
-    assert m.memory_stats().get("nacks", 0) >= 0  # ran to completion
+    assert m.memory_stats().get("nacks", 0) > 0, "no contention generated"
 
 
 def test_nonsink_limit_one_still_completes():
@@ -69,22 +67,24 @@ def test_nonsink_limit_one_still_completes():
 
 
 def test_ring_input_fifo_backpressure_counted():
-    """Tiny ring input FIFOs: the halt mechanism engages under load and the
-    run still completes correctly."""
-    cfg = small_config(ring_in_fifo_capacity=4)
-    m = Machine(cfg)
-    r = m.allocate(8192, placement="local:0")
-    n = cfg.num_cpus
+    """A hot-spot behind shrunken ring input FIFOs: the halt mechanism
+    engages, the run completes, and the elaborated core's inlined halt
+    path reproduces the interpreted run bit for bit."""
+    from repro import MachineConfig
+    from repro.protocol import canonical_surface
 
-    def prog(cid):
-        for i in range(24):
-            yield Read(r.addr(((cid * 24 + i) % 128) * 8))
+    def storm(backend):
+        cfg = MachineConfig.prototype()
+        cfg.ring_in_fifo_capacity = 6
+        m = Machine(cfg, backend=backend)
+        HotSpot(words=8, ops=60).run(m, nprocs=16)
+        assert m.backend == backend
+        halts = sum(ring.halts.value for ring in m.net.rings.values())
+        return halts, canonical_surface(m)
 
-    m.run({c: prog(c) for c in range(n)})
-    halts = sum(ring.halts.value for ring in m.net.local_rings)
-    # with capacity 4 under this load the backpressure generally fires;
-    # correctness (completion) is the hard requirement either way
-    assert halts >= 0
+    halts, surface = storm("interp")
+    assert halts > 0, "backpressure never engaged with capacity-6 FIFOs"
+    assert storm("elab") == (halts, surface)
 
 
 def test_full_machine_backpressure_past_high_water_drains_cleanly():
@@ -118,7 +118,7 @@ def test_full_machine_backpressure_past_high_water_drains_cleanly():
     halts = sum(ring.halts.value for ring in m.net.local_rings)
     if m.net.central_ring is not None:
         halts += m.net.central_ring.halts.value
-    assert halts > 0, "backpressure never engaged at P=64 with capacity-6 FIFOs"
+    assert halts > 0, "backpressure never engaged at P=64 with capacity-8 FIFOs"
 
     for st in m.stations:
         fifo = st.ring_interface.in_fifo

@@ -492,22 +492,12 @@ def test_tracing_off_throughput_vs_recorded_baseline():
     budget is checked by the bench itself on a quiet machine)."""
     base = json.loads(BASELINE.read_text())
     best = 0.0
-    machine = None
     for _ in range(3):
         machine = Machine(MachineConfig.prototype())
         HotSpot(words=64, ops=400).run(machine, nprocs=base["nprocs"])
-        # the baseline records the hop-by-hop event stream; under
-        # NUMACHINE_FUSE=on the engine runs fewer (macro-)events but the
-        # hop-equivalent count must reconstruct the baseline exactly
-        assert machine.event_counts()["hop_equivalent"] == base["events_run"]
+        assert machine.engine.events_run == base["events_run"]
         assert machine.engine.now == base["final_now_ticks"]
         best = max(best, machine.engine.events_per_sec)
-    if machine.fused:
-        # macro-events/s is not comparable to the baseline's hop-events/s;
-        # rescale to hop-equivalent events per second before the gate
-        best = best * machine.event_counts()["hop_equivalent"] / (
-            machine.engine.events_run
-        )
     assert best >= base["events_per_sec"] * 0.75, (
         f"throughput collapsed: best {best:.0f} ev/s vs "
         f"baseline {base['events_per_sec']:.0f} ev/s"

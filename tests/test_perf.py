@@ -184,7 +184,7 @@ def test_cache_schema_is_current():
     from repro.perf.cache import CACHE_SCHEMA
 
     # schema 6: the coherence protocol (NUMACHINE_PROTOCOL / config field)
-    # joined the strategy knobs (backend / scheduler / pool / fusion) in
+    # joined the strategy knobs (backend / scheduler / pool) in
     # the point key — entries keyed without it must not be replayed, since
     # every simulated metric differs between protocols
     assert CACHE_SCHEMA == 6
@@ -195,7 +195,6 @@ def test_point_key_separates_execution_strategies(monkeypatch):
 
     cfg = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
     monkeypatch.delenv("NUMACHINE_BACKEND", raising=False)
-    monkeypatch.delenv("NUMACHINE_FUSE", raising=False)
     base = point_key(cfg, "hotspot", 4)
     assert point_key(cfg, "hotspot", 4) == base  # stable
     monkeypatch.setenv("NUMACHINE_BACKEND", "elab")
@@ -204,12 +203,4 @@ def test_point_key_separates_execution_strategies(monkeypatch):
     monkeypatch.setenv("NUMACHINE_SCHED", "heap")
     assert point_key(cfg, "hotspot", 4) != base
     monkeypatch.delenv("NUMACHINE_SCHED", raising=False)
-    monkeypatch.setenv("NUMACHINE_FUSE", "on")
-    fused = point_key(cfg, "hotspot", 4)
-    assert fused != base
-    # the knob is normalized before keying: every spelling of "on" shares
-    # one entry
-    monkeypatch.setenv("NUMACHINE_FUSE", "1")
-    assert point_key(cfg, "hotspot", 4) == fused
-    monkeypatch.setenv("NUMACHINE_FUSE", "off")
     assert point_key(cfg, "hotspot", 4) == base

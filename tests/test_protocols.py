@@ -8,9 +8,8 @@ Three guarantees pinned here:
 * **Default bit-identity** — with the ``numachine`` protocol the refactor
   is invisible: every point of ``tests/data/protocol_fingerprints.json``
   (captured on the pre-refactor monolith) reproduces exactly, on both
-  schedulers, and spot checks hold on the elaborated backend and under
-  transit fusion (the surface uses hop-equivalents, so one fixture covers
-  every execution strategy).
+  schedulers, and spot checks hold on the elaborated backend (one fixture
+  covers every execution strategy).
 * **The MSI baseline is a real protocol** — it completes the canonical
   workloads with the invariant checker attached, passes its conformance
   suite (every declared invariant exercised), is elab/interp bit-identical
@@ -121,15 +120,14 @@ def test_numachine_fingerprint_pinned(monkeypatch, point):
 
 
 @pytest.mark.parametrize("point", ["hotspot|P4|heap", "lu|P4|heap"])
-def test_numachine_fingerprint_elab_and_fused(monkeypatch, point):
-    """The fixture is strategy-invariant: the elaborated backend and
-    transit fusion reproduce it too (hop-equivalents, not raw events)."""
+def test_numachine_fingerprint_elab(monkeypatch, point):
+    """The fixture is strategy-invariant: the elaborated backend
+    reproduces it too."""
     fix = _fixture()
     monkeypatch.setenv("NUMACHINE_SCHED", "heap")
-    want = fix["points"][point]
-    assert _surface_for(point, fix["protocol"], backend="elab") == want
-    monkeypatch.setenv("NUMACHINE_FUSE", "on")
-    assert _surface_for(point, fix["protocol"]) == want
+    assert _surface_for(point, fix["protocol"], backend="elab") == (
+        fix["points"][point]
+    )
 
 
 # ----------------------------------------------------------------------
