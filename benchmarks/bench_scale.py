@@ -24,11 +24,7 @@ remain are the genuinely hard ones (misses, coherence, ring hops).
 Compare wall time for "how fast is the simulator", events/s for "how
 fast is the event core".
 
-Per point the active scheduler is recorded: auto-selection picks the C
-binary heap below :data:`repro.sim.sched.AUTO_CALENDAR_MIN_CPUS` active
-processors and the O(1) calendar queue at or above it (override with
-``NUMACHINE_SCHED=heap|calendar``; results are bit-identical either
-way).  Timing is best-of-N with median/stdev recorded so a reader can
+Timing is best-of-N with median/stdev recorded so a reader can
 judge host noise, exactly as in ``bench_engine_throughput.py``.
 
 Usage::
@@ -98,18 +94,14 @@ def measure_point(
     """Best-of-``repeats`` timing for one (workload, nprocs, backend)
     point."""
     walls = []
-    events = now = sched = None
+    events = now = None
     for _ in range(max(1, repeats)):
         machine = Machine(MachineConfig.prototype(), backend=backend)
         workload_factory().run(machine, nprocs=nprocs)
         assert machine.backend == backend, (machine.backend, backend)
         meter = machine.throughput()
         if events is None:
-            events, now, sched = (
-                meter["events_run"],
-                machine.engine.now,
-                meter["scheduler"],
-            )
+            events, now = meter["events_run"], machine.engine.now
         else:
             # determinism: every repeat must replay the exact same events
             assert meter["events_run"] == events, (meter["events_run"], events)
@@ -120,7 +112,6 @@ def measure_point(
     return {
         "nprocs": nprocs,
         "backend": backend,
-        "scheduler": sched,
         "events_run": events,
         "final_now_ticks": now,
         "sim_time_ns": ticks_to_ns(now),
@@ -163,7 +154,7 @@ def run_sweep(
             lambda: LUContiguous(n=lu_n, block=lu_block),
         ),
     }
-    result = {"schema": 4, "machine": "prototype (64p, 4 stations x 4 rings)",
+    result = {"schema": 5, "machine": "prototype (64p, 4 stations x 4 rings)",
               "repeats": max(1, repeats), "host": host_fingerprint(),
               "workloads": {}}
     for name, (desc, factory) in workloads.items():
@@ -174,7 +165,7 @@ def run_sweep(
                 point = measure_point(factory, p, repeats, backend=backend)
                 cell[backend] = point
                 print(
-                    f"{name:10s} P={p:<3d} {backend:7s} {point['scheduler']:8s} "
+                    f"{name:10s} P={p:<3d} {backend:7s} "
                     f"{point['events_run']:>8d} events  "
                     f"wall {point['wall_time_s']:.3f}s  "
                     f"{point['events_per_sec']:>12,.0f} ev/s",
@@ -207,7 +198,6 @@ def ledger_summary(result: dict) -> dict:
                     "events_per_sec": cell[backend]["events_per_sec"],
                     "wall_time_s": cell[backend]["wall_time_s"],
                     "events_run": cell[backend]["events_run"],
-                    "scheduler": cell[backend]["scheduler"],
                 }
                 for backend in BACKENDS
                 if backend in cell

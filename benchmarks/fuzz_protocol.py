@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Randomized protocol explorer: workloads x placements x fault plans x
-schedulers, with the coherence invariant checker always on.
+"""Randomized protocol explorer: workloads x placements x fault plans,
+with the coherence invariant checker always on.
 
 Each run derives *everything* from one integer seed — machine size,
-workload and its parameters, CPU placement, event scheduler, and a
-delay-class :class:`repro.fault.FaultPlan` — so any failure reproduces
-from its seed alone:
+workload and its parameters, CPU placement, and a delay-class
+:class:`repro.fault.FaultPlan` — so any failure reproduces from its seed
+alone:
 
     python benchmarks/fuzz_protocol.py --reproduce <seed>
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -114,7 +113,8 @@ def fuzz_one(seed: int, sizes: Sequence[int], verbose: bool = False) -> dict:
     cfg = config_for(nprocs)
     nprocs = min(nprocs, cfg.num_cpus)
     workload = build_workload(rng)
-    scheduler = rng.choice(["heap", "calendar"])
+    # retired scheduler draw: keeps every seed's placement and fault plan
+    rng.choice(["heap", "calendar"])
     spread = rng.random() < 0.5
     plan = FaultPlan.random(
         rng.randrange(1 << 30), cfg, horizon_ns=40_000.0, allow_loss=False
@@ -124,22 +124,13 @@ def fuzz_one(seed: int, sizes: Sequence[int], verbose: bool = False) -> dict:
         "nprocs": nprocs,
         "workload": workload.name,
         "protocol": resolve_protocol_name(cfg),
-        "scheduler": scheduler,
         "spread": spread,
         "plan": plan.describe(),
     }
     if verbose:
         print(json.dumps(record, indent=2))
 
-    prev = os.environ.get("NUMACHINE_SCHED")
-    os.environ["NUMACHINE_SCHED"] = scheduler
-    try:
-        machine = Machine(cfg)
-    finally:
-        if prev is None:
-            os.environ.pop("NUMACHINE_SCHED", None)
-        else:
-            os.environ["NUMACHINE_SCHED"] = prev
+    machine = Machine(cfg)
 
     # a single hot-line transaction can legitimately stay locked across a
     # long NACK-retry chain under high contention; scale the liveness

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.states import LineState
-from ..interconnect.packet import MsgType, Packet, acquire_packet
+from ..interconnect.packet import MsgType, Packet
 from ..sim.engine import Engine, SimulationError, ns_to_ticks
 from ..sim.fifo import Fifo
 from ..sim.stats import StatGroup
@@ -639,10 +639,10 @@ class NetworkCache:
         prefetch: bool = False, phase: Optional[int] = None,
     ) -> None:
         home = self.config.home_station(addr)
-        req = acquire_packet(
-            op, addr,
-            self.station_id,
-            self.codec.station_mask(home),
+        req = Packet(
+            mtype=op, addr=addr,
+            src_station=self.station_id,
+            dest_mask=self.codec.station_mask(home),
             requester=cpu,
         )
         meta = req.meta

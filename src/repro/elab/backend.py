@@ -20,9 +20,9 @@ Two backends execute a machine:
       speed (the obs hooks never schedule events: identical
       ``(events_run, now)``).
 
-Selection mirrors the scheduler knob: an explicit ``Machine(backend=...)``
-argument wins, then ``NUMACHINE_BACKEND`` (``auto`` | ``interp`` | ``elab``),
-and ``auto`` uses the specialized core whenever it safely can.
+Selection: an explicit ``Machine(backend=...)`` argument wins, then
+``NUMACHINE_BACKEND`` (``auto`` | ``interp`` | ``elab``), and ``auto`` uses
+the specialized core whenever it safely can.
 
 The elaborated core is applied by *re-classing* the already-wired component
 instances (``obj.__class__ = Generated``) — no state is copied, moved, or

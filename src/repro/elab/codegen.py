@@ -77,25 +77,8 @@ class ElabUnsupportedError(RuntimeError):
 # snippet helpers (each returns lines already carrying ``ind`` indentation)
 # ----------------------------------------------------------------------
 def _insert_ev(ind: str) -> str:
-    """Insert a prepared local ``ev`` tuple: the calendar queue's
-    bucket-append fast path (the overwhelmingly common case) runs without
-    a function call, falling back to ``sched.push`` for new / draining
-    buckets; the heap engine takes the direct C ``heappush``."""
-    return (
-        f"{ind}q = engine._queue\n"
-        f"{ind}if q is None:\n"
-        f"{ind}    sched = engine._sched\n"
-        f"{ind}    bi = ev[0] // sched._width\n"
-        f"{ind}    b = sched._buckets.get(bi)\n"
-        f"{ind}    if b is not None:\n"
-        f"{ind}        b.append(ev)\n"
-        f"{ind}    elif bi == sched._cur_bi and sched._cur_i < len(sched._cur):\n"
-        f"{ind}        _insort(sched._cur, ev, sched._cur_i)\n"
-        f"{ind}    else:\n"
-        f"{ind}        sched.push(ev)\n"
-        f"{ind}else:\n"
-        f"{ind}    _heappush(q, ev)\n"
-    )
+    """Insert a prepared local ``ev`` tuple: the engine's C ``heappush``."""
+    return f"{ind}_heappush(engine._queue, ev)\n"
 
 
 def _push_event(ind: str, when: str, prio: int, cb: str, arg: str) -> str:
@@ -357,7 +340,6 @@ def generate_source(ir: MachineIR) -> str:
     w(f"INSTRUMENTED = {instr}")
     w(f'PROTOCOL = "{proto.name}"')
     w("")
-    w("from bisect import insort as _insort")
     w("from heapq import heappush as _heappush")
     w("")
     w(f"from {nc_base.__module__} import {nc_base.__name__} as _NCBase")

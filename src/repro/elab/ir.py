@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 #: bump whenever the generated module's shape or semantics change; stale
 #: on-disk modules are ignored (their fingerprint no longer matches)
-ELAB_SCHEMA = 6
+ELAB_SCHEMA = 7
 
 
 @dataclass(frozen=True)

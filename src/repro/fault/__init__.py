@@ -7,8 +7,8 @@ capacity squeezes and memory/NC service-time spikes — and applied by a
 :class:`FaultInjector` through the same null-object hook pattern the tracer
 and verifier use (a ``fault_filter`` slot on each station ring interface,
 plus plain engine scheduling for the timed faults).  Every run with the
-same plan, workload and scheduler is bit-identical, so any failure a fault
-uncovers is replayable from its seed alone.
+same plan and workload is bit-identical, so any failure a fault uncovers
+is replayable from its seed alone.
 
 Fault classes:
 

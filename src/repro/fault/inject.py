@@ -18,8 +18,8 @@ through mechanisms the hardware itself models:
   control machinery to carry real load.
 
 All randomness (per-packet delay/dup coin flips) comes from a private
-``random.Random`` seeded from the plan, so a (plan, workload, scheduler)
-triple is exactly reproducible.
+``random.Random`` seeded from the plan, so a (plan, workload) pair is
+exactly reproducible.
 """
 
 from __future__ import annotations

@@ -41,20 +41,8 @@ class WatchdogError(DeadlockError):
 
 
 def _pending_events(engine: Engine, limit: int) -> List[dict]:
-    """A (time-sorted) sample of events still in the scheduler."""
-    sched = engine._sched
-    events: List[tuple] = []
-    queue = getattr(engine, "_queue", None)
-    if queue is not None:
-        events = sorted(queue)[:limit]
-    else:
-        cur = getattr(sched, "_cur", None)
-        if cur is not None:
-            events = list(cur[sched._cur_i:])
-            for bucket in sched._buckets.values():
-                events.extend(bucket)
-            events.sort()
-            events = events[:limit]
+    """A (time-sorted) sample of events still in the queue."""
+    events = sorted(engine._queue)[:limit]
     out = []
     for when, prio, _seq, callback, arg in events:
         name = getattr(callback, "__qualname__", None) or repr(callback)

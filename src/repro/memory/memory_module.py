@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core.directory import DirEntry, Directory
 from ..core.states import LineState
-from ..interconnect.packet import MsgType, Packet, acquire_packet, release_packet
+from ..interconnect.packet import MsgType, Packet
 from ..sim.engine import Engine, SimulationError, ns_to_ticks
 from ..sim.fifo import Fifo
 from ..sim.stats import StatGroup
@@ -236,17 +236,13 @@ class MemoryModule:
                 lambda start, c=cpu, a=pkt.addr: c.nack_from_module(a),
             )
         else:
-            nack = acquire_packet(
-                MsgType.NACK, pkt.addr,
-                self.station_id,
-                self.codec.station_mask(pkt.src_station),
+            nack = Packet(
+                mtype=MsgType.NACK, addr=pkt.addr,
+                src_station=self.station_id,
+                dest_mask=self.codec.station_mask(pkt.src_station),
                 requester=pkt.requester,
             )
             self._send_packet(nack, has_data=False)
-            # The bounced request dies here: nothing queues on a locked
-            # line, and the retry is rebuilt from scratch by the requesting
-            # NC (this is the hot allocation loop of a retry storm).
-            release_packet(pkt)
         return 0
 
     def _lock(self, entry: DirEntry, pending: Pending) -> None:

@@ -55,8 +55,7 @@ class _Site:
 class _ProfiledEngine(Engine):
     """Engine with the event loop replaced by a per-event-timed replica.
 
-    Mirrors :meth:`Engine._run_core` for both scheduler shapes (heap and
-    calendar); the fast-path specializations (limit-free inner loops) are
+    Mirrors :meth:`Engine._run_core`; the limit-free fast path is
     deliberately dropped — a profiler run pays per-event checks anyway.
     """
 
@@ -75,77 +74,35 @@ class _ProfiledEngine(Engine):
         self._running = True
         wall_start = _perf_counter()
         try:
-            if queue is not None:
-                # ---------------- binary heap (reference) ----------------
-                pop = _heappop
-                while queue:
-                    if until is not None and queue[0][0] > until:
-                        self.now = until
-                        break
-                    when, _prio, _seq, callback, arg = pop(queue)
-                    self.now = when
-                    fn = getattr(callback, "__func__", callback)
-                    key = getattr(fn, "__qualname__", None) or repr(fn)
-                    site = sites.get(key)
-                    if site is None:
-                        site = sites[key] = _Site()
-                    site.events += 1
-                    n += 1
-                    if n % every == 0:
-                        t0 = _perf_counter()
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                        site.wall_s += _perf_counter() - t0
-                        site.timed += 1
-                    elif arg is None:
+            pop = _heappop
+            while queue:
+                if until is not None and queue[0][0] > until:
+                    self.now = until
+                    break
+                when, _prio, _seq, callback, arg = pop(queue)
+                self.now = when
+                fn = getattr(callback, "__func__", callback)
+                key = getattr(fn, "__qualname__", None) or repr(fn)
+                site = sites.get(key)
+                if site is None:
+                    site = sites[key] = _Site()
+                site.events += 1
+                n += 1
+                if n % every == 0:
+                    t0 = _perf_counter()
+                    if arg is None:
                         callback()
                     else:
                         callback(arg)
-                    processed += 1
-                    if processed == limit:
-                        break
-            else:
-                # ---------------- calendar queue (default) ----------------
-                sched = self._sched
-                while True:
-                    i = sched._cur_i
-                    cur = sched._cur
-                    if i >= len(cur):
-                        if not sched._advance():
-                            break
-                        cur = sched._cur
-                        i = 0
-                    when = cur[i][0]
-                    if until is not None and when > until:
-                        self.now = until
-                        break
-                    sched._cur_i = i + 1
-                    when, _prio, _seq, callback, arg = cur[i]
-                    self.now = when
-                    fn = getattr(callback, "__func__", callback)
-                    key = getattr(fn, "__qualname__", None) or repr(fn)
-                    site = sites.get(key)
-                    if site is None:
-                        site = sites[key] = _Site()
-                    site.events += 1
-                    n += 1
-                    if n % every == 0:
-                        t0 = _perf_counter()
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                        site.wall_s += _perf_counter() - t0
-                        site.timed += 1
-                    elif arg is None:
-                        callback()
-                    else:
-                        callback(arg)
-                    processed += 1
-                    if processed == limit:
-                        break
+                    site.wall_s += _perf_counter() - t0
+                    site.timed += 1
+                elif arg is None:
+                    callback()
+                else:
+                    callback(arg)
+                processed += 1
+                if processed == limit:
+                    break
         finally:
             prof._n = n
             self._running = False

@@ -25,14 +25,13 @@ Environment knobs:
   timestamp).  ``python -m repro.perf.cache --prune`` applies the same
   policy on demand; ``--stats`` and ``--clear`` are also available.
 
-The execution-strategy knobs — backend (``NUMACHINE_BACKEND``), event
-scheduler (``NUMACHINE_SCHED``) and packet pooling (``NUMACHINE_POOL``) —
-are **in the key** even though all of them are bit-identical by contract on the canonical surface
-(pinned by ``tests/test_engine_determinism.py`` and
-``tests/test_elab_backend.py``).  A cached record also stores wall-clock
-throughput, and *that* is not strategy-invariant; keying on the strategy
-keeps a perf comparison between backends honest instead of silently
-serving one backend's timings as the other's.  The specialized-core
+The one execution-strategy knob, the backend (``NUMACHINE_BACKEND``), is
+**in the key** even though both backends are bit-identical by contract on
+the canonical surface (pinned by ``tests/test_elab_backend.py``).  A cached
+record also stores wall-clock throughput, and *that* is not
+strategy-invariant; keying on the backend keeps a perf comparison between
+backends honest instead of silently serving one backend's timings as the
+other's.  The specialized-core
 *module* store under ``<cache>/elab/`` (:mod:`repro.elab.store`) shares
 this directory, cap and CLI.
 """
@@ -52,7 +51,7 @@ from ..protocol import resolve_protocol_name
 from .record import RunRecord
 
 #: bump when the RunRecord layout or key derivation changes
-CACHE_SCHEMA = 6
+CACHE_SCHEMA = 7
 
 #: default size cap for the cache directory, in bytes
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -103,8 +102,6 @@ def point_key(
             "protocol": resolve_protocol_name(config),
             # execution strategy: bit-identical results, different timings
             "backend": os.environ.get("NUMACHINE_BACKEND", "auto"),
-            "sched": os.environ.get("NUMACHINE_SCHED", "auto"),
-            "pool": os.environ.get("NUMACHINE_POOL", "1"),
         },
         sort_keys=True,
     )

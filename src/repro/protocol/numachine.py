@@ -576,11 +576,6 @@ class NumachineNC(NetworkCache):
             self._retry_ticks * min(p.retries, 8),
             lambda l=line: self._resend_fetch(l),
         )
-        # the NACK carried no payload and is referenced by nothing past this
-        # dispatch; recycle it (home memory draws its NACKs from the pool)
-        from ..interconnect.packet import release_packet
-
-        release_packet(pkt)
         return 0
 
     def _resend_fetch(self, line: NCLine) -> None:

@@ -12,21 +12,15 @@ resolved synchronously inside the processor model (see
 to the number of messages exchanged, not to the number of cycles simulated.
 
 The event loop is the hottest code in the whole simulator: every message,
-bus grant and FIFO pump passes through :meth:`Engine.run`.  Scheduling is
-*pluggable* (see :mod:`repro.sim.sched`): the default is a calendar queue
-whose per-event cost does not grow with the number of pending events — the
-property that keeps the full 64-processor machine affordable — with the
-binary heap retained as the reference implementation, selectable via the
-``NUMACHINE_SCHED`` environment variable (or the ``scheduler=`` argument).
-Event *ordering* is identical under every scheduler — the total order of
-``(time, priority, seq)`` keys — so runs are bit-identical whichever is
-active; the engine dispatches to a loop specialised for the scheduler in
-use so neither pays an indirection per event.
+bus grant and FIFO pump passes through :meth:`Engine.run`.  The queue is a
+plain :mod:`heapq` list popped in the total order of ``(time, priority,
+seq)`` keys; the heap lives in C, so neither a push nor a pop costs a
+Python frame.
 
 Components on the very hottest paths (bus grants, memory/NC pumps) inline
 ``Engine.schedule`` by bumping ``engine._seq`` themselves and handing the
-finished event tuple to ``engine._push`` — the single scheduler-agnostic
-insertion point.
+finished event tuple to ``engine._push`` — the single insertion point, a
+``heappush`` bound to the queue.
 
 Content-derived sequence keys
 -----------------------------
@@ -57,12 +51,9 @@ ever comparing callbacks.
 from __future__ import annotations
 
 import heapq
-import os as _os
 import time as _time
 from functools import partial as _partial
 from typing import Any, Callable, Optional
-
-from .sched import HeapScheduler, make_scheduler
 
 #: Integer ticks per nanosecond.  3 makes both a 6.67ns CPU cycle (20 ticks)
 #: and a 20ns bus/ring cycle (60 ticks) exact.
@@ -103,10 +94,8 @@ class Engine:
 
     __slots__ = (
         "now",
-        "_sched",
         "_queue",
         "_push",
-        "_auto_sched",
         "_seq",
         "_uid",
         "_events_run",
@@ -121,15 +110,11 @@ class Engine:
     PRIO_NORMAL = 1
     PRIO_INJECT = 2
 
-    def __init__(
-        self, scheduler: Optional[str] = None, num_cpus: Optional[int] = None
-    ) -> None:
+    def __init__(self) -> None:
         self.now: int = 0
-        # num_cpus is a sizing hint for scheduler auto-selection only; it
-        # never changes simulation results (schedulers are bit-identical)
-        self._auto_sched = not (scheduler or _os.environ.get("NUMACHINE_SCHED"))
-        self._sched = make_scheduler(scheduler, num_cpus)
-        self._bind_scheduler()
+        self._queue: list = []
+        # zero Python frames per insertion: the C heappush bound to the queue
+        self._push: Callable[[tuple], None] = _partial(_heappush, self._queue)
         self._seq: int = 0
         self._uid: int = 0
         self._events_run: int = 0
@@ -141,40 +126,6 @@ class Engine:
         self.wall_time_s: float = 0.0
         #: liveness watchdog (repro.fault.Watchdog), or None when disabled
         self.watchdog = None
-
-    def _bind_scheduler(self) -> None:
-        if isinstance(self._sched, HeapScheduler):
-            # heap fast path: pushes go straight to the C heappush bound to
-            # the underlying list — zero Python frames per insertion
-            self._queue: Optional[list] = self._sched._queue
-            self._push: Callable[[tuple], None] = _partial(_heappush, self._queue)
-        else:
-            self._queue = None
-            self._push = self._sched.push
-
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the active scheduler (``calendar`` or ``heap``)."""
-        return self._sched.name
-
-    def size_hint(self, num_cpus: int) -> None:
-        """Refine the scheduler auto-selection with a better estimate of the
-        active-processor count (e.g. the number of programs actually handed
-        to :meth:`Machine.run`, which may be far below the machine size).
-
-        Only acts when the choice was automatic (no ``scheduler=`` argument
-        and no ``NUMACHINE_SCHED``) and the engine is still fresh — nothing
-        scheduled, nothing run — so the swap can never reorder anything.
-        Scheduler choice is invisible in results either way (bit-identical);
-        this only picks the faster implementation for the event population
-        the run will actually generate.
-        """
-        if not self._auto_sched or self._seq or self._events_run or self._sched:
-            return
-        sched = make_scheduler(None, num_cpus)
-        if sched.name != self._sched.name:
-            self._sched = sched
-            self._bind_scheduler()
 
     def alloc_uid(self) -> int:
         """Allocate a small identity integer for a component that schedules
@@ -279,94 +230,31 @@ class Engine:
         self._running = True
         wall_start = _perf_counter()
         try:
-            if queue is not None:
-                # ---------------- binary heap (reference) ----------------
-                pop = _heappop
-                if until is None and limit < 0:
-                    # common case: drain with no limits — no per-event checks
-                    while queue:
-                        when, _prio, _seq, callback, arg = pop(queue)
-                        self.now = when
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                        processed += 1
-                elif until is None:
-                    while queue:
-                        when, _prio, _seq, callback, arg = pop(queue)
-                        self.now = when
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                        processed += 1
-                        if processed == limit:
-                            break
-                else:
-                    while queue:
-                        when = queue[0][0]
-                        if when > until:
-                            self.now = until
-                            break
-                        when, _prio, _seq, callback, arg = pop(queue)
-                        self.now = when
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                        processed += 1
-                        if processed == limit:
-                            break
+            pop = _heappop
+            if until is None and limit < 0:
+                # common case: drain with no limits — no per-event checks
+                while queue:
+                    when, _prio, _seq, callback, arg = pop(queue)
+                    self.now = when
+                    if arg is None:
+                        callback()
+                    else:
+                        callback(arg)
+                    processed += 1
             else:
-                # ---------------- calendar queue (default) ----------------
-                # The bucket drain is inlined: the active bucket is consumed
-                # left-to-right by index, so the per-event cost is a list
-                # index plus bookkeeping — independent of how many events
-                # are pending.  Callbacks may push while we drain; pushes
-                # into the active bucket keep its tail sorted (sched.push),
-                # so re-reading _cur/_cur_i each iteration is sufficient.
-                sched = self._sched
-                if until is None and limit < 0:
-                    while True:
-                        i = sched._cur_i
-                        cur = sched._cur
-                        if i >= len(cur):
-                            if not sched._advance():
-                                break
-                            cur = sched._cur
-                            i = 0
-                        sched._cur_i = i + 1
-                        when, _prio, _seq, callback, arg = cur[i]
-                        self.now = when
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                        processed += 1
-                else:
-                    while True:
-                        i = sched._cur_i
-                        cur = sched._cur
-                        if i >= len(cur):
-                            if not sched._advance():
-                                break
-                            cur = sched._cur
-                            i = 0
-                        when = cur[i][0]
-                        if until is not None and when > until:
-                            self.now = until
-                            break
-                        sched._cur_i = i + 1
-                        when, _prio, _seq, callback, arg = cur[i]
-                        self.now = when
-                        if arg is None:
-                            callback()
-                        else:
-                            callback(arg)
-                        processed += 1
-                        if processed == limit:
-                            break
+                while queue:
+                    if until is not None and queue[0][0] > until:
+                        self.now = until
+                        break
+                    when, _prio, _seq, callback, arg = pop(queue)
+                    self.now = when
+                    if arg is None:
+                        callback()
+                    else:
+                        callback(arg)
+                    processed += 1
+                    if processed == limit:
+                        break
         finally:
             self._running = False
             self._events_run += processed
@@ -376,7 +264,7 @@ class Engine:
     def check_quiescent(self) -> None:
         """After a drain, raise :class:`DeadlockError` if any registered
         watcher reports outstanding blocked work."""
-        if self._sched:
+        if self._queue:
             return
         reasons = []
         for watcher in self.blocked_watchers:
@@ -391,7 +279,7 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of events currently queued."""
-        return len(self._sched)
+        return len(self._queue)
 
     @property
     def events_run(self) -> int:
@@ -412,5 +300,4 @@ class Engine:
             "events_run": self._events_run,
             "wall_time_s": self.wall_time_s,
             "events_per_sec": self.events_per_sec,
-            "scheduler": self._sched.name,
         }

@@ -67,7 +67,7 @@ class Machine:
         self._elab_failed = False
         # which elab variant is in place: None | "plain" | "instr"
         self._elab_variant = None
-        self.engine = Engine(num_cpus=self.config.num_cpus)
+        self.engine = Engine()
         self.net: Interconnect = build_interconnect(self.engine, self.config)
         self.codec = self.net.codec
         self.stations: List[Station] = [
@@ -223,10 +223,6 @@ class Machine:
         from ..elab import backend as _backend
 
         _backend.sync(self)
-        # a 64-CPU machine running 16 programs behaves like a 16-CPU run for
-        # event-population purposes; refine the scheduler choice before any
-        # event exists (no-op unless the engine is fresh and on auto-select)
-        self.engine.size_hint(len(programs))
         for cpu_id, program in programs.items():
             self.cpus[cpu_id].set_program(program)
         if self.obs is not None:

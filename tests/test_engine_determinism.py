@@ -9,13 +9,9 @@ drift it.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.engine import Engine
-from repro.sim.sched import SCHEDULERS
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
-from repro.workloads.lu import LUContiguous
 from repro.workloads.synthetic import HotSpot
 
 
@@ -133,100 +129,3 @@ def test_identical_runs_produce_identical_machine_state():
     assert a.memory_stats() == b.memory_stats()
     assert a.utilizations() == b.utilizations()
     assert a.ring_interface_delays() == b.ring_interface_delays()
-
-
-# ----------------------------------------------------------------------
-# cross-scheduler determinism: every scheduler pops events in the exact
-# (time, priority, seq) order, so whole-machine runs are bit-identical
-# under the calendar queue, the reference heap, and with packet pooling
-# disabled.
-# ----------------------------------------------------------------------
-def _fingerprint(machine: Machine) -> tuple:
-    return (
-        machine.engine.events_run,
-        machine.engine.now,
-        machine.nc_stats(),
-        machine.memory_stats(),
-        machine.utilizations(),
-        machine.ring_interface_delays(),
-    )
-
-
-def _run_fingerprint(workload_factory, nprocs=8) -> tuple:
-    machine = Machine(MachineConfig.small(stations_per_ring=2, rings=2, cpus=2))
-    workload_factory().run(machine, nprocs=nprocs)
-    return _fingerprint(machine)
-
-
-_WORKLOADS = {
-    "hotspot": lambda: HotSpot(words=16, ops=60),
-    # a SPLASH-style kernel: exercises runs, barriers and real data flow
-    "lu": lambda: LUContiguous(n=16, block=4),
-}
-
-
-@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-def test_schedulers_are_bit_identical(monkeypatch, workload):
-    prints = {}
-    for name in sorted(SCHEDULERS):
-        monkeypatch.setenv("NUMACHINE_SCHED", name)
-        prints[name] = _run_fingerprint(_WORKLOADS[workload])
-    assert prints["calendar"] == prints["heap"]
-
-
-@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-def test_packet_pooling_does_not_change_results(monkeypatch, workload):
-    from repro.interconnect import packet as pktmod
-
-    baseline = _run_fingerprint(_WORKLOADS[workload])
-    # disable recycling entirely and drop any pooled packets
-    monkeypatch.setattr(pktmod, "POOLING", False)
-    monkeypatch.setattr(pktmod, "_pool", [])
-    assert _run_fingerprint(_WORKLOADS[workload]) == baseline
-
-
-def test_explicit_scheduler_override_beats_environment(monkeypatch):
-    monkeypatch.setenv("NUMACHINE_SCHED", "heap")
-    eng = Engine(scheduler="calendar")
-    assert eng.scheduler_name == "calendar"
-    eng = Engine()
-    assert eng.scheduler_name == "heap"
-
-
-def test_auto_scheduler_selection_scales_with_machine(monkeypatch):
-    monkeypatch.delenv("NUMACHINE_SCHED", raising=False)
-    big = Machine(MachineConfig.prototype())          # 64 processors
-    assert big.engine.scheduler_name == "calendar"
-    small = Machine(MachineConfig.small(stations_per_ring=2, rings=2, cpus=2))
-    assert small.engine.scheduler_name == "heap"      # below the crossover
-    assert Engine().scheduler_name == "calendar"      # size unknown
-
-
-def test_run_refines_auto_selection_to_active_program_count(monkeypatch):
-    # a 64-CPU machine driving only 16 programs generates a 16-CPU-sized
-    # event population, so Machine.run refines the auto-choice back to heap
-    monkeypatch.delenv("NUMACHINE_SCHED", raising=False)
-    m = Machine(MachineConfig.prototype())
-    assert m.engine.scheduler_name == "calendar"
-    HotSpot(words=16, ops=10).run(m, nprocs=16)
-    assert m.engine.scheduler_name == "heap"
-    # at full scale the calendar stays in place
-    m = Machine(MachineConfig.prototype())
-    HotSpot(words=16, ops=4).run(m, nprocs=64)
-    assert m.engine.scheduler_name == "calendar"
-    # an explicit env choice is never second-guessed
-    monkeypatch.setenv("NUMACHINE_SCHED", "calendar")
-    m = Machine(MachineConfig.prototype())
-    HotSpot(words=16, ops=10).run(m, nprocs=16)
-    assert m.engine.scheduler_name == "calendar"
-    # the hint never acts once anything has been scheduled
-    eng = Engine(num_cpus=64)
-    eng.schedule(1, lambda: None)
-    eng.size_hint(4)
-    assert eng.scheduler_name == "calendar"
-
-
-def test_unknown_scheduler_is_rejected(monkeypatch):
-    monkeypatch.setenv("NUMACHINE_SCHED", "splay-tree")
-    with pytest.raises(ValueError):
-        Engine()

@@ -221,3 +221,28 @@ def test_diagnostic_dump_shape():
                 "blocked", "fifos", "locked_memory_lines",
                 "locked_nc_lines", "ring_interfaces", "in_flight"):
         assert key in dump, key
+
+
+def test_fuzz_seed_12_msi_replays(monkeypatch):
+    """Fuzzer seed 12 under MSI must keep reproducing its scenario: the
+    seed derivation (workload, placement, fault plan) is pinned, and the
+    run exercises MSI's write-back/intervention race, which once
+    livelocked."""
+    import importlib.util
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setenv("NUMACHINE_PROTOCOL", "msi")
+    spec = importlib.util.spec_from_file_location(
+        "fuzz_protocol", bench / "fuzz_protocol.py"
+    )
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+
+    rec = fuzz.fuzz_one(12, [4, 16])
+    assert rec["ok"], rec.get("error")
+    assert rec["protocol"] == "msi"
+    assert (rec["nprocs"], rec["workload"], rec["spread"]) == (16, "prodcons", True)
+    assert rec["events"] == 75277
+    assert rec["plan"].startswith("seed=804779144 ")

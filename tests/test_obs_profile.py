@@ -135,9 +135,3 @@ def test_chrome_trace_schema(tmp_path):
     prof.write_summary(spath)
     assert json.loads(spath.read_text())["sites"]
 
-
-def test_heap_scheduler_branch(monkeypatch):
-    monkeypatch.setenv("NUMACHINE_SCHED", "heap")
-    machine, prof = _profiled_run("interp", nprocs=4)
-    assert machine.engine._queue is not None, "heap scheduler not active"
-    assert prof.summary()["events"] == machine.engine.events_run

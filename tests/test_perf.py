@@ -183,11 +183,9 @@ def test_cache_prune_cli(tmp_path):
 def test_cache_schema_is_current():
     from repro.perf.cache import CACHE_SCHEMA
 
-    # schema 6: the coherence protocol (NUMACHINE_PROTOCOL / config field)
-    # joined the strategy knobs (backend / scheduler / pool) in
-    # the point key — entries keyed without it must not be replayed, since
-    # every simulated metric differs between protocols
-    assert CACHE_SCHEMA == 6
+    # schema 7: the scheduler and packet-pool knobs left the point key
+    # (one event queue, no pooling); the backend is the only strategy field
+    assert CACHE_SCHEMA == 7
 
 
 def test_point_key_separates_execution_strategies(monkeypatch):
@@ -200,7 +198,4 @@ def test_point_key_separates_execution_strategies(monkeypatch):
     monkeypatch.setenv("NUMACHINE_BACKEND", "elab")
     assert point_key(cfg, "hotspot", 4) != base
     monkeypatch.delenv("NUMACHINE_BACKEND", raising=False)
-    monkeypatch.setenv("NUMACHINE_SCHED", "heap")
-    assert point_key(cfg, "hotspot", 4) != base
-    monkeypatch.delenv("NUMACHINE_SCHED", raising=False)
     assert point_key(cfg, "hotspot", 4) == base

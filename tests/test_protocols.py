@@ -7,9 +7,9 @@ Three guarantees pinned here:
   name fails fast at machine construction.
 * **Default bit-identity** — with the ``numachine`` protocol the refactor
   is invisible: every point of ``tests/data/protocol_fingerprints.json``
-  (captured on the pre-refactor monolith) reproduces exactly, on both
-  schedulers, and spot checks hold on the elaborated backend (one fixture
-  covers every execution strategy).
+  (captured on the pre-refactor monolith) reproduces exactly, and spot
+  checks hold on the elaborated backend (one fixture covers every
+  execution strategy).
 * **The MSI baseline is a real protocol** — it completes the canonical
   workloads with the invariant checker attached, passes its conformance
   suite (every declared invariant exercised), is elab/interp bit-identical
@@ -108,11 +108,12 @@ def test_invalid_protocol_fails_at_construction():
 # ----------------------------------------------------------------------
 # default-protocol bit-identity against the pre-refactor fixture
 # ----------------------------------------------------------------------
+# The fixture keys each (workload, P) pair twice, ``|heap`` and
+# ``|calendar``, from when the engine had two event queues. The single
+# heap queue must reproduce both captures, so every key is a case.
 @pytest.mark.parametrize("point", sorted(_fixture()["points"]))
-def test_numachine_fingerprint_pinned(monkeypatch, point):
+def test_numachine_fingerprint_pinned(point):
     fix = _fixture()
-    _wname, _pfield, sched = point.split("|")
-    monkeypatch.setenv("NUMACHINE_SCHED", sched)
     got = _surface_for(point, fix["protocol"])
     assert got == fix["points"][point], (
         f"canonical surface drifted from the pre-refactor capture at {point}"
@@ -120,11 +121,10 @@ def test_numachine_fingerprint_pinned(monkeypatch, point):
 
 
 @pytest.mark.parametrize("point", ["hotspot|P4|heap", "lu|P4|heap"])
-def test_numachine_fingerprint_elab(monkeypatch, point):
+def test_numachine_fingerprint_elab(point):
     """The fixture is strategy-invariant: the elaborated backend
     reproduces it too."""
     fix = _fixture()
-    monkeypatch.setenv("NUMACHINE_SCHED", "heap")
     assert _surface_for(point, fix["protocol"], backend="elab") == (
         fix["points"][point]
     )
@@ -175,10 +175,9 @@ def test_msi_completes_and_backends_bit_identical(wname, nprocs):
     assert surfaces["interp"] == surfaces["elab"]
 
 
-def test_protocols_actually_diverge(monkeypatch):
+def test_protocols_actually_diverge():
     """MSI is an ablation, not an alias: same workload, different machine
     behavior — and the difference is the network cache's contribution."""
-    monkeypatch.setenv("NUMACHINE_SCHED", "heap")
     surfaces = {}
     for proto in ("numachine", "msi"):
         surfaces[proto] = _surface_for("hotspot|P16|heap", proto)
