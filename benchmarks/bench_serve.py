@@ -24,7 +24,7 @@ serving performance is trended longitudinally alongside the simulation
 benches.  Wall-clock gates are host-bound: the hard gates are *zero
 5xx*, *zero hangs*, *clean drain* and *hot hit ratio ≥ --min-hit-ratio*;
 the cached-p99 target (``--p99-ms``) is advisory off the recorded host,
-exactly like the throughput baselines in ``bench_scale.py``.
+because wall-clock latency is a property of the host.
 
 Usage::
 

@@ -24,8 +24,8 @@ Perfetto / ``python -m repro.obs.report``):
 Run:  python examples/monitoring.py [--out-dir out] [--no-monitor]
 
 ``--no-monitor`` drops the §3.3 monitor and keeps only the observability
-layer: with ``NUMACHINE_BACKEND=elab`` (or ``auto``) the run then executes
-on the *instrumented* specialized core — the monitor is the one hook here
+layer: the run then executes on the *instrumented* specialized core —
+the monitor is the one hook here
 that forces the interpreter (see :mod:`repro.elab.backend`).
 """
 

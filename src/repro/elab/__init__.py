@@ -12,21 +12,18 @@ interpreting it event by event through generic dispatch, this package
   checks);
 * :mod:`repro.elab.store` caches generated modules on disk keyed by config
   fingerprint (under ``.numachine_cache/elab/``);
-* :mod:`repro.elab.backend` selects and applies a backend per run
-  (``NUMACHINE_BACKEND`` = ``auto`` | ``interp`` | ``elab``), falling back
-  to the interpreter whenever any observability / verification / fault
-  hook is attached so hooked runs stay bit-identical.
+* :mod:`repro.elab.backend` applies a core per run, chosen by the attached
+  hooks: the plain variant with none, the instrumented variant with only
+  observability hooks, and the interpreter whenever a monitor, verifier
+  or fault injector is attached, so hooked runs stay bit-identical.
 """
 
-from .backend import BACKENDS, backend_name, hooks_active, sync
+from .backend import sync
 from .ir import ELAB_SCHEMA, MachineIR, config_elab_fingerprint
 
 __all__ = [
-    "BACKENDS",
     "ELAB_SCHEMA",
     "MachineIR",
-    "backend_name",
     "config_elab_fingerprint",
-    "hooks_active",
     "sync",
 ]

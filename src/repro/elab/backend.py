@@ -20,9 +20,11 @@ Two backends execute a machine:
       speed (the obs hooks never schedule events: identical
       ``(events_run, now)``).
 
-Selection: an explicit ``Machine(backend=...)`` argument wins, then
-``NUMACHINE_BACKEND`` (``auto`` | ``interp`` | ``elab``), and ``auto`` uses
-the specialized core whenever it safely can.
+Selection follows the attached hooks: none gives the plain variant,
+observability hooks give the instrumented one, and a monitor, verifier or
+fault injector gives ``interp``.  ``Machine(backend="interp")`` pins the
+reference core; ``Machine(backend="elab")`` selects exactly like the
+default but warns if elaboration fails.
 
 The elaborated core is applied by *re-classing* the already-wired component
 instances (``obj.__class__ = Generated``) — no state is copied, moved, or
@@ -39,27 +41,13 @@ rebuilt, which is what keeps the switch exact.  Two safety rules:
   event queue is empty (:meth:`sync` is a no-op otherwise).
 
 If elaboration fails (unsupported topology, unwritable cache dir with a
-broken generator, ...) the machine silently stays interpreted — ``auto``
-never breaks a run; an explicit ``elab`` request warns.
+broken generator, ...) the machine stays interpreted — the default
+selection never breaks a run; an explicit ``backend="elab"`` warns.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-
-BACKENDS = ("auto", "interp", "elab")
-
-
-def backend_name(pref=None) -> str:
-    """Resolve the backend choice: explicit preference > environment > auto."""
-    name = pref or os.environ.get("NUMACHINE_BACKEND") or "auto"
-    name = str(name).strip().lower()
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}: expected one of {', '.join(BACKENDS)}"
-        )
-    return name
 
 
 def interp_only_hooks(machine) -> bool:
@@ -109,11 +97,6 @@ def obs_hooks_active(machine) -> bool:
     return False
 
 
-def hooks_active(machine) -> bool:
-    """Any hook attached at all (back-compat predicate)."""
-    return interp_only_hooks(machine) or obs_hooks_active(machine)
-
-
 # ----------------------------------------------------------------------
 def sync(machine) -> None:
     """Bring the machine's active backend in line with the selection and
@@ -123,9 +106,9 @@ def sync(machine) -> None:
     The target is three-way: interpreted (``None``), the plain elab
     variant, or the instrumented elab variant when only observability
     hooks are attached."""
-    name = backend_name(machine._backend_pref)
+    pref = machine._backend_pref
     if (
-        name == "interp"
+        pref == "interp"
         or getattr(machine, "_elab_failed", False)
         or interp_only_hooks(machine)
     ):
@@ -155,9 +138,9 @@ def sync(machine) -> None:
         _specialize(machine, mod)
     except Exception as exc:
         machine._elab_failed = True
-        if name == "elab":
+        if pref == "elab":
             warnings.warn(
-                f"NUMACHINE_BACKEND=elab unavailable ({exc}); "
+                f'backend="elab" unavailable ({exc}); '
                 "running interpreted",
                 RuntimeWarning,
                 stacklevel=2,

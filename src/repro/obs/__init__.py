@@ -26,8 +26,8 @@ perturbing them; this package is the simulator's equivalent.  It bundles:
 Every instrumentation hook in the simulator defaults to ``None`` and costs
 one attribute load plus an ``is not None`` test when disabled, so machines
 without an attached ``Observability`` run the PR 1 fast paths unchanged.
-Under ``NUMACHINE_BACKEND=elab`` (or ``auto``) an attached ``Observability``
-does not fall back to the interpreter: the run executes on the
+An attached ``Observability`` does not force the interpreter (unless
+``Machine(backend="interp")`` pins it): the run executes on the
 *instrumented* variant of the generated specialized core, which carries
 the tracer stamps and telemetry inline (see :mod:`repro.elab.backend`).
 """

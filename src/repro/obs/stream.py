@@ -12,8 +12,9 @@ per-CPU completion progress — to a JSONL file, flushed per line so
 
 The emitter only *reads* simulator state; like the probes it adds its own
 sampling events to the event count but never changes simulated time or the
-order of the machine's own events.  Under ``NUMACHINE_BACKEND=elab`` a
-streamed run executes on the *instrumented* specialized core (see
+order of the machine's own events.  Unless a monitor, verifier or fault
+injector forces the interpreter, a streamed run executes on the
+*instrumented* specialized core (see
 :mod:`repro.elab.backend`) — the stream itself is engine-level and
 survives the class swap untouched.
 """

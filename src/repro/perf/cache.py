@@ -25,15 +25,13 @@ Environment knobs:
   timestamp).  ``python -m repro.perf.cache --prune`` applies the same
   policy on demand; ``--stats`` and ``--clear`` are also available.
 
-The one execution-strategy knob, the backend (``NUMACHINE_BACKEND``), is
-**in the key** even though both backends are bit-identical by contract on
-the canonical surface (pinned by ``tests/test_elab_backend.py``).  A cached
-record also stores wall-clock throughput, and *that* is not
-strategy-invariant; keying on the backend keeps a perf comparison between
-backends honest instead of silently serving one backend's timings as the
-other's.  The specialized-core
-*module* store under ``<cache>/elab/`` (:mod:`repro.elab.store`) shares
-this directory, cap and CLI.
+No execution strategy is in the key: the simulated core is chosen by the
+attached hooks (:mod:`repro.elab.backend`), and the interpreted and
+elaborated cores are bit-identical on the canonical surface (pinned by
+``tests/test_elab_backend.py``), so every stored record comes from the
+one hook-derived selection.  The specialized-core *module* store under
+``<cache>/elab/`` (:mod:`repro.elab.store`) shares this directory, cap
+and CLI.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from ..protocol import resolve_protocol_name
 from .record import RunRecord
 
 #: bump when the RunRecord layout or key derivation changes
-CACHE_SCHEMA = 7
+CACHE_SCHEMA = 8
 
 #: default size cap for the cache directory, in bytes
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -100,8 +98,6 @@ def point_key(
             # coherence protocol: a *semantic* axis (different event
             # streams and stats), resolved with the machine's precedence
             "protocol": resolve_protocol_name(config),
-            # execution strategy: bit-identical results, different timings
-            "backend": os.environ.get("NUMACHINE_BACKEND", "auto"),
         },
         sort_keys=True,
     )

@@ -1,22 +1,22 @@
 """Cross-checkout performance ledger — ``BENCH_history.jsonl``.
 
-``BENCH_engine.json`` / ``BENCH_scale.json`` hold only the *latest*
-measurement; regressions that creep in over several PRs are invisible in
-them.  The ledger is the longitudinal record: every benchmark run appends
-one self-describing JSONL line — when, on what host, at which git commit,
-under which backend, how many events/second — so trends are a ``jq`` (or
-pandas) one-liner away and a checkout's history survives result-file
-overwrites.
+A benchmark result file holds only the *latest* measurement; regressions
+that creep in over several changes are invisible in it.  The ledger is
+the longitudinal record: a benchmark run appends one self-describing JSONL
+line — when, on what host, at which git commit, what it measured — so
+trends are a ``jq`` (or pandas) one-liner away and a checkout's history
+survives result-file overwrites.  The file also keeps the historical
+simulation-throughput entries of earlier benches.
 
 Entries are append-only and host-stamped: rates from different hosts are
-not comparable (see ``bench_scale.host_fingerprint``), so any consumer
-should group by the ``host`` fingerprint before drawing trend lines.
+not comparable (see :func:`host_fingerprint`), so any consumer should
+group by the ``host`` fingerprint before drawing trend lines.
 
-Schema 4 adds ``kind``: ``"simulation"`` for the engine/scale/figure
-benches, ``"serving"`` for the job-server soak (``bench_serve.py`` —
-rps, hit ratio, p99), so the longitudinal trajectory covers serving as
-well as simulation and consumers can split the two without guessing
-from bench names.
+Schema 4 adds ``kind``: ``"simulation"`` for simulator benches,
+``"serving"`` for the job-server soak (``bench_serve.py`` — rps, hit
+ratio, p99), so the longitudinal trajectory covers serving as well as
+simulation and consumers can split the two without guessing from bench
+names.
 """
 
 from __future__ import annotations

@@ -51,12 +51,13 @@ class Machine:
     ) -> None:
         self.config = config or MachineConfig()
         self.config.validate()
-        # simulation backend: "auto" | "interp" | "elab"; an explicit
-        # argument beats NUMACHINE_BACKEND (validated here, applied in run)
-        from ..elab import backend as _backend
-
+        # attached hooks pick the core (see repro.elab.backend); "interp"
+        # pins the reference core, "elab" warns if elaboration fails
+        if backend not in (None, "elab", "interp"):
+            raise ValueError(
+                f"unknown backend {backend!r}: expected None, 'elab' or 'interp'"
+            )
         self._backend_pref = backend
-        _backend.backend_name(backend)
         # coherence protocol plug-in (NUMACHINE_PROTOCOL / config.protocol):
         # resolved once here so every layer agrees for the machine's lifetime
         from ..protocol import resolve_protocol

@@ -19,8 +19,6 @@ from repro.workloads.synthetic import HotSpot
 
 from conftest import small_config, tiny_config
 
-BASELINE = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
 
 # ----------------------------------------------------------------------
 # helpers
@@ -482,23 +480,3 @@ def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time():
     assert traced.nc_stats() == plain.nc_stats()
     assert traced.obs.tracer.finished
 
-
-@pytest.mark.skipif(not BASELINE.exists(), reason="no recorded engine baseline"
-                    " (run benchmarks/bench_engine_throughput.py first)")
-def test_tracing_off_throughput_vs_recorded_baseline():
-    """With no observability attached, the hot-spot microbench must replay
-    the recorded baseline's event stream exactly and stay within a generous
-    wall-clock margin of its throughput (hosts are noisy; the exact 3%
-    budget is checked by the bench itself on a quiet machine)."""
-    base = json.loads(BASELINE.read_text())
-    best = 0.0
-    for _ in range(3):
-        machine = Machine(MachineConfig.prototype())
-        HotSpot(words=64, ops=400).run(machine, nprocs=base["nprocs"])
-        assert machine.engine.events_run == base["events_run"]
-        assert machine.engine.now == base["final_now_ticks"]
-        best = max(best, machine.engine.events_per_sec)
-    assert best >= base["events_per_sec"] * 0.75, (
-        f"throughput collapsed: best {best:.0f} ev/s vs "
-        f"baseline {base['events_per_sec']:.0f} ev/s"
-    )
