@@ -10,20 +10,17 @@ interpreting it event by event through generic dispatch, this package
 * :mod:`repro.elab.codegen` emits a specialized Python module from the IR
   (literal constants, fused pump loops, dense coherence dispatch, no hook
   checks);
-* :mod:`repro.elab.store` caches generated modules on disk keyed by config
-  fingerprint (under ``.numachine_cache/elab/``);
-* :mod:`repro.elab.backend` applies a core per run, chosen by the attached
-  hooks: the plain variant with none, the instrumented variant with only
+* :mod:`repro.elab.backend` compiles that source in memory, once per
+  process, and applies a core per run, chosen by the attached hooks: the
+  plain variant with none, the instrumented variant with only
   observability hooks, and the interpreter whenever a monitor, verifier
   or fault injector is attached, so hooked runs stay bit-identical.
 """
 
 from .backend import sync
-from .ir import ELAB_SCHEMA, MachineIR, config_elab_fingerprint
+from .ir import MachineIR
 
 __all__ = [
-    "ELAB_SCHEMA",
     "MachineIR",
-    "config_elab_fingerprint",
     "sync",
 ]

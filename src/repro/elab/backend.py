@@ -26,6 +26,13 @@ fault injector gives ``interp``.  ``Machine(backend="interp")`` pins the
 reference core; ``Machine(backend="elab")`` selects exactly like the
 default but warns if elaboration fails.
 
+Each process generates a config's core in memory and compiles it once:
+:func:`load` maps the generated source text to its executed module, so a
+second machine of the same config and variant skips ``compile()``.  The
+source is the key, so any change to the IR or to the generator yields a
+new module; nothing is written to disk.  The source is registered with
+:mod:`linecache`, so tracebacks through generated code show its lines.
+
 The elaborated core is applied by *re-classing* the already-wired component
 instances (``obj.__class__ = Generated``) — no state is copied, moved, or
 rebuilt, which is what keeps the switch exact.  Two safety rules:
@@ -40,14 +47,25 @@ rebuilt, which is what keeps the switch exact.  Two safety rules:
   methods captured under the old classes; the backend only flips when the
   event queue is empty (:meth:`sync` is a no-op otherwise).
 
-If elaboration fails (unsupported topology, unwritable cache dir with a
-broken generator, ...) the machine stays interpreted — the default
-selection never breaks a run; an explicit ``backend="elab"`` warns.
+If elaboration fails (unsupported topology, a broken generator, ...) the
+machine stays interpreted — the default selection never breaks a run; an
+explicit ``backend="elab"`` warns.
 """
 
 from __future__ import annotations
 
+import itertools
+import linecache
+import types
 import warnings
+from typing import Dict
+
+from .ir import MachineIR
+
+#: generated source text -> executed module, for this process
+_modules: Dict[str, types.ModuleType] = {}
+#: serial numbers naming each compiled module (unique even across threads)
+_serial = itertools.count()
 
 
 def interp_only_hooks(machine) -> bool:
@@ -97,6 +115,23 @@ def obs_hooks_active(machine) -> bool:
     return False
 
 
+def load(source: str) -> types.ModuleType:
+    """The executed module for generated ``source``, compiled once per
+    process."""
+    mod = _modules.get(source)
+    if mod is None:
+        name = f"numachine_elab_{next(_serial)}"
+        filename = f"<{name}>"
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        mod = types.ModuleType(name)
+        mod.__file__ = filename
+        exec(compile(source, filename, "exec"), mod.__dict__)
+        _modules[source] = mod
+    return mod
+
+
 # ----------------------------------------------------------------------
 def sync(machine) -> None:
     """Bring the machine's active backend in line with the selection and
@@ -105,37 +140,32 @@ def sync(machine) -> None:
 
     The target is three-way: interpreted (``None``), the plain elab
     variant, or the instrumented elab variant when only observability
-    hooks are attached."""
+    hooks are attached.  Applying the plain variant marks the machine's
+    observability-only telemetry as partial for good (see
+    :func:`repro.obs.registry.snapshot`)."""
     pref = machine._backend_pref
-    if (
-        pref == "interp"
-        or getattr(machine, "_elab_failed", False)
-        or interp_only_hooks(machine)
-    ):
+    if pref == "interp" or machine._elab_failed or interp_only_hooks(machine):
         target = None
     elif obs_hooks_active(machine):
         target = "instr"
     else:
         target = "plain"
-    current = machine._elab_variant if machine._elab_applied else None
-    if target == current:
+    if target == machine._elab_variant:
         return
     if machine.engine.pending:
         return  # pending events hold old bound methods; never swap now
-    if machine._elab_applied:
+    if machine._elab_variant is not None:
         _revert(machine)
-        machine._elab_applied = False
-        machine._elab_variant = None
     if target is None:
         return
     try:
-        from .ir import MachineIR
-        from .store import load_module
+        # imported on first use: loading this large module (compiled from
+        # source when no bytecode is cached) adds up to ~2 MB of peak RSS
+        # that interp-only processes should not pay
+        from . import codegen
 
-        mod = load_module(
-            MachineIR.from_machine(machine, instrumented=(target == "instr"))
-        )
-        _specialize(machine, mod)
+        ir = MachineIR.from_machine(machine, instrumented=(target == "instr"))
+        _specialize(machine, load(codegen.generate_source(ir)))
     except Exception as exc:
         machine._elab_failed = True
         if pref == "elab":
@@ -146,13 +176,14 @@ def sync(machine) -> None:
                 stacklevel=2,
             )
         return
-    machine._elab_applied = True
     machine._elab_variant = target
+    if target == "plain":
+        machine._partial_telemetry = True
 
 
 def ensure_interp(machine) -> None:
     """Force the interpreted classes back in place (hook attachment)."""
-    if not machine._elab_applied:
+    if machine._elab_variant is None:
         return
     if machine.engine.pending:
         raise RuntimeError(
@@ -160,8 +191,6 @@ def ensure_interp(machine) -> None:
             "drain the engine (run to completion) first"
         )
     _revert(machine)
-    machine._elab_applied = False
-    machine._elab_variant = None
 
 
 # ----------------------------------------------------------------------
@@ -221,30 +250,14 @@ def _revert(machine) -> None:
     for iri in machine.net.iris:
         iri.__class__ = InterRingInterface
     _recapture(machine)
-    _resync_telemetry(
-        machine,
-        integrate=(getattr(machine, "_elab_variant", None) == "instr"),
-    )
-
-
-def _resync_telemetry(machine, integrate: bool = False) -> None:
-    """The *plain* specialized core does not maintain the FIFO depth
-    integral, so every fifo's ``_last_change`` clock is stale after a
-    plain-elab run.  Reset it to *now* before interpreted code resumes its
-    ``depth_area`` updates, otherwise the first interp push/pop would
-    integrate the whole elab era at the current depth.
-
-    The *instrumented* core keeps the integral live; there the un-flushed
-    tail span ``[_last_change, now]`` is real area, so it is integrated
-    (not discarded) before the clock reset."""
-    now = machine.engine.now
-    if integrate:
-        for f in _all_fifos(machine):
-            f._depth_area += len(f._items) * (now - f._last_change)
-            f._last_change = now
-    else:
+    if machine._elab_variant == "plain":
+        # the plain core leaves every fifo's depth-integral clock stale:
+        # restart it at *now*, or the first interp push/pop would
+        # integrate the whole plain era at the current depth
+        now = machine.engine.now
         for f in _all_fifos(machine):
             f._last_change = now
+    machine._elab_variant = None
 
 
 def _all_fifos(machine):

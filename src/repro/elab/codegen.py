@@ -22,7 +22,7 @@ as the interpreted path, and every statistic on the machine's canonical
 reporting surface (``nc_stats`` / ``memory_stats`` / ``utilizations`` /
 ``ring_interface_delays``, plus flow-control state such as FIFO
 ``max_depth``) is updated identically — that is the bit-identity contract,
-enforced by tests/test_elab_backend.py and scripts/check_elab.py.
+enforced by tests/test_elab_backend.py.
 
 Observability is a *compile-time axis*: ``MachineIR.instrumented`` selects
 between two generated variants sharing this generator.
@@ -43,9 +43,8 @@ between two generated variants sharing this generator.
 Tracer stamps never schedule events, so both variants push the identical
 event stream: instrumented runs are bit-identical to plain runs in
 ``(events_run, now)`` and the full canonical surface (pinned by
-tests/test_obs_elab.py).  The two variants hash to different fingerprints
-(:func:`repro.elab.ir.config_elab_fingerprint`) and coexist in the module
-store.
+tests/test_obs_elab.py).  The two variants are different source text, so
+each compiles to its own module (see :mod:`repro.elab.backend`).
 
 Ring arrivals, tail-lag bounces and done relays are pushed with the same
 *content-derived* sequence keys the interpreter uses (no tie-break counter
@@ -134,7 +133,7 @@ def _grant_bus(ind: str, bus: str, arb: int, instr: bool = False) -> str:
 
 
 def _fifo_pop(ind: str, fifo: str, out: str, instr: bool = False) -> str:
-    """Inlined Fifo.pop, keeping flow control; requires a local ``now``.
+    """Inlined Fifo.pop; requires a local ``now``.
 
     The entry's enqueue tick lands in ``enq`` (several callers feed it into
     the canonical delay accumulators); the depth integral and wait-time
@@ -160,12 +159,7 @@ def _fifo_pop(ind: str, fifo: str, out: str, instr: bool = False) -> str:
             f"{ind}if wt.max is None or sample > wt.max:\n"
             f"{ind}    wt.max = sample\n"
         )
-    return text + (
-        f"{ind}if {fifo}._on_space:\n"
-        f"{ind}    waiters, {fifo}._on_space = {fifo}._on_space, []\n"
-        f"{ind}    for cb in waiters:\n"
-        f"{ind}        cb()\n"
-    )
+    return text
 
 
 def _fifo_push(
@@ -333,10 +327,8 @@ def generate_source(ir: MachineIR) -> str:
 
     w('"""Auto-generated specialized simulator core — DO NOT EDIT.')
     w("")
-    w("Produced by repro.elab.codegen from a MachineConfig; regenerated")
-    w("whenever the config, package version or elaborator schema changes.")
+    w("Produced in memory by repro.elab.codegen from a MachineIR.")
     w('"""')
-    w(f'FINGERPRINT = "{ir.fingerprint}"')
     w(f"INSTRUMENTED = {instr}")
     w(f'PROTOCOL = "{proto.name}"')
     w("")
@@ -964,10 +956,6 @@ def generate_source(ir: MachineIR) -> str:
         else:
             w("        # Fifo.pop inlined (handle just pushed, so nonempty)")
             w("        pkt2, enq = items.popleft()")
-            w("        if f._on_space:")
-            w("            waiters, f._on_space = f._on_space, []")
-            w("            for cb in waiters:")
-            w("                cb()")
         w(_push_event(i2, f"now + {latency}", 1, "self._service", "pkt2").rstrip())
         w("")
         w("    def _pump(self):")

@@ -10,22 +10,12 @@ The IR is extracted from a constructed :class:`~repro.system.machine.Machine`
 rather than recomputed from the config, so the elaborated core specializes
 exactly the topology the interpreter wired (ring sizes, IRI positions,
 sequencing points) with no duplicated construction rules.
-
-The fingerprint hashes the full config plus the package version and the
-elaborator schema number, so a generated module can never be reused across
-a config change or a code change that bumps either.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
-
-#: bump whenever the generated module's shape or semantics change; stale
-#: on-disk modules are ignored (their fingerprint no longer matches)
-ELAB_SCHEMA = 7
 
 
 @dataclass(frozen=True)
@@ -67,7 +57,6 @@ class IriIR:
 
 @dataclass
 class MachineIR:
-    fingerprint: str
     num_levels: int
     levels: Tuple[int, ...]
     num_stations: int
@@ -78,11 +67,10 @@ class MachineIR:
     iris: List[IriIR] = field(default_factory=list)
     #: when True the generated core carries tracer stamps and the
     #: observability-only telemetry (FIFO depth/wait integrals, bus
-    #: transactions, ring packets_carried, CPU retries) inline — a separate
-    #: fingerprint axis, so both variants coexist in the module store
+    #: transactions, ring packets_carried, CPU retries) inline
     instrumented: bool = False
     #: coherence-protocol plug-in whose DISPATCH tables the generated core
-    #: compiles into dense dispatch — a third fingerprint axis
+    #: compiles into dense dispatch
     protocol: str = "numachine"
 
     # ------------------------------------------------------------------
@@ -180,9 +168,7 @@ class MachineIR:
                 )
             )
 
-        protocol = getattr(machine, "protocol_name", "numachine")
         return cls(
-            fingerprint=config_elab_fingerprint(config, instrumented, protocol),
             num_levels=num_levels,
             levels=levels,
             num_stations=config.num_stations,
@@ -191,29 +177,5 @@ class MachineIR:
             stations=stations,
             iris=iris,
             instrumented=instrumented,
-            protocol=protocol,
+            protocol=getattr(machine, "protocol_name", "numachine"),
         )
-
-
-def config_elab_fingerprint(
-    config, instrumented: bool = False, protocol: str = "numachine",
-) -> str:
-    """Digest identifying a generated module: full config, package version,
-    elaborator schema, instrumentation axis, coherence protocol.  Any
-    mismatch forces regeneration."""
-    import dataclasses
-
-    from repro import __version__
-
-    payload = json.dumps(
-        {
-            "elab_schema": ELAB_SCHEMA,
-            "version": __version__,
-            "instrumented": bool(instrumented),
-            "protocol": str(protocol),
-            "config": dataclasses.asdict(config),
-        },
-        sort_keys=True,
-        default=str,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]

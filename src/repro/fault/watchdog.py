@@ -137,7 +137,7 @@ def render_dump(dump: dict) -> str:
         for name, snap in sorted(occupied.items()):
             lines.append(
                 f"  {name}: depth={snap['depth']}/{snap['capacity']} "
-                f"max={snap['max_depth']} stalls={snap['stalls']}"
+                f"max={snap['max_depth']}"
             )
     for key, label in (
         ("locked_memory_lines", "locked memory lines"),

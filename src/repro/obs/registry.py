@@ -12,6 +12,13 @@ exposition format, so a run's metrics drop straight into standard tooling.
 The snapshot is deterministic for a deterministic run when taken with
 ``include_wall=False`` (the wall-clock throughput meter is the only
 host-dependent field).
+
+Once a machine has run on the plain elab core (:mod:`repro.elab.codegen`),
+the observability-only telemetry that core skips is incomplete for good:
+the snapshot then omits it (the bus ``transactions``, ring
+``packets_carried`` and CPU ``retries`` counters, and each FIFO's
+``pushes`` / ``mean_depth`` / ``wait_*`` fields) and says so with
+``meta["telemetry"] == "partial"`` instead of ``"full"``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,10 @@ from typing import Dict, Iterator, List
 from ..sim.engine import ticks_to_ns
 
 #: bump when the snapshot layout changes incompatibly
-SNAPSHOT_SCHEMA = 1
+SNAPSHOT_SCHEMA = 2
+
+#: FIFO fields the plain elab core does not maintain
+_FIFO_TELEMETRY = ("pushes", "mean_depth", "wait_mean_ticks", "wait_count")
 
 
 # ----------------------------------------------------------------------
@@ -69,9 +79,12 @@ def snapshot(machine, include_wall: bool = True) -> dict:
 
     Works on any machine; the ``histograms`` / ``probes`` / ``trace``
     sections appear only when a monitor / observability layer is attached.
+    After a plain-elab run the telemetry that core skips is left out (see
+    the module docstring).
     """
     engine = machine.engine
     now = engine.now
+    partial = machine._partial_telemetry
 
     counters: Dict[str, int] = {}
     accumulators: Dict[str, dict] = {}
@@ -91,6 +104,18 @@ def snapshot(machine, include_wall: bool = True) -> dict:
     for _key, ring in sorted(machine.net.rings.items()):
         counters[ring.packets_carried.name] = ring.packets_carried.value
         counters[ring.halts.name] = ring.halts.value
+    fifos = {f.name: f.stats_snapshot(now) for f in _fifos(machine)}
+    if partial:
+        # drop what the plain elab core does not maintain
+        for st in machine.stations:
+            del counters[st.bus.transactions.name]
+        for ring in machine.net.rings.values():
+            del counters[ring.packets_carried.name]
+        for cpu in machine.cpus:
+            counters.pop(f"{cpu.stats.owner}.retries", None)
+        for f in fifos.values():
+            for key in _FIFO_TELEMETRY:
+                del f[key]
 
     meta = {
         "time_ticks": now,
@@ -99,13 +124,14 @@ def snapshot(machine, include_wall: bool = True) -> dict:
         "num_stations": machine.config.num_stations,
         "num_cpus": len(machine.cpus),
         "protocol": getattr(machine, "protocol_name", "numachine"),
+        "telemetry": "partial" if partial else "full",
     }
     snap = {
         "schema": SNAPSHOT_SCHEMA,
         "meta": meta,
         "counters": counters,
         "accumulators": accumulators,
-        "fifos": {f.name: f.stats_snapshot(now) for f in _fifos(machine)},
+        "fifos": fifos,
         "utilizations": machine.utilizations(),
     }
     if include_wall:
@@ -213,7 +239,8 @@ def to_prometheus(snap: dict, prefix: str = "numachine") -> str:
         lbl = (("fifo", name),)
         depth.append((lbl, f["depth"]))
         max_depth.append((lbl, f["max_depth"]))
-        mean_depth.append((lbl, f["mean_depth"]))
+        if "mean_depth" in f:  # absent from partial-telemetry snapshots
+            mean_depth.append((lbl, f["mean_depth"]))
     metric("fifo_depth", "current FIFO occupancy", "gauge", depth)
     metric("fifo_max_depth", "peak FIFO occupancy", "gauge", max_depth)
     metric("fifo_mean_depth", "time-weighted mean FIFO occupancy", "gauge",

@@ -92,6 +92,11 @@ def render_text(snap: dict, probe_limit: int = 24) -> str:
             f"     {meta['events_per_sec']:.0f} events/s "
             f"({meta.get('wall_s', 0):.3f} s wall)"
         )
+    if meta.get("telemetry") == "partial":
+        out.append(
+            "     partial telemetry: the plain elab core ran, so FIFO "
+            "pushes/mean/wait and bus, ring and retry counts are omitted"
+        )
 
     util = snap.get("utilizations", {})
     if util:
@@ -110,20 +115,26 @@ def render_text(snap: dict, probe_limit: int = 24) -> str:
 
     fifos = snap.get("fifos", {})
     busy = [
-        (name, f) for name, f in sorted(fifos.items()) if f["pushes"]
+        (name, f) for name, f in sorted(fifos.items()) if f["max_depth"]
     ]
     if busy:
         out.append("\nfifos (with traffic):")
         out.append(
             f"  {'name':<20} {'pushes':>8} {'max':>5} {'mean':>7} "
-            f"{'wait ns':>9} {'stalls':>7}"
+            f"{'wait ns':>9}"
         )
         for name, f in busy:
-            wait_ns = f["wait_mean_ticks"] / TICKS_PER_NS
-            out.append(
-                f"  {name:<20} {f['pushes']:>8} {f['max_depth']:>5} "
-                f"{f['mean_depth']:>7.3f} {wait_ns:>9.1f} {f['stalls']:>7}"
-            )
+            if "pushes" in f:
+                wait_ns = f["wait_mean_ticks"] / TICKS_PER_NS
+                out.append(
+                    f"  {name:<20} {f['pushes']:>8} {f['max_depth']:>5} "
+                    f"{f['mean_depth']:>7.3f} {wait_ns:>9.1f}"
+                )
+            else:  # partial telemetry
+                out.append(
+                    f"  {name:<20} {'-':>8} {f['max_depth']:>5} "
+                    f"{'-':>7} {'-':>9}"
+                )
 
     probes = snap.get("probes", {})
     shown = [(n, s) for n, s in sorted(probes.items()) if any(s["v"])]

@@ -29,9 +29,7 @@ No execution strategy is in the key: the simulated core is chosen by the
 attached hooks (:mod:`repro.elab.backend`), and the interpreted and
 elaborated cores are bit-identical on the canonical surface (pinned by
 ``tests/test_elab_backend.py``), so every stored record comes from the
-one hook-derived selection.  The specialized-core *module* store under
-``<cache>/elab/`` (:mod:`repro.elab.store`) shares this directory, cap
-and CLI.
+one hook-derived selection.
 """
 
 from __future__ import annotations
@@ -253,25 +251,17 @@ def main(argv=None) -> int:
                     help="print entry count and total size")
     args = ap.parse_args(argv)
 
-    from ..elab import store as elab_store
-
-    root = Path(args.dir) if args.dir else None
-    cache = RunCache(root=root, enabled=True)
+    cache = RunCache(root=Path(args.dir) if args.dir else None, enabled=True)
     if args.max_mb is not None:
         cache.max_bytes = int(args.max_mb * 1024 * 1024)
     did = False
     if args.clear:
         print(f"cleared {cache.clear()} entries from {cache.root}")
-        print(f"cleared {elab_store.clear(root)} generated modules from "
-              f"{elab_store.elab_dir(root)}")
         did = True
     if args.prune:
         removed = cache.prune()
         print(f"pruned {removed} entries from {cache.root} "
               f"(cap {cache.max_bytes // (1024 * 1024)} MB)")
-        removed = elab_store.prune(cache.max_bytes, root)
-        print(f"pruned {removed} generated modules from "
-              f"{elab_store.elab_dir(root)}")
         did = True
     if args.stats or not did:
         entries = cache._entries()
@@ -291,9 +281,6 @@ def main(argv=None) -> int:
             print("  by protocol: " + ", ".join(
                 f"{k}={v}" for k, v in sorted(by_proto.items())
             ))
-        es = elab_store.stats(root)
-        print(f"{es['dir']}: {es['modules']} generated modules, "
-              f"{es['bytes'] / 1e6:.2f} MB")
     return 0
 
 

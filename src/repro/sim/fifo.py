@@ -3,14 +3,15 @@
 Every NUMAchine module moves packets through FIFOs (processor external
 agent, memory module, ring interfaces, inter-ring interfaces).  The paper's
 flow control halts an upstream ring when an interface input FIFO nears
-capacity; :class:`Fifo` exposes that via a high-water threshold and
-``on_space`` callbacks so producers can resume.
+capacity; :class:`Fifo` exposes that via a high-water threshold
+(:attr:`Fifo.pressured`), which the ring interfaces check after each
+arrival to halt the upstream link.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Deque, List, Optional
 
 from .stats import Accumulator, Counter
 
@@ -40,11 +41,9 @@ class Fifo:
         "capacity",
         "high_water",
         "_items",
-        "_on_space",
         "max_depth",
         "wait_time",
         "pushes",
-        "stalls",
         "_depth_area",
         "_last_change",
     )
@@ -61,11 +60,9 @@ class Fifo:
             high_water = max(1, capacity - 2)
         self.high_water = high_water
         self._items: Deque[tuple[Any, int]] = deque()
-        self._on_space: List[Callable[[], None]] = []
         self.max_depth = 0
         self.wait_time = Accumulator(f"{name}.wait")
         self.pushes = Counter(f"{name}.pushes")
-        self.stalls = Counter(f"{name}.stalls")
         # time-weighted occupancy: integral of depth over time, advanced at
         # every mutation so mean_depth(now) is exact at any instant
         self._depth_area = 0
@@ -116,16 +113,7 @@ class Fifo:
             wt.min = sample
         if wt.max is None or sample > wt.max:
             wt.max = sample
-        if self._on_space:
-            waiters, self._on_space = self._on_space, []
-            for cb in waiters:
-                cb()
         return item
-
-    def when_space(self, callback: Callable[[], None]) -> None:
-        """Invoke ``callback`` after the next pop frees an entry."""
-        self._on_space.append(callback)
-        self.stalls.incr()
 
     def mean_depth(self, now: int) -> float:
         """Time-weighted mean occupancy over [0, now]."""
@@ -142,7 +130,6 @@ class Fifo:
             "max_depth": self.max_depth,
             "mean_depth": self.mean_depth(now),
             "pushes": self.pushes.value,
-            "stalls": self.stalls.value,
             "wait_mean_ticks": self.wait_time.mean,
             "wait_count": self.wait_time.count,
         }

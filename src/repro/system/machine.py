@@ -64,10 +64,12 @@ class Machine:
 
         self.protocol = resolve_protocol(self.config)
         self.protocol_name = self.protocol.name
-        self._elab_applied = False
+        # which core is in place: None (interp) | "plain" | "instr" elab
+        self._elab_variant: Optional[str] = None
         self._elab_failed = False
-        # which elab variant is in place: None | "plain" | "instr"
-        self._elab_variant = None
+        # set for good once the plain elab core is applied: it skips the
+        # observability-only telemetry, so obs_snapshot() omits those fields
+        self._partial_telemetry = False
         self.engine = Engine()
         self.net: Interconnect = build_interconnect(self.engine, self.config)
         self.codec = self.net.codec
@@ -184,13 +186,13 @@ class Machine:
     def backend(self) -> str:
         """The backend currently in place: ``"elab"`` when the generated
         specialized core is active, else ``"interp"``."""
-        return "elab" if self._elab_applied else "interp"
+        return "interp" if self._elab_variant is None else "elab"
 
     @property
     def backend_variant(self) -> Optional[str]:
         """Which elab variant is active: ``"plain"``, ``"instr"``, or
         ``None`` when running interpreted."""
-        return self._elab_variant if self._elab_applied else None
+        return self._elab_variant
 
     def _ensure_interp(self) -> None:
         from ..elab import backend as _backend
@@ -199,7 +201,9 @@ class Machine:
 
     def obs_snapshot(self, include_wall: bool = True) -> dict:
         """The unified metrics snapshot (see :mod:`repro.obs.registry`);
-        works with or without an attached observability layer."""
+        works with or without an attached observability layer.  After a
+        run on the plain elab core it omits the telemetry that core does
+        not maintain and sets ``meta["telemetry"] = "partial"``."""
         from ..obs.registry import snapshot
 
         return snapshot(self, include_wall=include_wall)

@@ -7,15 +7,17 @@ surface — event count, final simulated time, ``nc_stats`` /
 every machine shape, workload and processor count.  These
 tests pin that contract, the hook/backend interaction (hooks force the
 interpreted path), the dispatch tables against the interpreted handler
-maps, and the generated-module disk store.
+maps, and the in-memory compile of generated cores.
 """
 
 from __future__ import annotations
 
+import traceback
+
 import pytest
 
 from repro.elab import backend as elab_backend
-from repro.elab import codegen, store
+from repro.elab import codegen
 from repro.elab.ir import MachineIR
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
@@ -40,20 +42,32 @@ _WORKLOADS = {
 }
 
 
-def _run(backend: str, workload: str, nprocs: int) -> tuple:
-    machine = Machine(MachineConfig.prototype(), backend=backend)
+def _small_2ring() -> MachineConfig:
+    return MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
+
+
+def _run(backend: str, config, workload: str, nprocs: int) -> tuple:
+    machine = Machine(config(), backend=backend)
     _WORKLOADS[workload]().run(machine, nprocs=nprocs)
     return _fingerprint(machine), machine.backend
 
 
 # ----------------------------------------------------------------------
-# cross-backend bit-identity: {interp, elab} x P x wl
+# cross-backend bit-identity: {interp, elab} x machine x P x wl
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("nprocs", [4, 16, 64])
+@pytest.mark.parametrize(
+    "config, nprocs",
+    [
+        pytest.param(MachineConfig.prototype, 4, id="4"),
+        pytest.param(MachineConfig.prototype, 16, id="16"),
+        pytest.param(MachineConfig.prototype, 64, id="64"),
+        pytest.param(_small_2ring, 8, id="2ring-8"),
+    ],
+)
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-def test_backends_bit_identical(workload, nprocs):
-    interp, active_i = _run("interp", workload, nprocs)
-    elab, active_e = _run("elab", workload, nprocs)
+def test_backends_bit_identical(workload, config, nprocs):
+    interp, active_i = _run("interp", config, workload, nprocs)
+    elab, active_e = _run("elab", config, workload, nprocs)
     assert active_i == "interp"
     assert active_e == "elab"
     assert interp == elab
@@ -159,7 +173,7 @@ def test_dispatch_tables_match_interp(protocol):
 
 
 # ----------------------------------------------------------------------
-# codegen determinism + module store hygiene
+# codegen determinism + in-memory compile
 # ----------------------------------------------------------------------
 def test_codegen_is_deterministic():
     cfg = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
@@ -172,43 +186,36 @@ def test_codegen_is_deterministic():
     assert other != a
 
 
-def test_store_roundtrip_and_eviction(tmp_path, monkeypatch):
+def test_default_run_writes_nothing_to_disk(tmp_path, monkeypatch):
     monkeypatch.setenv("NUMACHINE_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("NUMACHINE_CACHE", "1")
-    d = store.elab_dir()
-    d.mkdir(parents=True)
-    # oldest-first eviction down to the cap
-    import os
-
-    paths = []
-    for i in range(4):
-        p = d / f"elab_{i:032x}.py"
-        p.write_text("x" * 1000)
-        os.utime(p, (1000 + i, 1000 + i))
-        paths.append(p)
-    removed = store.prune(max_bytes=2500)
-    assert removed == 2
-    assert not paths[0].exists() and not paths[1].exists()
-    assert paths[2].exists() and paths[3].exists()
-    assert store.stats()["modules"] == 2
-    assert store.clear() == 2
-    assert store.stats()["modules"] == 0
+    # a shape no other test elaborates: a writer that skips cores this
+    # process already compiled would still be caught
+    m = Machine(MachineConfig.small(stations_per_ring=3, rings=2, cpus=1))
+    HotSpot(words=16, ops=10).run(m, nprocs=6)
+    assert m.backend == "elab"
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_generated_module_cached_on_disk(tmp_path, monkeypatch):
-    monkeypatch.setenv("NUMACHINE_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("NUMACHINE_CACHE", "1")
-    store._memo.clear()
-    try:
-        cfg = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
-        ir = MachineIR.from_machine(Machine(cfg))
-        mod = store.load_module(ir)
-        assert mod.FINGERPRINT == ir.fingerprint
-        path = store.module_path(ir.fingerprint)
-        assert path.exists()
-        # second load from a cold memo reuses the on-disk source
-        store._memo.clear()
-        mod2 = store.load_module(ir)
-        assert mod2.FINGERPRINT == ir.fingerprint
-    finally:
-        store._memo.clear()
+def test_one_compiled_core_per_config_and_variant():
+    from repro.obs import Observability
+
+    a, b, traced = (Machine(_small_2ring()) for _ in range(3))
+    Observability(probes=False).attach(traced)
+    for m in (a, b, traced):
+        HotSpot(words=16, ops=10).run(m, nprocs=4)
+    assert type(a.cpus[0]) is type(b.cpus[0])
+    assert type(a.stations[0].bus) is type(b.stations[0].bus)
+    assert traced.backend_variant == "instr"
+    assert type(traced.cpus[0]) is not type(a.cpus[0])
+    assert type(traced.stations[0].bus) is not type(a.stations[0].bus)
+
+
+def test_generated_code_tracebacks_show_source_lines():
+    ir = MachineIR.from_machine(Machine(_small_2ring()))
+    mod = elab_backend.load(codegen.generate_source(ir))
+    with pytest.raises(TypeError) as info:
+        mod._bus_complete(None)  # not an (bus, start, on_complete) tuple
+    text = "".join(traceback.format_exception(info.value))
+    assert "in _bus_complete" in text
+    assert "bus, start, on_complete = arg" in text

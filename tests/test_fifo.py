@@ -48,17 +48,6 @@ def test_max_depth_tracked():
     assert f.max_depth == 5
 
 
-def test_when_space_callback_fires_after_pop():
-    f = Fifo("t", capacity=1)
-    f.push("a", 0)
-    fired = []
-    f.when_space(lambda: fired.append(True))
-    assert not fired
-    f.pop(1)
-    assert fired == [True]
-    assert f.stalls.value == 1
-
-
 def test_unbounded_fifo_never_full():
     f = Fifo("t", capacity=None)
     for i in range(1000):
@@ -96,7 +85,6 @@ def test_stats_snapshot_contents():
     assert snap["capacity"] == 8
     assert snap["max_depth"] == 2
     assert snap["pushes"] == 2
-    assert snap["stalls"] == 0
     assert snap["wait_count"] == 1
     assert snap["wait_mean_ticks"] == 20
     # area: 1*[0,10) + 2*[10,20) = 30 -> mean 1.5

@@ -241,6 +241,51 @@ def test_snapshot_without_obs_or_monitor_still_works():
     assert snap["counters"]
 
 
+def test_snapshot_after_plain_core_omits_unmaintained_telemetry(tmp_path, capsys):
+    def run(backend):
+        machine = Machine(MachineConfig.small(), backend=backend)
+        HotSpot(words=16, ops=50).run(machine, nprocs=4)
+        return machine
+
+    interp, plain = run("interp"), run(None)
+    assert plain.backend_variant == "plain"
+    full = interp.obs_snapshot(include_wall=False)
+    part = plain.obs_snapshot(include_wall=False)
+    assert full["meta"]["telemetry"] == "full"
+    assert part["meta"]["telemetry"] == "partial"
+    # the interpreter maintained the fields the plain core skips ...
+    assert full["fifos"]["S0.mem.in"]["pushes"] > 0
+    assert full["fifos"]["S0.mem.in"]["wait_count"] > 0
+    assert full["counters"]["P0.retries"] > 0
+    # ... and the partial snapshot leaves out exactly those, agreeing on
+    # everything else
+    dropped = {k for k in full["counters"] if k not in part["counters"]}
+    assert dropped and all(
+        k.endswith((".bus.transactions", ".packets", ".retries"))
+        for k in dropped
+    )
+    assert all(full["counters"][k] == v for k, v in part["counters"].items())
+    for name, f in part["fifos"].items():
+        assert f == {k: full["fifos"][name][k]
+                     for k in ("depth", "capacity", "max_depth")}
+    # a later instrumented run cannot recover the lost counts
+    Observability(probes=False).attach(plain)
+    HotSpot(words=16, ops=10).run(plain, nprocs=4)
+    assert plain.backend_variant == "instr"
+    assert plain.obs_snapshot()["meta"]["telemetry"] == "partial"
+    # both exporters still render it
+    text = to_prometheus(part)
+    assert "numachine_fifo_max_depth{" in text
+    assert "numachine_fifo_mean_depth{" not in text
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(part))
+    assert report_main([str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "partial telemetry" in out
+    assert "S0.mem.in" in out
+    assert report_main([str(path), "--format", "prom"]) == 0
+
+
 def test_snapshot_is_deterministic_without_wall():
     m1, _ = _observed_tiny_run()
     m2, _ = _observed_tiny_run()
@@ -275,7 +320,7 @@ def _golden_snapshot() -> dict:
     """A hand-built snapshot exercising every section plus the label
     characters the exposition format must escape."""
     return {
-        "schema": 1,
+        "schema": 2,
         "meta": {"time_ns": 1234.5, "events_run": 42},
         "counters": {"S0.mem.reads": 7, 'tricky"name': 1, "back\\slash": 2,
                      "multi\nline": 3},
@@ -284,7 +329,7 @@ def _golden_snapshot() -> dict:
                                              "mean": 100.0}},
         "utilizations": {"bus": 0.25, "ring": 0.5},
         "fifos": {"S0.mem.in": {"depth": 1, "max_depth": 3, "mean_depth": 0.5,
-                                "pushes": 9, "stalls": 0,
+                                "pushes": 9,
                                 "wait_mean_ticks": 2.0}},
         "histograms": {"coherence": {"name": "coherence", "rows": ["LV"],
                                      "cols": ["read"],

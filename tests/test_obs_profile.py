@@ -102,7 +102,7 @@ def test_context_manager_uninstalls():
 
 
 # ----------------------------------------------------------------------
-# Perfetto export (scripts/check_elab.py-style validation)
+# Perfetto export
 # ----------------------------------------------------------------------
 def test_chrome_trace_schema(tmp_path):
     _machine, prof = _profiled_run("elab")

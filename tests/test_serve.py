@@ -412,7 +412,8 @@ def test_http_end_to_end(tmp_path):
         # and the observed record was NOT cached under the canonical key
         scp = canonical_point({"workload": "fft", "nprocs": 1,
                                "size": "test"})
-        plain = run_point(scp.point, cache=None)
+        plain = run_point(scp.point,
+                          cache=RunCache(root=tmp_path / "reference"))
         streamed = events[-1]["record"]
         assert streamed["parallel_time_ns"] == plain.parallel_time_ns
         assert streamed["memory_stats"] == plain.memory_stats
