@@ -23,12 +23,9 @@ mechanism disabled or substituted, over a fixed mixed workload set:
 Besides the pytest-benchmark entry points, this file is an executable:
 
     python benchmarks/bench_ablations.py [--procs 16,64]   # protocol table
-    python benchmarks/bench_ablations.py --check           # fingerprint gate
 
-``--check`` re-runs every point of ``tests/data/protocol_fingerprints.json``
-and asserts the default protocol's canonical surface is bit-identical —
-the same gate ``tests/test_protocols.py`` applies, available to CI steps
-that do not run the test suite.
+The default protocol's fingerprint gate is a tier-1 test:
+``pytest tests/test_protocols.py -k fingerprint``.
 """
 
 import sys
@@ -255,67 +252,18 @@ def test_ablation_coherence_protocol(benchmark):
 
 
 # ----------------------------------------------------------------------
-# CLI: protocol comparison table + fingerprint gate
+# CLI: protocol comparison table
 # ----------------------------------------------------------------------
-_FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "data" / \
-    "protocol_fingerprints.json"
-
-
-def _check_fingerprints(path: Path) -> int:
-    """Re-run every fixture point and diff the canonical surface.
-
-    The fixture keys each (workload, P) pair twice, ``|heap`` and
-    ``|calendar``, from when the engine had two event queues; one run
-    serves both keys."""
-    import json
-
-    from repro import Machine, MachineConfig
-    from repro.protocol import canonical_surface
-
-    fix = json.loads(Path(path).read_text())
-    workloads = _protocol_workloads()
-    failures = []
-    surfaces = {}
-    for key, want in sorted(fix["points"].items()):
-        wname, pfield, _sched = key.split("|")
-        if (wname, pfield) not in surfaces:
-            cfg = MachineConfig.prototype()
-            cfg.protocol = fix["protocol"]
-            machine = Machine(cfg)
-            workloads[wname]().run(machine, nprocs=int(pfield[1:]))
-            # normalize through JSON so float/int representations match
-            surfaces[wname, pfield] = json.loads(
-                json.dumps(canonical_surface(machine))
-            )
-        got = surfaces[wname, pfield]
-        if got == want:
-            print(f"ok   {key}: now={got['now']}")
-        else:
-            diff = [f for f in sorted(want) if got.get(f) != want[f]]
-            failures.append(key)
-            print(f"FAIL {key}: fields differ: {', '.join(diff)}")
-    print(f"fingerprint check: {len(fix['points']) - len(failures)}/"
-          f"{len(fix['points'])} points identical ({fix['protocol']!r} "
-          f"protocol, {fix['config']} config)")
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     import argparse
 
     ap = argparse.ArgumentParser(
         prog="python benchmarks/bench_ablations.py",
-        description="Coherence-protocol ablation table / fingerprint gate.",
+        description="Coherence-protocol ablation table.",
     )
     ap.add_argument("--procs", default="16,64",
                     help="comma-separated processor counts (default 16,64)")
-    ap.add_argument("--check", action="store_true",
-                    help="verify the default protocol's canonical surface "
-                    "against tests/data/protocol_fingerprints.json")
     args = ap.parse_args(argv)
-
-    if args.check:
-        return _check_fingerprints(_FIXTURE)
 
     procs = [int(p) for p in args.procs.split(",") if p]
     rows = []

@@ -11,10 +11,9 @@ interpreting it event by event through generic dispatch, this package
   (literal constants, fused pump loops, dense coherence dispatch, no hook
   checks);
 * :mod:`repro.elab.backend` compiles that source in memory, once per
-  process, and applies a core per run, chosen by the attached hooks: the
-  plain variant with none, the instrumented variant with only
-  observability hooks, and the interpreter whenever a monitor, verifier
-  or fault injector is attached, so hooked runs stay bit-identical.
+  process, and applies it per run unless a hook sits in a component slot
+  (tracer, monitor, verifier or fault injector): those runs stay on the
+  interpreted classes, which the generated core is bit-identical to.
 """
 
 from .backend import sync

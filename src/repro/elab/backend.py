@@ -7,42 +7,35 @@ Two backends execute a machine:
     monitor, fault filter) is checked on the hot paths;
 ``elab``
     a generated specialized core (:mod:`repro.elab.codegen`) — constants
-    baked in, pump loops fused.  Bit-identical to ``interp`` on the
-    canonical reporting surface (events / time / ``nc_stats`` /
-    ``memory_stats`` / ``utilizations`` / ``ring_interface_delays``).
-    Two compiled variants exist, selected here per run:
+    baked in, pump loops fused, no hook checks.  Bit-identical to
+    ``interp`` on the canonical reporting surface (events / time /
+    ``nc_stats`` / ``memory_stats`` / ``utilizations`` /
+    ``ring_interface_delays``); it skips the observability-only telemetry
+    (FIFO push counts and waits, bus ``transactions``, ring
+    ``packets_carried``, CPU ``retries``).
 
-    * **plain** — every hook check deleted; observability-only telemetry
-      (FIFO depth/wait histograms, bus ``transactions``, ring
-      ``packets_carried``, CPU ``retries``) is not maintained;
-    * **instrumented** — tracer stamps and that telemetry compiled back
-      in inline, so tracer/probe runs execute on the elab core at full
-      speed (the obs hooks never schedule events: identical
-      ``(events_run, now)``).
-
-Selection follows the attached hooks: none gives the plain variant,
-observability hooks give the instrumented one, and a monitor, verifier or
-fault injector gives ``interp``.  ``Machine(backend="interp")`` pins the
-reference core; ``Machine(backend="elab")`` selects exactly like the
+Selection follows the attached hooks.  Any hook in a component slot — a
+tracer, monitor, verifier or fault filter — gives ``interp``; otherwise
+the generated core runs, whatever engine-level samplers ride along
+(probes, the telemetry stream, a watchdog, the profiler): those read only
+state the generated core maintains.  ``Machine(backend="interp")`` pins
+the reference core; ``Machine(backend="elab")`` selects exactly like the
 default but warns if elaboration fails.
 
 Each process generates a config's core in memory and compiles it once:
 :func:`load` maps the generated source text to its executed module, so a
-second machine of the same config and variant skips ``compile()``.  The
-source is the key, so any change to the IR or to the generator yields a
-new module; nothing is written to disk.  The source is registered with
+second machine of the same config skips ``compile()``.  The source is the
+key, so any change to the IR or to the generator yields a new module;
+nothing is written to disk.  The source is registered with
 :mod:`linecache`, so tracebacks through generated code show its lines.
 
 The elaborated core is applied by *re-classing* the already-wired component
 instances (``obj.__class__ = Generated``) — no state is copied, moved, or
 rebuilt, which is what keeps the switch exact.  Two safety rules:
 
-* **non-observability hooks force interp**: a monitor, verifier or fault
-  injector rewires behaviour the generated code cannot honour, so any of
-  them keeps the machine interpreted (a watchdog is engine-level and
-  stays allowed).  Observability hooks — tracers attached by
-  :class:`repro.obs.Observability`, probes, the telemetry stream — select
-  the *instrumented* elab variant instead of forcing interp;
+* **component-slot hooks force interp**: the generated code checks no hook
+  slot, so a tracer, monitor, verifier or fault injector keeps the machine
+  interpreted;
 * **no switching under in-flight events**: pending events hold bound
   methods captured under the old classes; the backend only flips when the
   event queue is empty (:meth:`sync` is a no-op otherwise).
@@ -69,8 +62,8 @@ _serial = itertools.count()
 
 
 def interp_only_hooks(machine) -> bool:
-    """Any hook attached that rewires behaviour the generated code cannot
-    honour (monitor / verifier / fault injection)?
+    """Any hook attached in a component slot the generated code does not
+    check (tracer / monitor / verifier / fault injection)?
 
     Scans component hook slots directly (not just the Machine-level
     attributes) so hooks installed by hand in tests are honoured too.
@@ -83,36 +76,23 @@ def interp_only_hooks(machine) -> bool:
         return True
     for st in machine.stations:
         sri = st.ring_interface
-        if sri.verifier is not None or sri.fault_filter is not None:
+        if (
+            sri.tracer is not None
+            or sri.verifier is not None
+            or sri.fault_filter is not None
+        ):
             return True
         for mod in (st.memory, st.nc):
-            if mod.monitor is not None or mod.verifier is not None:
+            if (
+                mod.tracer is not None
+                or mod.monitor is not None
+                or mod.verifier is not None
+            ):
                 return True
         for cpu in st.cpus:
-            if cpu.verifier is not None:
+            if cpu.tracer is not None or cpu.verifier is not None:
                 return True
-    return False
-
-
-def obs_hooks_active(machine) -> bool:
-    """Any observability hook (tracer / probes / telemetry stream)
-    attached?  These never perturb the event stream, so they run on the
-    *instrumented* elab variant instead of forcing interp."""
-    if machine.obs is not None:
-        return True
-    for st in machine.stations:
-        if st.ring_interface.tracer is not None:
-            return True
-        for mod in (st.memory, st.nc):
-            if mod.tracer is not None:
-                return True
-        for cpu in st.cpus:
-            if cpu.tracer is not None:
-                return True
-    for iri in machine.net.iris:
-        if iri.tracer is not None:
-            return True
-    return False
+    return any(iri.tracer is not None for iri in machine.net.iris)
 
 
 def load(source: str) -> types.ModuleType:
@@ -138,25 +118,19 @@ def sync(machine) -> None:
     the hook state.  Called on entry to :meth:`Machine.run`; a no-op when
     nothing changed or events are in flight.
 
-    The target is three-way: interpreted (``None``), the plain elab
-    variant, or the instrumented elab variant when only observability
-    hooks are attached.  Applying the plain variant marks the machine's
-    observability-only telemetry as partial for good (see
+    Applying the elab core marks the machine's observability-only
+    telemetry as partial for good (see
     :func:`repro.obs.registry.snapshot`)."""
     pref = machine._backend_pref
-    if pref == "interp" or machine._elab_failed or interp_only_hooks(machine):
-        target = None
-    elif obs_hooks_active(machine):
-        target = "instr"
-    else:
-        target = "plain"
-    if target == machine._elab_variant:
+    want = not (
+        pref == "interp" or machine._elab_failed or interp_only_hooks(machine)
+    )
+    if want == machine._elab_active:
         return
     if machine.engine.pending:
         return  # pending events hold old bound methods; never swap now
-    if machine._elab_variant is not None:
+    if not want:
         _revert(machine)
-    if target is None:
         return
     try:
         # imported on first use: loading this large module (compiled from
@@ -164,7 +138,7 @@ def sync(machine) -> None:
         # that interp-only processes should not pay
         from . import codegen
 
-        ir = MachineIR.from_machine(machine, instrumented=(target == "instr"))
+        ir = MachineIR.from_machine(machine)
         _specialize(machine, load(codegen.generate_source(ir)))
     except Exception as exc:
         machine._elab_failed = True
@@ -176,14 +150,13 @@ def sync(machine) -> None:
                 stacklevel=2,
             )
         return
-    machine._elab_variant = target
-    if target == "plain":
-        machine._partial_telemetry = True
+    machine._elab_active = True
+    machine._partial_telemetry = True
 
 
 def ensure_interp(machine) -> None:
     """Force the interpreted classes back in place (hook attachment)."""
-    if machine._elab_variant is None:
+    if not machine._elab_active:
         return
     if machine.engine.pending:
         raise RuntimeError(
@@ -250,20 +223,4 @@ def _revert(machine) -> None:
     for iri in machine.net.iris:
         iri.__class__ = InterRingInterface
     _recapture(machine)
-    if machine._elab_variant == "plain":
-        # the plain core leaves every fifo's depth-integral clock stale:
-        # restart it at *now*, or the first interp push/pop would
-        # integrate the whole plain era at the current depth
-        now = machine.engine.now
-        for f in _all_fifos(machine):
-            f._last_change = now
-    machine._elab_variant = None
-
-
-def _all_fifos(machine):
-    for st in machine.stations:
-        sri = st.ring_interface
-        yield from (st.memory.in_fifo, st.nc.in_fifo)
-        yield from (sri.out_fifo, sri.in_fifo, sri.sink_q, sri.nonsink_q)
-    for iri in machine.net.iris:
-        yield from (iri.up_fifo, iri.down_fifo)
+    machine._elab_active = False

@@ -65,17 +65,13 @@ class MachineIR:
     ring_sizes: Dict[int, int] = field(default_factory=dict)  # level -> size
     stations: List[StationIR] = field(default_factory=list)
     iris: List[IriIR] = field(default_factory=list)
-    #: when True the generated core carries tracer stamps and the
-    #: observability-only telemetry (FIFO depth/wait integrals, bus
-    #: transactions, ring packets_carried, CPU retries) inline
-    instrumented: bool = False
     #: coherence-protocol plug-in whose DISPATCH tables the generated core
     #: compiles into dense dispatch
     protocol: str = "numachine"
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_machine(cls, machine, instrumented: bool = False) -> "MachineIR":
+    def from_machine(cls, machine) -> "MachineIR":
         config = machine.config
         codec = machine.codec
         geometry = config.geometry
@@ -176,6 +172,5 @@ class MachineIR:
             ring_sizes=ring_sizes,
             stations=stations,
             iris=iris,
-            instrumented=instrumented,
             protocol=getattr(machine, "protocol_name", "numachine"),
         )

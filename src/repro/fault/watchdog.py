@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..obs.registry import fifo_stats
 from ..sim.engine import DeadlockError, Engine, ticks_to_ns
 
 
@@ -59,7 +60,9 @@ def _pending_events(engine: Engine, limit: int) -> List[dict]:
 
 
 def diagnostic_dump(machine, max_inflight: int = 32) -> dict:
-    """Snapshot everything needed to diagnose a stuck machine."""
+    """Snapshot everything needed to diagnose a stuck machine.  FIFO
+    entries omit the telemetry the elab core did not maintain, as
+    :func:`repro.obs.registry.snapshot` does."""
     engine = machine.engine
     now = engine.now
     blocked = []
@@ -71,7 +74,7 @@ def diagnostic_dump(machine, max_inflight: int = 32) -> dict:
 
     def note_fifo(fifo) -> None:
         if len(fifo) or fifo.max_depth:
-            fifos[fifo.name] = fifo.stats_snapshot(now)
+            fifos[fifo.name] = fifo_stats(machine, fifo)
 
     locked_mem = []
     locked_nc = []

@@ -24,12 +24,12 @@ perturbing them; this package is the simulator's equivalent.  It bundles:
     obs.write_snapshot("obs.json")         # python -m repro.obs.report obs.json
 
 Every instrumentation hook in the simulator defaults to ``None`` and costs
-one attribute load plus an ``is not None`` test when disabled, so machines
-without an attached ``Observability`` run the PR 1 fast paths unchanged.
-An attached ``Observability`` does not force the interpreter (unless
-``Machine(backend="interp")`` pins it): the run executes on the
-*instrumented* variant of the generated specialized core, which carries
-the tracer stamps and telemetry inline (see :mod:`repro.elab.backend`).
+one attribute load plus an ``is not None`` test when disabled.  The tracer
+sits in component slots, so a traced run executes on the interpreted
+core.  Probes and the telemetry stream are engine-level samplers that read
+only state the generated specialized core maintains: without a tracer the
+run stays on that core, and its snapshot reports partial telemetry (see
+:mod:`repro.elab.backend` and :mod:`repro.obs.registry`).
 """
 
 from __future__ import annotations

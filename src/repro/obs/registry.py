@@ -13,12 +13,14 @@ The snapshot is deterministic for a deterministic run when taken with
 ``include_wall=False`` (the wall-clock throughput meter is the only
 host-dependent field).
 
-Once a machine has run on the plain elab core (:mod:`repro.elab.codegen`),
-the observability-only telemetry that core skips is incomplete for good:
-the snapshot then omits it (the bus ``transactions``, ring
-``packets_carried`` and CPU ``retries`` counters, and each FIFO's
-``pushes`` / ``mean_depth`` / ``wait_*`` fields) and says so with
-``meta["telemetry"] == "partial"`` instead of ``"full"``.
+Once a machine has run on the elab core (:mod:`repro.elab.codegen`), the
+observability-only telemetry that core skips is incomplete for good: the
+snapshot then omits it (the bus ``transactions``, ring ``packets_carried``
+and CPU ``retries`` counters, and each FIFO's ``pushes`` / ``mean_depth`` /
+``wait_*`` fields) and says so with ``meta["telemetry"] == "partial"``
+instead of ``"full"``.  Probes and the telemetry stream ride the elab core,
+so a probe- or stream-only run is partial too; full telemetry needs a
+tracer or ``Machine(backend="interp")``.
 """
 
 from __future__ import annotations
@@ -31,8 +33,18 @@ from ..sim.engine import ticks_to_ns
 #: bump when the snapshot layout changes incompatibly
 SNAPSHOT_SCHEMA = 2
 
-#: FIFO fields the plain elab core does not maintain
+#: FIFO fields the elab core does not maintain
 _FIFO_TELEMETRY = ("pushes", "mean_depth", "wait_mean_ticks", "wait_count")
+
+
+def fifo_stats(machine, fifo) -> dict:
+    """``fifo.stats_snapshot`` at the machine's current tick, less the
+    fields the elab core left unmaintained (see the module docstring)."""
+    snap = fifo.stats_snapshot(machine.engine.now)
+    if machine._partial_telemetry:
+        for key in _FIFO_TELEMETRY:
+            del snap[key]
+    return snap
 
 
 # ----------------------------------------------------------------------
@@ -79,8 +91,8 @@ def snapshot(machine, include_wall: bool = True) -> dict:
 
     Works on any machine; the ``histograms`` / ``probes`` / ``trace``
     sections appear only when a monitor / observability layer is attached.
-    After a plain-elab run the telemetry that core skips is left out (see
-    the module docstring).
+    After an elab run the telemetry that core skips is left out (see the
+    module docstring).
     """
     engine = machine.engine
     now = engine.now
@@ -104,18 +116,15 @@ def snapshot(machine, include_wall: bool = True) -> dict:
     for _key, ring in sorted(machine.net.rings.items()):
         counters[ring.packets_carried.name] = ring.packets_carried.value
         counters[ring.halts.name] = ring.halts.value
-    fifos = {f.name: f.stats_snapshot(now) for f in _fifos(machine)}
+    fifos = {f.name: fifo_stats(machine, f) for f in _fifos(machine)}
     if partial:
-        # drop what the plain elab core does not maintain
+        # drop the counters the elab core does not maintain
         for st in machine.stations:
             del counters[st.bus.transactions.name]
         for ring in machine.net.rings.values():
             del counters[ring.packets_carried.name]
         for cpu in machine.cpus:
             counters.pop(f"{cpu.stats.owner}.retries", None)
-        for f in fifos.values():
-            for key in _FIFO_TELEMETRY:
-                del f[key]
 
     meta = {
         "time_ticks": now,

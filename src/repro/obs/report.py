@@ -94,7 +94,7 @@ def render_text(snap: dict, probe_limit: int = 24) -> str:
         )
     if meta.get("telemetry") == "partial":
         out.append(
-            "     partial telemetry: the plain elab core ran, so FIFO "
+            "     partial telemetry: the elab core ran, so FIFO "
             "pushes/mean/wait and bus, ring and retry counts are omitted"
         )
 

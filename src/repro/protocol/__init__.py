@@ -83,8 +83,7 @@ def resolve_protocol(config=None) -> CoherenceProtocol:
 def canonical_surface(machine) -> dict:
     """The protocol-sensitive result surface of a finished run.
 
-    This is what the default protocol's bit-identity tests (and
-    ``bench_ablations --check``) pin against
+    This is what the default protocol's bit-identity tests pin against
     ``tests/data/protocol_fingerprints.json``: final simulated time,
     the event count (invariant across backends), every NC / memory
     counter that fired, resource utilizations and ring-interface delay

@@ -6,14 +6,21 @@ flow control halts an upstream ring when an interface input FIFO nears
 capacity; :class:`Fifo` exposes that via a high-water threshold
 (:attr:`Fifo.pressured`), which the ring interfaces check after each
 arrival to halt the upstream link.
+
+Occupancy statistics follow from two running sums by Little's law: the
+time integral of a FIFO's depth equals the total time its entries spent
+queued, so ``pushes`` and ``wait_total`` (pop tick minus enqueue tick,
+summed over popped entries) plus the ages of the queued entries give the
+time-weighted mean depth, the wait count and the mean wait.  Only the
+interpreted :meth:`Fifo.push` / :meth:`Fifo.pop` keep those sums; the
+generated core (:mod:`repro.elab.codegen`) inlines the queue operations
+and keeps only flow-control state (the items and ``max_depth``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
-
-from .stats import Accumulator, Counter
+from typing import Any, Deque, Optional
 
 
 class FifoFullError(RuntimeError):
@@ -42,10 +49,8 @@ class Fifo:
         "high_water",
         "_items",
         "max_depth",
-        "wait_time",
         "pushes",
-        "_depth_area",
-        "_last_change",
+        "wait_total",
     )
 
     def __init__(
@@ -61,12 +66,10 @@ class Fifo:
         self.high_water = high_water
         self._items: Deque[tuple[Any, int]] = deque()
         self.max_depth = 0
-        self.wait_time = Accumulator(f"{name}.wait")
-        self.pushes = Counter(f"{name}.pushes")
-        # time-weighted occupancy: integral of depth over time, advanced at
-        # every mutation so mean_depth(now) is exact at any instant
-        self._depth_area = 0
-        self._last_change = 0
+        #: entries ever pushed
+        self.pushes = 0
+        #: summed wait of every popped entry, in ticks
+        self.wait_total = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -89,10 +92,8 @@ class Fifo:
         items = self._items
         if self.capacity is not None and len(items) >= self.capacity:
             raise FifoFullError(f"{self.name} overflow (capacity={self.capacity})")
-        self._depth_area += len(items) * (now - self._last_change)
-        self._last_change = now
         items.append((item, now))
-        self.pushes.value += 1
+        self.pushes += 1
         depth = len(items)
         if depth > self.max_depth:
             self.max_depth = depth
@@ -101,44 +102,30 @@ class Fifo:
         return self._items[0][0]
 
     def pop(self, now: int) -> Any:
-        self._depth_area += len(self._items) * (now - self._last_change)
-        self._last_change = now
         item, enq = self._items.popleft()
-        # Accumulator.add inlined: pop is on every packet's path
-        wt = self.wait_time
-        sample = now - enq
-        wt.count += 1
-        wt.total += sample
-        if wt.min is None or sample < wt.min:
-            wt.min = sample
-        if wt.max is None or sample > wt.max:
-            wt.max = sample
+        self.wait_total += now - enq
         return item
 
     def mean_depth(self, now: int) -> float:
-        """Time-weighted mean occupancy over [0, now]."""
+        """Time-weighted mean occupancy over [0, now]: the depth integral
+        is the time every entry, popped or still queued, spent queued."""
         if now <= 0:
             return float(len(self._items))
-        area = self._depth_area + len(self._items) * (now - self._last_change)
+        area = self.wait_total + sum(now - enq for _, enq in self._items)
         return area / now
 
     def stats_snapshot(self, now: int) -> dict:
         """Flat occupancy/wait statistics for the metrics registry."""
+        waited = self.pushes - len(self._items)
         return {
             "depth": len(self._items),
             "capacity": self.capacity,
             "max_depth": self.max_depth,
             "mean_depth": self.mean_depth(now),
-            "pushes": self.pushes.value,
-            "wait_mean_ticks": self.wait_time.mean,
-            "wait_count": self.wait_time.count,
+            "pushes": self.pushes,
+            "wait_mean_ticks": self.wait_total / waited if waited else 0.0,
+            "wait_count": waited,
         }
-
-    def drain(self) -> List[Any]:
-        """Remove and return all items (no wait-time accounting); test helper."""
-        items = [it for it, _ in self._items]
-        self._items.clear()
-        return items
 
     def __repr__(self) -> str:
         return f"Fifo({self.name}: {len(self._items)}/{self.capacity})"

@@ -64,10 +64,10 @@ class Machine:
 
         self.protocol = resolve_protocol(self.config)
         self.protocol_name = self.protocol.name
-        # which core is in place: None (interp) | "plain" | "instr" elab
-        self._elab_variant: Optional[str] = None
+        # True while the generated elab core is in place
+        self._elab_active = False
         self._elab_failed = False
-        # set for good once the plain elab core is applied: it skips the
+        # set for good once the elab core is applied: it skips the
         # observability-only telemetry, so obs_snapshot() omits those fields
         self._partial_telemetry = False
         self.engine = Engine()
@@ -138,11 +138,11 @@ class Machine:
         tracer + time-series probes + optional telemetry stream) across all
         components.
 
-        Observability does *not* force the interpreted backend: the next
-        :meth:`run` selects the instrumented elab variant, which carries
-        the tracer stamps and telemetry inline (see repro.elab.backend).
-        The revert here only re-points the component classes while the
-        engine is drained, so the swap to the instrumented core is legal.
+        A tracer sits in component slots, so a traced run executes on the
+        interpreted core.  Probes and the telemetry stream are engine-level
+        samplers: without a tracer the next :meth:`run` stays on the elab
+        core, and the snapshot reports partial telemetry (see
+        repro.elab.backend).
         """
         self._ensure_interp()
         obs.attach(self)
@@ -186,13 +186,7 @@ class Machine:
     def backend(self) -> str:
         """The backend currently in place: ``"elab"`` when the generated
         specialized core is active, else ``"interp"``."""
-        return "interp" if self._elab_variant is None else "elab"
-
-    @property
-    def backend_variant(self) -> Optional[str]:
-        """Which elab variant is active: ``"plain"``, ``"instr"``, or
-        ``None`` when running interpreted."""
-        return self._elab_variant
+        return "elab" if self._elab_active else "interp"
 
     def _ensure_interp(self) -> None:
         from ..elab import backend as _backend
@@ -202,8 +196,8 @@ class Machine:
     def obs_snapshot(self, include_wall: bool = True) -> dict:
         """The unified metrics snapshot (see :mod:`repro.obs.registry`);
         works with or without an attached observability layer.  After a
-        run on the plain elab core it omits the telemetry that core does
-        not maintain and sets ``meta["telemetry"] = "partial"``."""
+        run on the elab core it omits the telemetry that core does not
+        maintain and sets ``meta["telemetry"] = "partial"``."""
         from ..obs.registry import snapshot
 
         return snapshot(self, include_wall=include_wall)

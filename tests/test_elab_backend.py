@@ -5,9 +5,10 @@ bit-identical to the interpreted classes on the canonical reporting
 surface — event count, final simulated time, ``nc_stats`` /
 ``memory_stats`` / ``utilizations`` / ``ring_interface_delays`` — for
 every machine shape, workload and processor count.  These
-tests pin that contract, the hook/backend interaction (hooks force the
-interpreted path), the dispatch tables against the interpreted handler
-maps, and the in-memory compile of generated cores.
+tests pin that contract, the hook/backend interaction (component-slot
+hooks force the interpreted path, engine-level samplers do not), the
+dispatch tables against the interpreted handler maps, and the in-memory
+compile of generated cores.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import pytest
 from repro.elab import backend as elab_backend
 from repro.elab import codegen
 from repro.elab.ir import MachineIR
+from repro.monitor import Monitor
+from repro.obs import Observability
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
 from repro.workloads.lu import LUContiguous
@@ -73,18 +76,20 @@ def test_backends_bit_identical(workload, config, nprocs):
     assert interp == elab
 
 
-def test_default_selection_follows_hooks():
-    from repro.obs import Observability
-
-    cfg = lambda: MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
-    plain, observed, verified = Machine(cfg()), Machine(cfg()), Machine(cfg())
-    Observability(probes=False).attach(observed)
+def test_default_selection_follows_hooks(tmp_path):
+    plain, sampled, traced, verified = (Machine(_small_2ring()) for _ in range(4))
+    sampler = Observability(trace=False, stream_path=tmp_path / "s.jsonl")
+    sampler.attach(sampled)
+    Observability(probes=False).attach(traced)
     verified.attach_verifier()
-    for m in (plain, observed, verified):
+    for m in (plain, sampled, traced, verified):
         HotSpot(words=16, ops=10).run(m, nprocs=4)
-    assert (plain.backend, plain.backend_variant) == ("elab", "plain")
-    assert (observed.backend, observed.backend_variant) == ("elab", "instr")
-    assert (verified.backend, verified.backend_variant) == ("interp", None)
+    sampler.stream.close()
+    # engine-level samplers ride the elab core; component-slot hooks do not
+    assert plain.backend == "elab"
+    assert sampled.backend == "elab"
+    assert traced.backend == "interp"
+    assert verified.backend == "interp"
 
 
 def test_unknown_backend_is_rejected():
@@ -105,6 +110,18 @@ def test_hooks_force_interp():
     m.attach_verifier()
     HotSpot(words=16, ops=20).run(m, nprocs=4)
     assert m.backend == "interp"
+
+
+@pytest.mark.parametrize("attach", ["monitor", "verifier"])
+def test_interp_only_hooks_still_force_interp(attach):
+    machine = Machine(MachineConfig.prototype(), backend="elab")
+    Observability(trace=False).attach(machine)
+    if attach == "monitor":
+        machine.attach_monitor(Monitor())
+    else:
+        machine.attach_verifier()
+    HotSpot(words=16, ops=10).run(machine, nprocs=4)
+    assert machine.backend == "interp"
 
 
 def test_hooked_run_matches_elab_run(monkeypatch):
@@ -128,11 +145,6 @@ def test_attach_after_elab_run_reverts_and_resyncs():
     assert m.backend == "elab"
     m.attach_verifier()  # drained engine: revert is legal here
     assert m.backend == "interp"
-    # the interp classes resume FIFO depth-integral accounting from *now*,
-    # not from whenever the specialized core last touched the clock
-    now = m.engine.now
-    for f in elab_backend._all_fifos(m):
-        assert f._last_change == now
 
 
 # ----------------------------------------------------------------------
@@ -186,6 +198,21 @@ def test_codegen_is_deterministic():
     assert other != a
 
 
+def test_generated_core_carries_no_tracer_site():
+    # the one generated core checks no hook slot: tracers run interpreted
+    shapes = (
+        MachineConfig.prototype,
+        lambda: MachineConfig.small(stations_per_ring=2, rings=1, cpus=2),
+        _small_2ring,
+    )
+    for protocol in ("numachine", "msi"):
+        for shape in shapes:
+            cfg = shape()
+            cfg.protocol = protocol
+            src = codegen.generate_source(MachineIR.from_machine(Machine(cfg)))
+            assert "tracer" not in src
+
+
 def test_default_run_writes_nothing_to_disk(tmp_path, monkeypatch):
     monkeypatch.setenv("NUMACHINE_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("NUMACHINE_CACHE", "1")
@@ -197,8 +224,9 @@ def test_default_run_writes_nothing_to_disk(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_one_compiled_core_per_config_and_variant():
-    from repro.obs import Observability
+def test_one_compiled_core_per_config():
+    from repro.cpu.processor import Processor
+    from repro.system.bus import Bus
 
     a, b, traced = (Machine(_small_2ring()) for _ in range(3))
     Observability(probes=False).attach(traced)
@@ -206,9 +234,9 @@ def test_one_compiled_core_per_config_and_variant():
         HotSpot(words=16, ops=10).run(m, nprocs=4)
     assert type(a.cpus[0]) is type(b.cpus[0])
     assert type(a.stations[0].bus) is type(b.stations[0].bus)
-    assert traced.backend_variant == "instr"
-    assert type(traced.cpus[0]) is not type(a.cpus[0])
-    assert type(traced.stations[0].bus) is not type(a.stations[0].bus)
+    # a traced machine holds the interpreted classes
+    assert type(traced.cpus[0]) is Processor
+    assert type(traced.stations[0].bus) is Bus
 
 
 def test_generated_code_tracebacks_show_source_lines():

@@ -223,6 +223,27 @@ def test_diagnostic_dump_shape():
         assert key in dump, key
 
 
+def test_dump_omits_fifo_telemetry_the_elab_core_skips():
+    from repro.workloads.synthetic import HotSpot
+
+    def dump(backend):
+        machine = Machine(MachineConfig.small(), backend=backend)
+        machine.attach_watchdog(max_events=800, interval=100)
+        with pytest.raises(WatchdogError) as exc_info:
+            HotSpot(words=16, ops=50).run(machine, nprocs=4)
+        return machine.backend, exc_info.value.dump["fifos"]
+
+    (elab, part), (interp, full) = dump(None), dump("interp")
+    assert (elab, interp) == ("elab", "interp")
+    assert full["S0.mem.in"]["pushes"] > 0
+    assert full["S0.mem.in"]["wait_count"] > 0
+    # the elab core kept no push or wait counts: the dump leaves them out
+    # instead of reporting zeros, and agrees with interp on the rest
+    assert set(part) == set(full)
+    for name, f in part.items():
+        assert f == {k: full[name][k] for k in ("depth", "capacity", "max_depth")}
+
+
 def test_fuzz_seed_12_msi_replays(monkeypatch):
     """Fuzzer seed 12 under MSI must keep reproducing its scenario: the
     seed derivation (workload, placement, fault plan) is pinned, and the

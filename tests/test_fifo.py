@@ -35,8 +35,9 @@ def test_wait_time_accounting():
     f = Fifo("t")
     f.push("x", now=100)
     f.pop(now=160)
-    assert f.wait_time.count == 1
-    assert f.wait_time.mean == 60
+    snap = f.stats_snapshot(now=160)
+    assert snap["wait_count"] == 1
+    assert snap["wait_mean_ticks"] == 60
 
 
 def test_max_depth_tracked():
@@ -89,11 +90,3 @@ def test_stats_snapshot_contents():
     assert snap["wait_mean_ticks"] == 20
     # area: 1*[0,10) + 2*[10,20) = 30 -> mean 1.5
     assert snap["mean_depth"] == pytest.approx(1.5)
-
-
-def test_drain():
-    f = Fifo("t")
-    for i in range(4):
-        f.push(i, 0)
-    assert f.drain() == [0, 1, 2, 3]
-    assert f.empty

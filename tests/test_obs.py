@@ -13,8 +13,10 @@ from repro import Machine, MachineConfig, Observability, Read, Write
 from repro.monitor import Monitor
 from repro.obs import chrome_trace, dump_chrome_events, snapshot, to_prometheus
 from repro.obs.report import main as report_main, sparkline
+from repro.obs.stream import read_stream
 from repro.obs.trace import _TICKS_PER_US
 from repro.perf import collect_record
+from repro.protocol import canonical_surface
 from repro.workloads.synthetic import HotSpot
 
 from conftest import small_config, tiny_config
@@ -248,7 +250,7 @@ def test_snapshot_after_plain_core_omits_unmaintained_telemetry(tmp_path, capsys
         return machine
 
     interp, plain = run("interp"), run(None)
-    assert plain.backend_variant == "plain"
+    assert plain.backend == "elab"
     full = interp.obs_snapshot(include_wall=False)
     part = plain.obs_snapshot(include_wall=False)
     assert full["meta"]["telemetry"] == "full"
@@ -268,10 +270,10 @@ def test_snapshot_after_plain_core_omits_unmaintained_telemetry(tmp_path, capsys
     for name, f in part["fifos"].items():
         assert f == {k: full["fifos"][name][k]
                      for k in ("depth", "capacity", "max_depth")}
-    # a later instrumented run cannot recover the lost counts
+    # a later traced (interpreted) run cannot recover the lost counts
     Observability(probes=False).attach(plain)
     HotSpot(words=16, ops=10).run(plain, nprocs=4)
-    assert plain.backend_variant == "instr"
+    assert plain.backend == "interp"
     assert plain.obs_snapshot()["meta"]["telemetry"] == "partial"
     # both exporters still render it
     text = to_prometheus(part)
@@ -284,6 +286,35 @@ def test_snapshot_after_plain_core_omits_unmaintained_telemetry(tmp_path, capsys
     assert "partial telemetry" in out
     assert "S0.mem.in" in out
     assert report_main([str(path), "--format", "prom"]) == 0
+
+
+@pytest.mark.parametrize("nprocs", [16, 64])
+def test_probes_and_stream_ride_the_elab_core(tmp_path, nprocs):
+    def run(backend):
+        machine = Machine(MachineConfig.prototype(), backend=backend)
+        path = tmp_path / f"{backend}.jsonl"
+        obs = Observability(
+            trace=False, stream_path=path, stream_period_ns=4000.0
+        ).attach(machine)
+        HotSpot(words=16, ops=20).run(machine, nprocs=nprocs)
+        obs.stream.close()
+        return machine, obs, read_stream(path)
+
+    def view(line):
+        fifos = {n: (f["depth"], f["max_depth"]) for n, f in line["fifos"].items()}
+        meta = line["meta"]
+        return meta["events_run"], meta["time_ticks"], fifos, line["utilizations"]
+
+    (elab, obs_e, lines_e), (interp, obs_i, lines_i) = run(None), run("interp")
+    assert (elab.backend, interp.backend) == ("elab", "interp")
+    # the samplers read only state the elab core maintains
+    assert canonical_surface(elab) == canonical_surface(interp)
+    assert obs_e.probes.series() == obs_i.probes.series()
+    assert len(lines_e) == len(lines_i) > 1
+    assert [view(line) for line in lines_e] == [view(line) for line in lines_i]
+    # ... and leave the telemetry it skips partial
+    assert elab.obs_snapshot()["meta"]["telemetry"] == "partial"
+    assert interp.obs_snapshot()["meta"]["telemetry"] == "full"
 
 
 def test_snapshot_is_deterministic_without_wall():
@@ -507,21 +538,29 @@ def test_sparkline_shapes():
 
 
 # ----------------------------------------------------------------------
-# overhead guard: tracing off must leave the PR 1 fast paths untouched
+# non-intrusive: a traced (interpreted) run replays the untraced elab run
 # ----------------------------------------------------------------------
-def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time():
-    cfg = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
-    plain = Machine(cfg)
-    HotSpot(words=16, ops=60).run(plain, nprocs=8)
+@pytest.mark.parametrize(
+    "config, nprocs, ops",
+    [
+        pytest.param(small_config, 8, 60, id="2ring-8"),
+        pytest.param(MachineConfig.prototype, 4, 20, id="4"),
+        pytest.param(MachineConfig.prototype, 16, 20, id="16"),
+        pytest.param(MachineConfig.prototype, 64, 20, id="64"),
+    ],
+)
+def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time(
+    config, nprocs, ops
+):
+    plain = Machine(config())
+    HotSpot(words=16, ops=ops).run(plain, nprocs=nprocs)
 
-    traced = Machine(MachineConfig.small(stations_per_ring=2, rings=2, cpus=2))
+    traced = Machine(config())
     Observability(probes=False).attach(traced)  # tracer only: no extra events
-    HotSpot(words=16, ops=60).run(traced, nprocs=8)
+    HotSpot(words=16, ops=ops).run(traced, nprocs=nprocs)
 
     # tracing records but never reschedules: identical event stream
-    assert traced.engine.events_run == plain.engine.events_run
-    assert traced.engine.now == plain.engine.now
-    assert traced.memory_stats() == plain.memory_stats()
-    assert traced.nc_stats() == plain.nc_stats()
+    assert (plain.backend, traced.backend) == ("elab", "interp")
+    assert canonical_surface(traced) == canonical_surface(plain)
     assert traced.obs.tracer.finished
 
