@@ -15,7 +15,6 @@ Environment knobs:
 
 * ``NUMACHINE_MAX_PROCS``  — top of the processor sweep (default 16;
   set 64 for the full prototype curves, at ~10x the wall time).
-* ``NUMACHINE_SCALE``      — multiplies workload problem sizes.
 * ``NUMACHINE_COMPUTE_SCALE`` — Compute-cycle multiplier restoring the
   paper's compute/communication balance at scaled-down problem sizes
   (default 32; documented in EXPERIMENTS.md).

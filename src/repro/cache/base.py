@@ -52,9 +52,6 @@ class CacheArray:
         # Sets are created on first install and never removed.
         self._sets: Dict[int, Dict[int, CacheLine]] = {}
 
-    def set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) % self.num_sets
-
     # ------------------------------------------------------------------
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheLine]:
         s = self._sets.get((line_addr // self.line_bytes) % self.num_sets)

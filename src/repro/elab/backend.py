@@ -8,11 +8,9 @@ Two backends execute a machine:
 ``elab``
     a generated specialized core (:mod:`repro.elab.codegen`) — constants
     baked in, pump loops fused, no hook checks.  Bit-identical to
-    ``interp`` on the canonical reporting surface (events / time /
-    ``nc_stats`` / ``memory_stats`` / ``utilizations`` /
-    ``ring_interface_delays``); it skips the observability-only telemetry
-    (FIFO push counts and waits, bus ``transactions``, ring
-    ``packets_carried``, CPU ``retries``).
+    ``interp`` on the whole metrics snapshot
+    (``Machine.obs_snapshot(include_wall=False)``), the canonical reporting
+    surface included.
 
 Selection follows the attached hooks.  Any hook in a component slot — a
 tracer, monitor, verifier or fault filter — gives ``interp``; otherwise
@@ -116,11 +114,7 @@ def load(source: str) -> types.ModuleType:
 def sync(machine) -> None:
     """Bring the machine's active backend in line with the selection and
     the hook state.  Called on entry to :meth:`Machine.run`; a no-op when
-    nothing changed or events are in flight.
-
-    Applying the elab core marks the machine's observability-only
-    telemetry as partial for good (see
-    :func:`repro.obs.registry.snapshot`)."""
+    nothing changed or events are in flight."""
     pref = machine._backend_pref
     want = not (
         pref == "interp" or machine._elab_failed or interp_only_hooks(machine)
@@ -151,7 +145,6 @@ def sync(machine) -> None:
             )
         return
     machine._elab_active = True
-    machine._partial_telemetry = True
 
 
 def ensure_interp(machine) -> None:

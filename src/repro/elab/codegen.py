@@ -18,16 +18,12 @@ their hot-path methods rewritten:
   hook is attached).
 
 Every event is pushed with the same ``(time, priority, seq)`` draw order
-as the interpreted path, and every statistic on the machine's canonical
-reporting surface (``nc_stats`` / ``memory_stats`` / ``utilizations`` /
-``ring_interface_delays``, plus flow-control state such as FIFO
-``max_depth``) is updated identically — that is the bit-identity contract,
+as the interpreted path, and every statistic the metrics snapshot
+(:func:`repro.obs.registry.snapshot`) reads — stat-group counters and
+accumulators, FIFO pushes / waits / ``max_depth``, the bus
+``transactions``, ring ``packets_carried`` and CPU ``retries`` counters,
+busy ticks — is updated identically: that is the bit-identity contract,
 enforced by tests/test_elab_backend.py.
-
-Observability-only telemetry that no canonical reader consumes is not
-maintained: FIFO push counts and summed waits, the bus ``transactions``,
-ring ``packets_carried`` and CPU ``retries`` counters.  A run on this core
-therefore reports partial telemetry (see :mod:`repro.obs.registry`).
 
 Ring arrivals, tail-lag bounces and done relays are pushed with the same
 *content-derived* sequence keys the interpreter uses (no tie-break counter
@@ -94,12 +90,11 @@ def _grant_bus(ind: str, bus: str, arb: int) -> str:
 
     The completion event carries the module-level ``_bus_complete`` with the
     bus packed into the arg tuple — no bound-method allocation per grant.
-    The ``transactions`` counter is observability-only telemetry (see module
-    docstring) and is not maintained.
     """
     return (
         f"{ind}duration, on_complete = {bus}._queue.popleft()\n"
         f"{ind}{bus}.busy.busy += duration\n"
+        f"{ind}{bus}.transactions.value += 1\n"
         f"{ind}now_g = engine.now\n"
         + _push_event(
             ind,
@@ -112,21 +107,16 @@ def _grant_bus(ind: str, bus: str, arb: int) -> str:
 
 
 def _fifo_pop(ind: str, fifo: str, out: str) -> str:
-    """Inlined Fifo.pop.
-
-    The entry's enqueue tick lands in ``enq`` (several callers feed it into
-    the canonical delay accumulators); the summed wait is observability-only
-    and not maintained (module docstring).
-    """
-    return f"{ind}{out}, enq = {fifo}._items.popleft()\n"
+    """Inlined Fifo.pop at local ``now``; the entry's enqueue tick lands in
+    ``enq``."""
+    return (
+        f"{ind}{out}, enq = {fifo}._items.popleft()\n"
+        f"{ind}{fifo}.wait_total += now - enq\n"
+    )
 
 
 def _fifo_push(ind: str, fifo: str, item: str, capacity: int | None = None) -> str:
-    """Inlined Fifo.push at local ``now``; bounded when capacity given.
-
-    Flow control (capacity, ``max_depth`` — the watchdog and the deadlock
-    tests read it) is kept; the push counter is observability-only and not
-    maintained."""
+    """Inlined Fifo.push at local ``now``; bounded when capacity given."""
     text = f"{ind}items = {fifo}._items\n"
     if capacity is not None:
         text += (
@@ -136,6 +126,7 @@ def _fifo_push(ind: str, fifo: str, item: str, capacity: int | None = None) -> s
         )
     return text + (
         f"{ind}items.append(({item}, now))\n"
+        f"{ind}{fifo}.pushes += 1\n"
         f"{ind}depth = len(items)\n"
         f"{ind}if depth > {fifo}.max_depth:\n"
         f"{ind}    {fifo}.max_depth = depth\n"
@@ -150,8 +141,7 @@ def _ring_send(
 
     The arrival is pushed with its *content* key (no counter draw) carrying
     the module-level ``_ring_arrive`` with the ring packed into the arg —
-    no bound-method allocation per hop.  The ``packets_carried`` counter is
-    observability-only telemetry and is not maintained."""
+    no bound-method allocation per hop."""
     text = (
         f"{ind}link_free = {ring}._link_free\n"
         f"{ind}start = link_free[{pos}]\n"
@@ -160,6 +150,7 @@ def _ring_send(
         f"{ind}occupy = {pkt}.flits * {slot}\n"
         f"{ind}link_free[{pos}] = start + occupy\n"
         f"{ind}{ring}.busy.busy += occupy\n"
+        f"{ind}{ring}.packets_carried.value += 1\n"
         f"{ind}np = ({pos} + 1) % {size}\n"
     )
     return text + _push_keyed(
@@ -318,6 +309,7 @@ def generate_source(ir: MachineIR) -> str:
     w("            p = cc._pending")
     w('            if p is not None and p["la"] == on_complete[1]:')
     w('                p["tries"] += 1')
+    w('                cc.stats.counter("retries").incr()')
     w("                engine = cc.engine")
     w(_push_event("                ", "engine.now + cc._retry", 1,
                   "_cpu_send_request", "cc").rstrip())
@@ -1015,6 +1007,7 @@ def generate_source(ir: MachineIR) -> str:
     w('        if p is None or p["la"] != la:')
     w("            return")
     w('        p["tries"] += 1')
+    w('        self.stats.counter("retries").incr()')
     w("        engine = self.engine")
     w(_push_event(i2, "engine.now + self._retry", 1,
                   "_cpu_send_request", "self").rstrip())

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..obs.registry import fifo_stats
 from ..sim.engine import DeadlockError, Engine, ticks_to_ns
 
 
@@ -60,9 +59,7 @@ def _pending_events(engine: Engine, limit: int) -> List[dict]:
 
 
 def diagnostic_dump(machine, max_inflight: int = 32) -> dict:
-    """Snapshot everything needed to diagnose a stuck machine.  FIFO
-    entries omit the telemetry the elab core did not maintain, as
-    :func:`repro.obs.registry.snapshot` does."""
+    """Snapshot everything needed to diagnose a stuck machine."""
     engine = machine.engine
     now = engine.now
     blocked = []
@@ -74,7 +71,7 @@ def diagnostic_dump(machine, max_inflight: int = 32) -> dict:
 
     def note_fifo(fifo) -> None:
         if len(fifo) or fifo.max_depth:
-            fifos[fifo.name] = fifo_stats(machine, fifo)
+            fifos[fifo.name] = fifo.stats_snapshot(now)
 
     locked_mem = []
     locked_nc = []

@@ -26,10 +26,9 @@ perturbing them; this package is the simulator's equivalent.  It bundles:
 Every instrumentation hook in the simulator defaults to ``None`` and costs
 one attribute load plus an ``is not None`` test when disabled.  The tracer
 sits in component slots, so a traced run executes on the interpreted
-core.  Probes and the telemetry stream are engine-level samplers that read
-only state the generated specialized core maintains: without a tracer the
-run stays on that core, and its snapshot reports partial telemetry (see
-:mod:`repro.elab.backend` and :mod:`repro.obs.registry`).
+core.  Probes and the telemetry stream are engine-level samplers: without
+a tracer the run stays on the generated specialized core, which keeps every
+statistic they and the snapshot read (see :mod:`repro.elab.backend`).
 """
 
 from __future__ import annotations

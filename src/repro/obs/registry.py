@@ -11,16 +11,9 @@ exposition format, so a run's metrics drop straight into standard tooling.
 
 The snapshot is deterministic for a deterministic run when taken with
 ``include_wall=False`` (the wall-clock throughput meter is the only
-host-dependent field).
-
-Once a machine has run on the elab core (:mod:`repro.elab.codegen`), the
-observability-only telemetry that core skips is incomplete for good: the
-snapshot then omits it (the bus ``transactions``, ring ``packets_carried``
-and CPU ``retries`` counters, and each FIFO's ``pushes`` / ``mean_depth`` /
-``wait_*`` fields) and says so with ``meta["telemetry"] == "partial"``
-instead of ``"full"``.  Probes and the telemetry stream ride the elab core,
-so a probe- or stream-only run is partial too; full telemetry needs a
-tracer or ``Machine(backend="interp")``.
+host-dependent field).  It reads the same whichever core ran: the
+generated elab core keeps every counter and FIFO statistic the interpreted
+classes keep.
 """
 
 from __future__ import annotations
@@ -31,20 +24,7 @@ from typing import Dict, Iterator, List
 from ..sim.engine import ticks_to_ns
 
 #: bump when the snapshot layout changes incompatibly
-SNAPSHOT_SCHEMA = 2
-
-#: FIFO fields the elab core does not maintain
-_FIFO_TELEMETRY = ("pushes", "mean_depth", "wait_mean_ticks", "wait_count")
-
-
-def fifo_stats(machine, fifo) -> dict:
-    """``fifo.stats_snapshot`` at the machine's current tick, less the
-    fields the elab core left unmaintained (see the module docstring)."""
-    snap = fifo.stats_snapshot(machine.engine.now)
-    if machine._partial_telemetry:
-        for key in _FIFO_TELEMETRY:
-            del snap[key]
-    return snap
+SNAPSHOT_SCHEMA = 3
 
 
 # ----------------------------------------------------------------------
@@ -91,12 +71,9 @@ def snapshot(machine, include_wall: bool = True) -> dict:
 
     Works on any machine; the ``histograms`` / ``probes`` / ``trace``
     sections appear only when a monitor / observability layer is attached.
-    After an elab run the telemetry that core skips is left out (see the
-    module docstring).
     """
     engine = machine.engine
     now = engine.now
-    partial = machine._partial_telemetry
 
     counters: Dict[str, int] = {}
     accumulators: Dict[str, dict] = {}
@@ -116,15 +93,7 @@ def snapshot(machine, include_wall: bool = True) -> dict:
     for _key, ring in sorted(machine.net.rings.items()):
         counters[ring.packets_carried.name] = ring.packets_carried.value
         counters[ring.halts.name] = ring.halts.value
-    fifos = {f.name: fifo_stats(machine, f) for f in _fifos(machine)}
-    if partial:
-        # drop the counters the elab core does not maintain
-        for st in machine.stations:
-            del counters[st.bus.transactions.name]
-        for ring in machine.net.rings.values():
-            del counters[ring.packets_carried.name]
-        for cpu in machine.cpus:
-            counters.pop(f"{cpu.stats.owner}.retries", None)
+    fifos = {f.name: f.stats_snapshot(now) for f in _fifos(machine)}
 
     meta = {
         "time_ticks": now,
@@ -133,7 +102,6 @@ def snapshot(machine, include_wall: bool = True) -> dict:
         "num_stations": machine.config.num_stations,
         "num_cpus": len(machine.cpus),
         "protocol": getattr(machine, "protocol_name", "numachine"),
-        "telemetry": "partial" if partial else "full",
     }
     snap = {
         "schema": SNAPSHOT_SCHEMA,
@@ -248,8 +216,7 @@ def to_prometheus(snap: dict, prefix: str = "numachine") -> str:
         lbl = (("fifo", name),)
         depth.append((lbl, f["depth"]))
         max_depth.append((lbl, f["max_depth"]))
-        if "mean_depth" in f:  # absent from partial-telemetry snapshots
-            mean_depth.append((lbl, f["mean_depth"]))
+        mean_depth.append((lbl, f["mean_depth"]))
     metric("fifo_depth", "current FIFO occupancy", "gauge", depth)
     metric("fifo_max_depth", "peak FIFO occupancy", "gauge", max_depth)
     metric("fifo_mean_depth", "time-weighted mean FIFO occupancy", "gauge",

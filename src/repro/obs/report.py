@@ -92,11 +92,6 @@ def render_text(snap: dict, probe_limit: int = 24) -> str:
             f"     {meta['events_per_sec']:.0f} events/s "
             f"({meta.get('wall_s', 0):.3f} s wall)"
         )
-    if meta.get("telemetry") == "partial":
-        out.append(
-            "     partial telemetry: the elab core ran, so FIFO "
-            "pushes/mean/wait and bus, ring and retry counts are omitted"
-        )
 
     util = snap.get("utilizations", {})
     if util:
@@ -124,17 +119,11 @@ def render_text(snap: dict, probe_limit: int = 24) -> str:
             f"{'wait ns':>9}"
         )
         for name, f in busy:
-            if "pushes" in f:
-                wait_ns = f["wait_mean_ticks"] / TICKS_PER_NS
-                out.append(
-                    f"  {name:<20} {f['pushes']:>8} {f['max_depth']:>5} "
-                    f"{f['mean_depth']:>7.3f} {wait_ns:>9.1f}"
-                )
-            else:  # partial telemetry
-                out.append(
-                    f"  {name:<20} {'-':>8} {f['max_depth']:>5} "
-                    f"{'-':>7} {'-':>9}"
-                )
+            wait_ns = f["wait_mean_ticks"] / TICKS_PER_NS
+            out.append(
+                f"  {name:<20} {f['pushes']:>8} {f['max_depth']:>5} "
+                f"{f['mean_depth']:>7.3f} {wait_ns:>9.1f}"
+            )
 
     probes = snap.get("probes", {})
     shown = [(n, s) for n, s in sorted(probes.items()) if any(s["v"])]

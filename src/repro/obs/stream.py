@@ -15,8 +15,8 @@ sampling events to the event count but never changes simulated time or the
 order of the machine's own events.  Unless a tracer, monitor, verifier or
 fault injector forces the interpreter, a streamed run executes on the
 generated specialized core (see :mod:`repro.elab.backend`): the stream is
-engine-level and survives the class swap untouched, and its lines then
-report partial telemetry (``meta.telemetry == "partial"``).
+engine-level and survives the class swap untouched, and its lines read the
+same as an interpreted run's.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ class TelemetryStream:
             "final": bool(final),
         }
         self.seq += 1
-        json.dump(snap, self._fh, separators=(",", ":"))
-        self._fh.write("\n")
+        # dumps, not dump: only the one-shot encode runs in C
+        self._fh.write(json.dumps(snap, separators=(",", ":")) + "\n")
         self._fh.flush()
         self.lines_written += 1
 

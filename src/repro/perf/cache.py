@@ -9,8 +9,6 @@ JSON files keyed by a digest of exactly those inputs:
 * the resolved coherence protocol (``config.protocol`` falling back to
   ``NUMACHINE_PROTOCOL``) — a semantic axis: different protocols produce
   different event streams and statistics,
-* the ``NUMACHINE_SCALE`` problem-size multiplier (it changes the workload
-  built by :func:`repro.workloads.make` without touching the config),
 * the package version (:data:`repro.__version__`) and a cache schema
   number — bump either and every old entry is ignored.
 
@@ -27,8 +25,8 @@ Environment knobs:
 
 No execution strategy is in the key: the simulated core is chosen by the
 attached hooks (:mod:`repro.elab.backend`), and the interpreted and
-elaborated cores are bit-identical on the canonical surface (pinned by
-``tests/test_elab_backend.py``), so every stored record comes from the
+elaborated cores are bit-identical on the whole metrics snapshot (pinned
+by ``tests/test_elab_backend.py``), so every stored record comes from the
 one hook-derived selection.
 """
 
@@ -47,7 +45,7 @@ from ..protocol import resolve_protocol_name
 from .record import RunRecord
 
 #: bump when the RunRecord layout or key derivation changes
-CACHE_SCHEMA = 8
+CACHE_SCHEMA = 9
 
 #: default size cap for the cache directory, in bytes
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -92,7 +90,6 @@ def point_key(
             "nprocs": nprocs,
             "cpus": list(cpus),
             "variant": variant,
-            "scale": os.environ.get("NUMACHINE_SCALE", "1.0"),
             # coherence protocol: a *semantic* axis (different event
             # streams and stats), resolved with the machine's precedence
             "protocol": resolve_protocol_name(config),

@@ -49,10 +49,6 @@ class RunRecord:
     utilizations: Dict[str, float] = field(default_factory=dict)
     ring_delays: Dict[str, float] = field(default_factory=dict)
 
-    # ---- observability summary (repro.obs); empty when no Observability
-    # layer was attached to the machine ---------------------------------
-    obs: Dict = field(default_factory=dict)
-
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         d = asdict(self)
@@ -84,17 +80,6 @@ def collect_record(
 ) -> RunRecord:
     """Harvest a :class:`RunRecord` from a machine that just finished a run."""
     engine = machine.engine
-    obs_layer = getattr(machine, "obs", None)
-    obs_summary: Dict = {}
-    if obs_layer is not None:
-        if obs_layer.tracer is not None:
-            obs_summary["trace"] = obs_layer.tracer.summary()
-        if obs_layer.probes is not None:
-            obs_summary["probes"] = {
-                "samples": obs_layer.probes.samples,
-                "series": len(obs_layer.probes.probes),
-                "period_ticks": obs_layer.probes.period_ticks,
-            }
     return RunRecord(
         workload=workload,
         nprocs=nprocs,
@@ -115,5 +100,4 @@ def collect_record(
         special_reads=machine.special_read_count(),
         utilizations=machine.utilizations(),
         ring_delays=machine.ring_interface_delays(),
-        obs=obs_summary,
     )

@@ -75,15 +75,5 @@ class CoherenceProtocol:
     def check_nc_masks(self, checker, nc, la, line, pkt) -> None:
         """Assert the network cache's processor mask covers reality."""
 
-    # ------------------------------------------------------------------
-    # introspection (docs, elaborator, tests)
-    # ------------------------------------------------------------------
-    def transition_tables(self) -> dict:
-        """The declared ``(MsgType name, handler name)`` dispatch tables."""
-        return {
-            "memory": tuple(self.memory_class.DISPATCH),
-            "nc": tuple(self.nc_class.DISPATCH),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CoherenceProtocol {self.name}>"

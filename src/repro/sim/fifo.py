@@ -11,10 +11,9 @@ Occupancy statistics follow from two running sums by Little's law: the
 time integral of a FIFO's depth equals the total time its entries spent
 queued, so ``pushes`` and ``wait_total`` (pop tick minus enqueue tick,
 summed over popped entries) plus the ages of the queued entries give the
-time-weighted mean depth, the wait count and the mean wait.  Only the
-interpreted :meth:`Fifo.push` / :meth:`Fifo.pop` keep those sums; the
-generated core (:mod:`repro.elab.codegen`) inlines the queue operations
-and keeps only flow-control state (the items and ``max_depth``).
+time-weighted mean depth, the wait count and the mean wait.  The generated
+core (:mod:`repro.elab.codegen`) inlines :meth:`Fifo.push` /
+:meth:`Fifo.pop` and keeps the same sums.
 """
 
 from __future__ import annotations

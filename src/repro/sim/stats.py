@@ -105,7 +105,6 @@ class StatGroup:
     owner: str
     counters: Dict[str, Counter] = field(default_factory=dict)
     accumulators: Dict[str, Accumulator] = field(default_factory=dict)
-    busy: Dict[str, BusyTracker] = field(default_factory=dict)
 
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
@@ -118,12 +117,6 @@ class StatGroup:
         if a is None:
             a = self.accumulators[name] = Accumulator(f"{self.owner}.{name}")
         return a
-
-    def busy_tracker(self, name: str) -> BusyTracker:
-        b = self.busy.get(name)
-        if b is None:
-            b = self.busy[name] = BusyTracker(f"{self.owner}.{name}")
-        return b
 
     def reset(self) -> None:
         for c in self.counters.values():

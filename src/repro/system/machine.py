@@ -67,9 +67,6 @@ class Machine:
         # True while the generated elab core is in place
         self._elab_active = False
         self._elab_failed = False
-        # set for good once the elab core is applied: it skips the
-        # observability-only telemetry, so obs_snapshot() omits those fields
-        self._partial_telemetry = False
         self.engine = Engine()
         self.net: Interconnect = build_interconnect(self.engine, self.config)
         self.codec = self.net.codec
@@ -141,8 +138,7 @@ class Machine:
         A tracer sits in component slots, so a traced run executes on the
         interpreted core.  Probes and the telemetry stream are engine-level
         samplers: without a tracer the next :meth:`run` stays on the elab
-        core, and the snapshot reports partial telemetry (see
-        repro.elab.backend).
+        core (see repro.elab.backend).
         """
         self._ensure_interp()
         obs.attach(self)
@@ -195,9 +191,8 @@ class Machine:
 
     def obs_snapshot(self, include_wall: bool = True) -> dict:
         """The unified metrics snapshot (see :mod:`repro.obs.registry`);
-        works with or without an attached observability layer.  After a
-        run on the elab core it omits the telemetry that core does not
-        maintain and sets ``meta["telemetry"] = "partial"``."""
+        works with or without an attached observability layer, and reads
+        the same on either core."""
         from ..obs.registry import snapshot
 
         return snapshot(self, include_wall=include_wall)
@@ -327,12 +322,6 @@ class Machine:
 
     def special_read_count(self) -> int:
         return self.nc_stats().get("special_reads", 0)
-
-    def throughput(self) -> Dict[str, float]:
-        """Simulator throughput meter: events processed, wall-clock seconds
-        spent inside the event loop, and events per second (host-dependent;
-        reported by the engine microbench and the perf harness)."""
-        return self.engine.throughput()
 
     def utilizations(self) -> Dict[str, float]:
         now = self.engine.now

@@ -27,14 +27,6 @@ from .base import BarrierFactory, SharedArray, Workload, block_range
 _NFIELDS = 8  # [mass, comx, comy, comz, child0..3 for 2D quad? -> see below]
 
 
-class _TreeBuilder:
-    """Host-side octree construction (executed by thread 0's generator via
-    shared writes; the geometry math itself is register work)."""
-
-    def __init__(self, theta: float = 0.6) -> None:
-        self.theta = theta
-
-
 class Barnes(Workload):
     name = "barnes"
     paper_problem = "16384 particles"
@@ -43,11 +35,7 @@ class Barnes(Workload):
     # mass, comx, comy, comz, first_child, next_sibling, is_leaf/body_index, size
     F_MASS, F_X, F_Y, F_Z, F_CHILD, F_SIB, F_BODY, F_SIZE = range(8)
 
-    def __init__(self, nbodies: int = 256, steps: int = 2, theta: float = 0.7,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            nbodies = max(16, int(nbodies * scale))
+    def __init__(self, nbodies: int = 256, steps: int = 2, theta: float = 0.7) -> None:
         self.n = nbodies
         self.steps = steps
         self.theta = theta

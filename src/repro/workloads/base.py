@@ -10,13 +10,13 @@ provides the conveniences real SPLASH-2 code gets from its runtime:
   with spin-read backoff (generating the real coherence traffic locks cost);
 * :func:`fetch_add` — atomic counters for task queues;
 * :class:`Workload` — the interface every kernel/app implements, carrying
-  the paper's Table 2 problem-size defaults and a scale factor.
+  the paper's Table 2 problem-size description.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..cpu.ops import AtomicRMW, Barrier, Read, Write
 from ..system.machine import Machine
@@ -127,17 +127,15 @@ class Workload:
     """Base class for SPLASH-2-like kernels and applications.
 
     Subclasses define :meth:`build` (allocate shared data on ``machine``)
-    and :meth:`thread_program` (the per-CPU generator).  ``scale`` shrinks
-    the Table 2 problem sizes so cycle-level simulation stays tractable;
-    1.0 would be the paper's sizes.
+    and :meth:`thread_program` (the per-CPU generator).  Constructor
+    arguments set the problem size; the suite's ``bench`` and ``test``
+    sizes (:mod:`repro.workloads.suite`) are far below Table 2's so
+    cycle-level simulation stays tractable.
     """
 
     #: paper problem size (Table 2), for documentation in benches
     paper_problem = ""
     name = "workload"
-
-    def __init__(self, scale: float = 1.0) -> None:
-        self.scale = scale
 
     # -- interface ------------------------------------------------------
     def build(self, machine: Machine, cpus: Sequence[int]) -> None:

@@ -30,11 +30,7 @@ class Cholesky(Workload):
     name = "cholesky"
     paper_problem = "tk18.O input file"
 
-    def __init__(self, nblocks: int = 12, block: int = 6, border: int = 6,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            nblocks = max(2, int(nblocks * scale))
+    def __init__(self, nblocks: int = 12, block: int = 6, border: int = 6) -> None:
         self.nb = nblocks
         self.bs = block
         self.w = border
@@ -43,10 +39,6 @@ class Cholesky(Workload):
     # ------------------------------------------------------------------
     # structure helpers
     # ------------------------------------------------------------------
-    def block_of(self, j: int) -> int:
-        """Diagonal block index of column j, or -1 for border columns."""
-        return j // self.bs if j < self.nb * self.bs else -1
-
     def col_rows(self, j: int) -> List[int]:
         """Structurally nonzero rows i >= j of column j (incl. fill-in)."""
         body = self.nb * self.bs

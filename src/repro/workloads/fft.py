@@ -55,10 +55,7 @@ class FFT(Workload):
     name = "fft"
     paper_problem = "65536 complex doubles (M=16)"
 
-    def __init__(self, n: int = 4096, scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            n = int(n * scale)
+    def __init__(self, n: int = 4096) -> None:
         m = 1
         while m * m < n:
             m *= 2

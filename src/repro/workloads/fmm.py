@@ -29,11 +29,7 @@ class FMM(Workload):
     name = "fmm"
     paper_problem = "16384 particles"
 
-    def __init__(self, nparticles: int = 128, grid: int = 4, order: int = 8,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            nparticles = max(16, int(nparticles * scale))
+    def __init__(self, nparticles: int = 128, grid: int = 4, order: int = 8) -> None:
         self.n = nparticles
         self.grid = grid          # grid x grid cells
         self.order = order

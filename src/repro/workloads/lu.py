@@ -35,10 +35,7 @@ from .base import BarrierFactory, SharedMatrix, Workload
 class _LUBase(Workload):
     paper_problem = "512x512 matrix, 16x16 blocks"
 
-    def __init__(self, n: int = 64, block: int = 8, scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            n = max(2 * block, int(n * scale) // block * block)
+    def __init__(self, n: int = 64, block: int = 8) -> None:
         if n % block:
             raise ValueError("matrix size must be a multiple of the block size")
         self.n = n

@@ -35,11 +35,7 @@ class Ocean(Workload):
     name = "ocean"
     paper_problem = "258x258 grid"
 
-    def __init__(self, n: int = 34, sweeps: int = 6, omega: float = 1.4,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            n = max(10, int(n * scale))
+    def __init__(self, n: int = 34, sweeps: int = 6, omega: float = 1.4) -> None:
         self.n = n
         self.sweeps = sweeps
         self.omega = omega

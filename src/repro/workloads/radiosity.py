@@ -35,11 +35,7 @@ class Radiosity(Workload):
     name = "radiosity"
     paper_problem = "Room scene, batch mode"
 
-    def __init__(self, patches_per_wall: int = 4, iterations: int = 4,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            patches_per_wall = max(2, int(patches_per_wall * scale))
+    def __init__(self, patches_per_wall: int = 4, iterations: int = 4) -> None:
         self.ppw = patches_per_wall
         self.iterations = iterations
         self._build_room()

@@ -23,11 +23,7 @@ class RadixSort(Workload):
     name = "radix"
     paper_problem = "262144 keys, radix 1024"
 
-    def __init__(self, n: int = 4096, radix: int = 256, key_bits: int = 16,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            n = max(radix, int(n * scale))
+    def __init__(self, n: int = 4096, radix: int = 256, key_bits: int = 16) -> None:
         self.n = n
         self.radix = radix
         self.key_bits = key_bits

@@ -51,11 +51,7 @@ class Raytrace(Workload):
     #: scene record: 4 words per sphere (x, y, z, r) + 1 shade word
     SPHERE_WORDS = 5
 
-    def __init__(self, image: int = 24, nspheres: int = 12, tile: int = 4,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            image = max(8, int(image * scale))
+    def __init__(self, image: int = 24, nspheres: int = 12, tile: int = 4) -> None:
         self.image = image
         self.nspheres = nspheres
         self.tile = tile

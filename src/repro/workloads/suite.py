@@ -6,14 +6,10 @@ Maps workload names to factories at three sizes:
   cycle-level simulation in Python, provided for completeness),
 * ``bench`` — the scaled sizes the benches run (shape-preserving),
 * ``test`` — tiny sizes for the unit/integration tests.
-
-``NUMACHINE_SCALE`` (a float environment variable) multiplies the bench
-sizes for users with more patience.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List
 
 from .barnes import Barnes
@@ -26,13 +22,6 @@ from .radiosity import Radiosity
 from .radix import RadixSort
 from .raytrace import Raytrace
 from .water import WaterNsquared, WaterSpatial
-
-
-def env_scale() -> float:
-    try:
-        return float(os.environ.get("NUMACHINE_SCALE", "1.0"))
-    except ValueError:
-        return 1.0
 
 
 #: name -> (paper size description, bench factory, test factory)
@@ -122,10 +111,4 @@ FIG15_APPS: List[str] = ["barnes", "radix", "fft", "lu_contig", "ocean", "water_
 
 def make(name: str, size: str = "bench"):
     """Instantiate a suite workload at the given size."""
-    entry = SUITE[name]
-    wl = entry[size]()
-    scale = env_scale()
-    if scale != 1.0 and size == "bench":
-        wl = entry["bench"]()  # factories are cheap; rebuild with scale
-        wl.scale = scale
-    return wl
+    return SUITE[name][size]()

@@ -27,11 +27,10 @@ from .base import BarrierFactory, SharedArray, Workload
 class UniformAccess(Workload):
     name = "uniform"
 
-    def __init__(self, words: int = 2048, ops: int = 400, read_frac: float = 0.7,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
+    def __init__(self, words: int = 2048, ops: int = 400,
+                 read_frac: float = 0.7) -> None:
         self.words = words
-        self.ops = int(ops * scale) if scale != 1.0 else ops
+        self.ops = ops
         self.read_frac = read_frac
 
     def build(self, machine, cpus: Sequence[int]) -> None:
@@ -55,11 +54,9 @@ class UniformAccess(Workload):
 class HotSpot(Workload):
     name = "hotspot"
 
-    def __init__(self, words: int = 64, ops: int = 200, hot_station: int = 0,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
+    def __init__(self, words: int = 64, ops: int = 200, hot_station: int = 0) -> None:
         self.words = words
-        self.ops = int(ops * scale) if scale != 1.0 else ops
+        self.ops = ops
         self.hot_station = hot_station
 
     def build(self, machine, cpus: Sequence[int]) -> None:
@@ -84,9 +81,8 @@ class HotSpot(Workload):
 class ProducerConsumer(Workload):
     name = "prodcons"
 
-    def __init__(self, rounds: int = 20, payload: int = 8, scale: float = 1.0) -> None:
-        super().__init__(scale)
-        self.rounds = int(rounds * scale) if scale != 1.0 else rounds
+    def __init__(self, rounds: int = 20, payload: int = 8) -> None:
+        self.rounds = rounds
         self.payload = payload
 
     def build(self, machine, cpus: Sequence[int]) -> None:
@@ -139,10 +135,8 @@ class EurekaSpin(Workload):
 
     name = "eureka"
 
-    def __init__(self, announcements: int = 10, use_update: bool = False,
-                 scale: float = 1.0) -> None:
-        super().__init__(scale)
-        self.rounds = int(announcements * scale) if scale != 1.0 else announcements
+    def __init__(self, announcements: int = 10, use_update: bool = False) -> None:
+        self.rounds = announcements
         self.use_update = use_update
 
     def build(self, machine, cpus: Sequence[int]) -> None:
@@ -185,9 +179,8 @@ class FlushStorm(Workload):
 
     name = "flushstorm"
 
-    def __init__(self, lines_per_cpu: int = 32, scale: float = 1.0) -> None:
-        super().__init__(scale)
-        self.lines = int(lines_per_cpu * scale) if scale != 1.0 else lines_per_cpu
+    def __init__(self, lines_per_cpu: int = 32) -> None:
+        self.lines = lines_per_cpu
 
     def build(self, machine, cpus: Sequence[int]) -> None:
         self.barrier = BarrierFactory(cpus)

@@ -17,7 +17,6 @@ arrays, not the intramolecular chemistry):
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence, Tuple
 
 from ..cpu.ops import Compute
@@ -34,10 +33,7 @@ from .base import (
 class _WaterBase(Workload):
     paper_problem = "512 molecules, 3 steps"
 
-    def __init__(self, nmol: int = 64, steps: int = 2, scale: float = 1.0) -> None:
-        super().__init__(scale)
-        if scale != 1.0:
-            nmol = max(8, int(nmol * scale))
+    def __init__(self, nmol: int = 64, steps: int = 2) -> None:
         self.n = nmol
         self.steps = steps
         self.box = 4.0
@@ -135,14 +131,6 @@ class _WaterBase(Workload):
             yield from spinlock_release(self.locks.addr(i))
 
     # ------------------------------------------------------------------
-    def kinetic_energy(self, machine) -> float:
-        e = 0.0
-        for i in range(self.n):
-            for d in range(3):
-                v = machine.read_word(self.vel.addr(3 * i + d))
-                e += 0.5 * v * v
-        return e
-
     def positions(self, machine) -> List[Tuple[float, float, float]]:
         return [
             tuple(machine.read_word(self.pos.addr(3 * i + d)) for d in range(3))
@@ -187,8 +175,8 @@ class WaterNsquared(_WaterBase):
 class WaterSpatial(_WaterBase):
     name = "water_spatial"
 
-    def __init__(self, nmol: int = 128, steps: int = 2, scale: float = 1.0) -> None:
-        super().__init__(nmol, steps, scale)
+    def __init__(self, nmol: int = 128, steps: int = 2) -> None:
+        super().__init__(nmol, steps)
         self.cells_per_side = max(2, int(self.box / self.cutoff))
 
     def thread_program(self, tid: int, cpus: Sequence[int]):

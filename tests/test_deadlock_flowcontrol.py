@@ -69,7 +69,8 @@ def test_nonsink_limit_one_still_completes():
 def test_ring_input_fifo_backpressure_counted():
     """A hot-spot behind shrunken ring input FIFOs: the halt mechanism
     engages, the run completes, and the elaborated core's inlined halt
-    path reproduces the interpreted run bit for bit."""
+    path reproduces the interpreted run bit for bit, metrics snapshot
+    included."""
     from repro import MachineConfig
     from repro.protocol import canonical_surface
 
@@ -80,11 +81,11 @@ def test_ring_input_fifo_backpressure_counted():
         HotSpot(words=8, ops=60).run(m, nprocs=16)
         assert m.backend == backend
         halts = sum(ring.halts.value for ring in m.net.rings.values())
-        return halts, canonical_surface(m)
+        return halts, canonical_surface(m), m.obs_snapshot(include_wall=False)
 
-    halts, surface = storm("interp")
+    halts, surface, snap = storm("interp")
     assert halts > 0, "backpressure never engaged with capacity-6 FIFOs"
-    assert storm("elab") == (halts, surface)
+    assert storm("elab") == (halts, surface, snap)
 
 
 def test_full_machine_backpressure_past_high_water_drains_cleanly():

@@ -1,14 +1,14 @@
 """The elaborated backend's contract.
 
 The specialized core generated by :mod:`repro.elab.codegen` must be
-bit-identical to the interpreted classes on the canonical reporting
-surface — event count, final simulated time, ``nc_stats`` /
-``memory_stats`` / ``utilizations`` / ``ring_interface_delays`` — for
-every machine shape, workload and processor count.  These
-tests pin that contract, the hook/backend interaction (component-slot
-hooks force the interpreted path, engine-level samplers do not), the
-dispatch tables against the interpreted handler maps, and the in-memory
-compile of generated cores.
+bit-identical to the interpreted classes on the whole metrics snapshot
+(``Machine.obs_snapshot(include_wall=False)``: event count, simulated time,
+every counter, accumulator and FIFO statistic, utilizations) for every
+machine shape, workload and processor count.  These tests pin that
+contract, the hook/backend interaction (component-slot hooks force the
+interpreted path, engine-level samplers do not), the dispatch tables
+against the interpreted handler maps, and the in-memory compile of
+generated cores.
 """
 
 from __future__ import annotations
@@ -28,15 +28,8 @@ from repro.workloads.lu import LUContiguous
 from repro.workloads.synthetic import HotSpot
 
 
-def _fingerprint(machine: Machine) -> tuple:
-    return (
-        machine.engine.events_run,
-        machine.engine.now,
-        machine.nc_stats(),
-        machine.memory_stats(),
-        machine.utilizations(),
-        machine.ring_interface_delays(),
-    )
+def _fingerprint(machine: Machine) -> dict:
+    return machine.obs_snapshot(include_wall=False)
 
 
 _WORKLOADS = {

@@ -223,7 +223,7 @@ def test_diagnostic_dump_shape():
         assert key in dump, key
 
 
-def test_dump_omits_fifo_telemetry_the_elab_core_skips():
+def test_dump_fifos_match_across_cores():
     from repro.workloads.synthetic import HotSpot
 
     def dump(backend):
@@ -233,15 +233,13 @@ def test_dump_omits_fifo_telemetry_the_elab_core_skips():
             HotSpot(words=16, ops=50).run(machine, nprocs=4)
         return machine.backend, exc_info.value.dump["fifos"]
 
-    (elab, part), (interp, full) = dump(None), dump("interp")
+    (elab, fifos_e), (interp, fifos_i) = dump(None), dump("interp")
     assert (elab, interp) == ("elab", "interp")
-    assert full["S0.mem.in"]["pushes"] > 0
-    assert full["S0.mem.in"]["wait_count"] > 0
-    # the elab core kept no push or wait counts: the dump leaves them out
-    # instead of reporting zeros, and agrees with interp on the rest
-    assert set(part) == set(full)
-    for name, f in part.items():
-        assert f == {k: full[name][k] for k in ("depth", "capacity", "max_depth")}
+    assert fifos_i["S0.mem.in"]["pushes"] > 0
+    assert fifos_i["S0.mem.in"]["wait_count"] > 0
+    # a dump taken mid-run on the generated core carries the same push
+    # and wait counts as the interpreter's
+    assert fifos_e == fifos_i
 
 
 def test_fuzz_seed_12_msi_replays(monkeypatch):

@@ -15,7 +15,6 @@ from repro.obs import chrome_trace, dump_chrome_events, snapshot, to_prometheus
 from repro.obs.report import main as report_main, sparkline
 from repro.obs.stream import read_stream
 from repro.obs.trace import _TICKS_PER_US
-from repro.perf import collect_record
 from repro.protocol import canonical_surface
 from repro.workloads.synthetic import HotSpot
 
@@ -243,7 +242,7 @@ def test_snapshot_without_obs_or_monitor_still_works():
     assert snap["counters"]
 
 
-def test_snapshot_after_plain_core_omits_unmaintained_telemetry(tmp_path, capsys):
+def test_snapshot_reads_the_same_on_both_cores(tmp_path, capsys):
     def run(backend):
         machine = Machine(MachineConfig.small(), backend=backend)
         HotSpot(words=16, ops=50).run(machine, nprocs=4)
@@ -251,41 +250,19 @@ def test_snapshot_after_plain_core_omits_unmaintained_telemetry(tmp_path, capsys
 
     interp, plain = run("interp"), run(None)
     assert plain.backend == "elab"
-    full = interp.obs_snapshot(include_wall=False)
-    part = plain.obs_snapshot(include_wall=False)
-    assert full["meta"]["telemetry"] == "full"
-    assert part["meta"]["telemetry"] == "partial"
-    # the interpreter maintained the fields the plain core skips ...
-    assert full["fifos"]["S0.mem.in"]["pushes"] > 0
-    assert full["fifos"]["S0.mem.in"]["wait_count"] > 0
-    assert full["counters"]["P0.retries"] > 0
-    # ... and the partial snapshot leaves out exactly those, agreeing on
-    # everything else
-    dropped = {k for k in full["counters"] if k not in part["counters"]}
-    assert dropped and all(
-        k.endswith((".bus.transactions", ".packets", ".retries"))
-        for k in dropped
-    )
-    assert all(full["counters"][k] == v for k, v in part["counters"].items())
-    for name, f in part["fifos"].items():
-        assert f == {k: full["fifos"][name][k]
-                     for k in ("depth", "capacity", "max_depth")}
-    # a later traced (interpreted) run cannot recover the lost counts
-    Observability(probes=False).attach(plain)
-    HotSpot(words=16, ops=10).run(plain, nprocs=4)
-    assert plain.backend == "interp"
-    assert plain.obs_snapshot()["meta"]["telemetry"] == "partial"
-    # both exporters still render it
-    text = to_prometheus(part)
-    assert "numachine_fifo_max_depth{" in text
-    assert "numachine_fifo_mean_depth{" not in text
-    path = tmp_path / "partial.json"
-    path.write_text(json.dumps(part))
+    snap = plain.obs_snapshot(include_wall=False)
+    assert snap == interp.obs_snapshot(include_wall=False)
+    assert snap["fifos"]["S0.mem.in"]["pushes"] > 0
+    assert snap["fifos"]["S0.mem.in"]["wait_count"] > 0
+    assert snap["counters"]["P0.retries"] > 0
+    # both exporters render the FIFO telemetry the generated core kept
+    assert "numachine_fifo_mean_depth{" in to_prometheus(snap)
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(snap))
     assert report_main([str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "partial telemetry" in out
-    assert "S0.mem.in" in out
-    assert report_main([str(path), "--format", "prom"]) == 0
+    row = next(line.split() for line in capsys.readouterr().out.splitlines()
+               if line.split()[:1] == ["S0.mem.in"])
+    assert int(row[1]) == snap["fifos"]["S0.mem.in"]["pushes"]
 
 
 @pytest.mark.parametrize("nprocs", [16, 64])
@@ -300,21 +277,23 @@ def test_probes_and_stream_ride_the_elab_core(tmp_path, nprocs):
         obs.stream.close()
         return machine, obs, read_stream(path)
 
-    def view(line):
-        fifos = {n: (f["depth"], f["max_depth"]) for n, f in line["fifos"].items()}
-        meta = line["meta"]
-        return meta["events_run"], meta["time_ticks"], fifos, line["utilizations"]
+    def without_wall(line):
+        for section, key in (("meta", "wall_s"), ("meta", "events_per_sec"),
+                             ("stream", "wall_ts")):
+            del line[section][key]
+        return line
 
     (elab, obs_e, lines_e), (interp, obs_i, lines_i) = run(None), run("interp")
     assert (elab.backend, interp.backend) == ("elab", "interp")
-    # the samplers read only state the elab core maintains
     assert canonical_surface(elab) == canonical_surface(interp)
+    assert elab.obs_snapshot(include_wall=False) == interp.obs_snapshot(
+        include_wall=False
+    )
     assert obs_e.probes.series() == obs_i.probes.series()
     assert len(lines_e) == len(lines_i) > 1
-    assert [view(line) for line in lines_e] == [view(line) for line in lines_i]
-    # ... and leave the telemetry it skips partial
-    assert elab.obs_snapshot()["meta"]["telemetry"] == "partial"
-    assert interp.obs_snapshot()["meta"]["telemetry"] == "full"
+    assert [without_wall(line) for line in lines_e] == [
+        without_wall(line) for line in lines_i
+    ]
 
 
 def test_snapshot_is_deterministic_without_wall():
@@ -351,7 +330,7 @@ def _golden_snapshot() -> dict:
     """A hand-built snapshot exercising every section plus the label
     characters the exposition format must escape."""
     return {
-        "schema": 2,
+        "schema": 3,
         "meta": {"time_ns": 1234.5, "events_run": 42},
         "counters": {"S0.mem.reads": 7, 'tricky"name': 1, "back\\slash": 2,
                      "multi\nline": 3},
@@ -496,16 +475,6 @@ def test_report_cli_non_json_exits_2(tmp_path, capsys):
     assert "write_snapshot" in err
 
 
-def test_runrecord_carries_obs_summary():
-    machine, obs = _observed_tiny_run()
-    rec = collect_record(machine, workload="tiny", nprocs=2, parallel_time_ns=1.0)
-    assert rec.obs["trace"]["finished"] == len(obs.tracer.finished)
-    assert rec.obs["probes"]["samples"] == obs.probes.samples
-    rt = type(rec).from_json(rec.to_json())
-    assert rt.obs == rec.obs
-    assert rt.deterministic_view() == rec.deterministic_view()
-
-
 # ----------------------------------------------------------------------
 # report CLI
 # ----------------------------------------------------------------------
@@ -563,4 +532,7 @@ def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time(
     assert (plain.backend, traced.backend) == ("elab", "interp")
     assert canonical_surface(traced) == canonical_surface(plain)
     assert traced.obs.tracer.finished
+    snap = traced.obs_snapshot(include_wall=False)
+    assert snap.pop("trace")["finished"] == len(traced.obs.tracer.finished)
+    assert snap == plain.obs_snapshot(include_wall=False)
 

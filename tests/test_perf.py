@@ -183,9 +183,9 @@ def test_cache_prune_cli(tmp_path):
 def test_cache_schema_is_current():
     from repro.perf.cache import CACHE_SCHEMA
 
-    # schema 8: the backend left the point key; the attached hooks pick
-    # the core, so no execution-strategy field remains
-    assert CACHE_SCHEMA == 8
+    # schema 9: RunRecord lost its ``obs`` field and the point key its
+    # ``scale`` field
+    assert CACHE_SCHEMA == 9
 
 
 def test_point_key_ignores_backend_environment(monkeypatch):

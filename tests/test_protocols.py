@@ -162,8 +162,9 @@ def test_msi_completes_checked(wname):
 @pytest.mark.parametrize("wname", sorted(_WORKLOADS))
 def test_msi_completes_and_backends_bit_identical(wname, nprocs):
     """Acceptance: MSI runs the canonical workloads to completion at
-    P=4/16/64 on both backends, with identical canonical surfaces."""
-    surfaces = {}
+    P=4/16/64 on both backends, with identical canonical surfaces and
+    metrics snapshots."""
+    surfaces, snaps = {}, {}
     for backend in ("interp", "elab"):
         cfg = MachineConfig.prototype()
         cfg.protocol = "msi"
@@ -172,7 +173,9 @@ def test_msi_completes_and_backends_bit_identical(wname, nprocs):
         assert m.backend == backend
         assert m.engine.now > 0
         surfaces[backend] = canonical_surface(m)
+        snaps[backend] = m.obs_snapshot(include_wall=False)
     assert surfaces["interp"] == surfaces["elab"]
+    assert snaps["interp"] == snaps["elab"]
 
 
 def test_protocols_actually_diverge():
