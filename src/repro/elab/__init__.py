@@ -1,15 +1,17 @@
 """Build-time elaboration: compile a MachineConfig into a specialized core.
 
-The machine's behaviour is fully determined at build time by the config,
-the routing-mask layout and the protocol transition tables, so instead of
+The machine's behaviour is fully determined at build time by the config
+and the protocol transition tables, so instead of
 interpreting it event by event through generic dispatch, this package
 *elaborates* it once:
 
-* :mod:`repro.elab.ir` extracts everything build-time-constant from a
-  wired :class:`~repro.system.machine.Machine` into a small IR;
+* :mod:`repro.elab.ir` extracts the station side's build-time constants
+  from a wired :class:`~repro.system.machine.Machine` into a small IR;
 * :mod:`repro.elab.codegen` emits a specialized Python module from the IR
-  (literal constants, fused pump loops, dense coherence dispatch, no hook
-  checks);
+  for the station bus, ordered ports, memory and NC pumps and the CPU
+  request path (literal constants, fused pump loops, dense coherence
+  dispatch, no hook checks); rings, ring interfaces and stations run
+  their hand-written classes on both cores;
 * :mod:`repro.elab.backend` compiles that source in memory, once per
   process, and applies it per run unless a hook sits in a component slot
   (tracer, monitor, verifier or fault injector): those runs stay on the

@@ -6,11 +6,15 @@ Two backends execute a machine:
     the ordinary class hierarchy — every hook point (tracer, verifier,
     monitor, fault filter) is checked on the hot paths;
 ``elab``
-    a generated specialized core (:mod:`repro.elab.codegen`) — constants
-    baked in, pump loops fused, no hook checks.  Bit-identical to
-    ``interp`` on the whole metrics snapshot
+    a generated specialized core (:mod:`repro.elab.codegen`) for the
+    station bus, the ordered ports, the memory and NC pumps and the CPU
+    request path — constants baked in, pump loops fused, no hook checks.
+    Bit-identical to ``interp`` on the whole metrics snapshot
     (``Machine.obs_snapshot(include_wall=False)``), the canonical reporting
     surface included.
+
+Rings, ring interfaces and stations are never re-classed: their
+hand-written classes run on both backends and check their own hooks.
 
 Selection follows the attached hooks.  Any hook in a component slot — a
 tracer, monitor, verifier or fault filter — gives ``interp``; otherwise
@@ -38,9 +42,9 @@ rebuilt, which is what keeps the switch exact.  Two safety rules:
   methods captured under the old classes; the backend only flips when the
   event queue is empty (:meth:`sync` is a no-op otherwise).
 
-If elaboration fails (unsupported topology, a broken generator, ...) the
-machine stays interpreted — the default selection never breaks a run; an
-explicit ``backend="elab"`` warns.
+If elaboration fails (a broken generator, say) the machine stays
+interpreted — the default selection never breaks a run; an explicit
+``backend="elab"`` warns.
 """
 
 from __future__ import annotations
@@ -63,8 +67,10 @@ def interp_only_hooks(machine) -> bool:
     """Any hook attached in a component slot the generated code does not
     check (tracer / monitor / verifier / fault injection)?
 
-    Scans component hook slots directly (not just the Machine-level
-    attributes) so hooks installed by hand in tests are honoured too.
+    Scans the slots of the re-classed components directly (not just the
+    Machine-level attributes) so hooks installed by hand in tests are
+    honoured too.  Ring interfaces are never re-classed, so their hook
+    slots are checked by their own code on either core.
     """
     if (
         machine.monitor is not None
@@ -73,13 +79,6 @@ def interp_only_hooks(machine) -> bool:
     ):
         return True
     for st in machine.stations:
-        sri = st.ring_interface
-        if (
-            sri.tracer is not None
-            or sri.verifier is not None
-            or sri.fault_filter is not None
-        ):
-            return True
         for mod in (st.memory, st.nc):
             if (
                 mod.tracer is not None
@@ -90,7 +89,7 @@ def interp_only_hooks(machine) -> bool:
         for cpu in st.cpus:
             if cpu.tracer is not None or cpu.verifier is not None:
                 return True
-    return any(iri.tracer is not None for iri in machine.net.iris)
+    return False
 
 
 def load(source: str) -> types.ModuleType:
@@ -161,18 +160,15 @@ def ensure_interp(machine) -> None:
 
 # ----------------------------------------------------------------------
 def _recapture(machine) -> None:
-    """Re-capture the bound methods the ring interfaces hold: a bound
-    method pins the function of the class *at capture time*, so it must be
-    refreshed after every class swap (in either direction)."""
+    """Re-capture the bus grant each ring interface holds: a bound method
+    pins the function of the class *at capture time*, so it must be
+    refreshed after every bus class swap (in either direction)."""
     for st in machine.stations:
-        sri = st.ring_interface
-        sri.bus_granter = st.bus.request
-        sri.deliver_cb = st.deliver_from_ring
+        st.ring_interface.bus_granter = st.bus.request
 
 
 def _specialize(machine, mod) -> None:
     for st in machine.stations:
-        st.__class__ = mod.ElabStation
         st.bus.__class__ = mod.ElabBus
         st.memory.__class__ = mod.ElabMem
         st.memory.out_port.__class__ = mod.ElabPort
@@ -180,29 +176,17 @@ def _specialize(machine, mod) -> None:
         st.nc.out_port.__class__ = mod.ElabPort
         for cpu in st.cpus:
             cpu.__class__ = mod.ElabCPU
-        st.ring_interface.__class__ = mod.SRI_CLASSES[st.station_id]
-    for (level, _), ring in machine.net.rings.items():
-        ring.__class__ = mod.RING_CLASSES[level]
-    for iri in machine.net.iris:
-        iri.__class__ = mod.IRI_CLASSES[iri.name]
     _recapture(machine)
 
 
 def _revert(machine) -> None:
     from ..cpu.processor import Processor
-    from ..interconnect.interfaces import (
-        InterRingInterface,
-        StationRingInterface,
-    )
-    from ..interconnect.ring import Ring
     from ..system.bus import Bus, OrderedPort
-    from ..system.station import Station
 
     # the interpreted classes are the active protocol's engine classes,
     # not the protocol-agnostic bases
     proto = machine.protocol
     for st in machine.stations:
-        st.__class__ = Station
         st.bus.__class__ = Bus
         st.memory.__class__ = proto.memory_class
         st.memory.out_port.__class__ = OrderedPort
@@ -210,10 +194,5 @@ def _revert(machine) -> None:
         st.nc.out_port.__class__ = OrderedPort
         for cpu in st.cpus:
             cpu.__class__ = Processor
-        st.ring_interface.__class__ = StationRingInterface
-    for ring in machine.net.rings.values():
-        ring.__class__ = Ring
-    for iri in machine.net.iris:
-        iri.__class__ = InterRingInterface
     _recapture(machine)
     machine._elab_active = False

@@ -16,6 +16,12 @@ Two kinds of interface exist:
 Both implement the :class:`~repro.interconnect.ring.RingMember` protocol and
 realize the ascend / to_seq / deliver routing rules described in
 :mod:`repro.interconnect.ring`.
+
+Both run on either backend (the generated core never re-classes them), so
+their tracer, verifier and fault-filter checks are live on every run.  The
+routing masks each interface tests are precomputed from the codec at
+construction, and the pump loops push their event tuples straight onto the
+engine queue, as :meth:`~repro.system.bus.Bus._grant` does.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ ASCEND = ROUTE_ASCEND
 TO_SEQ = ROUTE_TO_SEQ
 DELIVER = ROUTE_DELIVER
 
+_PRIO_NORMAL = Engine.PRIO_NORMAL
+
 
 class StationRingInterface:
     """The local ring interface of one station."""
@@ -53,7 +61,8 @@ class StationRingInterface:
         "line_bus_ticks",
         "cmd_bus_ticks",
         "seq_ticks",
-        "station_bit",
+        "_mybit",
+        "_f0",
         "out_fifo",
         "in_fifo",
         "sink_q",
@@ -102,8 +111,10 @@ class StationRingInterface:
         self.line_bus_ticks = line_bus_ticks
         self.cmd_bus_ticks = cmd_bus_ticks
         self.seq_ticks = seq_ticks
-        #: station-position bit index within the level-0 field
-        self.station_bit = codec.geometry.station_coords(station_id)[0]
+        #: this station's bit and the level-0 field mask (level 0 starts at
+        #: bit 0, so the field needs no shift): the deliver-mode tests
+        self._mybit = 1 << codec.geometry.station_coords(station_id)[0]
+        self._f0 = codec._field_masks[0]
         #: content-key base for ring-delivery tail bounces (see ring.py)
         self._bounce_base = ring._bbase | pos << BOUNCE_FLIT_SHIFT
 
@@ -136,11 +147,13 @@ class StationRingInterface:
         ff = self.fault_filter
         if ff is not None and ff(self, packet):
             return
+        engine = self.engine
+        now = engine.now
         if packet.born < 0:
-            packet.born = self.engine.now
+            packet.born = now
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(packet, "ri.send", self.engine.now)
+            tr.stamp_pkt(packet, "ri.send", now)
         if not packet.sinkable:
             if self._nonsink_credits == 0:
                 self._pending_out.append(packet)
@@ -152,9 +165,14 @@ class StationRingInterface:
             if v is not None:
                 v.ri_credit(self)
         self._route_prep(packet)
-        packet.send_enq = self.engine.now
+        packet.send_enq = now
         # packet generator formatting latency, then the output FIFO
-        self.engine.schedule(self.pkt_gen_ticks, self._enqueue_out, packet)
+        # (Engine.schedule inlined, as in Bus._grant)
+        seq = engine._seq + 1
+        engine._seq = seq
+        engine._push(
+            (now + self.pkt_gen_ticks, _PRIO_NORMAL, seq, self._enqueue_out, packet)
+        )
 
     def release_credit(self) -> None:
         """A nonsinkable message from this station left the network."""
@@ -189,26 +207,30 @@ class StationRingInterface:
         if self._out_busy or self.out_fifo.empty:
             return
         self._out_busy = True
-        packet = self.out_fifo.pop(self.engine.now)
+        engine = self.engine
+        packet = self.out_fifo.pop(engine.now)
         # A deliver-mode packet whose only target is this station never
         # touches the ring (e.g. an unordered self-send); loop it back.
-        state = packet.route_state
-        fld = self.codec.field(packet.dest_mask, 0)
-        if state == DELIVER and fld == (1 << self.station_bit):
-            self.engine.schedule(0, self._local_loopback, packet)
+        if (
+            packet.route_state == DELIVER
+            and (packet.dest_mask & self._f0) == self._mybit
+        ):
+            engine.schedule(0, self._local_loopback, packet)
             self._out_busy = False
             self._pump_out()
             return
-        start = self.ring.inject(self.pos, packet)
+        ring = self.ring
+        start = ring.inject(self.pos, packet)
         enq = packet.send_enq
         packet.send_enq = -1
         self.stats.accumulator("send_delay").add(start - enq if enq >= 0 else 0)
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "ring.inject", start)
-        done = start + packet.flits * self.ring.slot_ticks
-        self.engine.schedule_keyed_at(
-            done, self._out_done_key, self._out_done, priority=1
+        # the port release carries its content key: no counter draw
+        engine._push(
+            (start + packet.flits * ring.slot_ticks, _PRIO_NORMAL,
+             self._out_done_key, self._out_done, None)
         )
 
     def _out_done(self) -> None:
@@ -247,11 +269,13 @@ class StationRingInterface:
                 ring.forward(self.pos, packet)
                 return
         # deliver mode
-        fld = self.codec.field(packet.dest_mask, 0)
-        mybit = 1 << self.station_bit
+        mask = packet.dest_mask
+        f0 = self._f0
+        fld = mask & f0
+        mybit = self._mybit
         if fld & mybit:
             remaining = fld & ~mybit
-            packet.dest_mask = self.codec.with_field(packet.dest_mask, 0, remaining)
+            packet.dest_mask = (mask & ~f0) | remaining
             if remaining:
                 copy = packet.copy_for_branch()
                 self._accept(copy)
@@ -266,11 +290,13 @@ class StationRingInterface:
         # tail bounce: this entry is not anchored to a ring arrival, so the
         # arrival-derived bounce key's per-tick uniqueness argument does
         # not cover it.
-        fld = self.codec.field(packet.dest_mask, 0)
-        mybit = 1 << self.station_bit
+        mask = packet.dest_mask
+        f0 = self._f0
+        fld = mask & f0
+        mybit = self._mybit
         if fld & mybit:
             remaining = fld & ~mybit
-            packet.dest_mask = self.codec.with_field(packet.dest_mask, 0, remaining)
+            packet.dest_mask = (mask & ~f0) | remaining
             if remaining:
                 copy = packet.copy_for_branch()
                 self._accept_seq(copy)
@@ -319,8 +345,14 @@ class StationRingInterface:
         if self._handler_busy or self.in_fifo.empty:
             return
         self._handler_busy = True
-        packet = self.in_fifo.pop(self.engine.now)
-        self.engine.schedule(self.handler_ticks, self._handler_done, packet)
+        engine = self.engine
+        now = engine.now
+        packet = self.in_fifo.pop(now)
+        seq = engine._seq + 1
+        engine._seq = seq
+        engine._push(
+            (now + self.handler_ticks, _PRIO_NORMAL, seq, self._handler_done, packet)
+        )
 
     def _handler_done(self, packet: Packet) -> None:
         if packet.sinkable:
@@ -386,7 +418,6 @@ class InterRingInterface:
 
     __slots__ = (
         "engine",
-        "codec",
         "name",
         "child",
         "child_pos",
@@ -394,6 +425,10 @@ class InterRingInterface:
         "parent_pos",
         "switch_ticks",
         "seq_ticks",
+        "_pf_mask",
+        "_p_shift",
+        "_higher_mask",
+        "_keep_mask",
         "up_fifo",
         "down_fifo",
         "_up_busy",
@@ -419,7 +454,6 @@ class InterRingInterface:
         seq_ticks: int = 0,
     ) -> None:
         self.engine = engine
-        self.codec = codec
         self.name = name
         self.child = child
         self.child_pos = child_pos
@@ -427,6 +461,17 @@ class InterRingInterface:
         self.parent_pos = parent_pos
         self.switch_ticks = switch_ticks
         self.seq_ticks = seq_ticks
+        # routing masks around the parent level, precomputed from the codec
+        # (the level fields are disjoint, so a sum of masks is their union)
+        level = parent.level
+        masks = codec._field_masks
+        #: the parent level's field and its shift
+        self._pf_mask = masks[level]
+        self._p_shift = codec._shifts[level]
+        #: every field above the parent level (0 when the parent is the top)
+        self._higher_mask = sum(masks[level + 1:])
+        #: every field below the parent level: what survives switching down
+        self._keep_mask = sum(masks[:level])
         self.up_fifo = Fifo(f"{name}.up", capacity=fifo_capacity)
         self.down_fifo = Fifo(f"{name}.down", capacity=fifo_capacity)
         self._up_busy = False
@@ -479,30 +524,33 @@ class InterRingInterface:
         if self._up_busy or self.up_fifo.empty:
             return
         self._up_busy = True
-        packet = self.up_fifo.pop(self.engine.now)
-        self.engine.schedule(self.switch_ticks, self._inject_parent, packet)
+        engine = self.engine
+        now = engine.now
+        packet = self.up_fifo.pop(now)
+        seq = engine._seq + 1
+        engine._seq = seq
+        engine._push(
+            (now + self.switch_ticks, _PRIO_NORMAL, seq, self._inject_parent, packet)
+        )
 
     def _inject_parent(self, packet: Packet) -> None:
         # Reached the parent ring: decide the packet's mode there.
-        higher = False
-        for level in range(self.parent.level + 1, self.codec.geometry.num_levels):
-            if self.codec.field(packet.dest_mask, level):
-                higher = True
-                break
-        if higher:
+        if packet.dest_mask & self._higher_mask:
             packet.route_state = ASCEND
         else:
             packet.route_state = TO_SEQ if packet.ordered else DELIVER
-        start = self.parent.inject(self.parent_pos, packet)
+        parent = self.parent
+        start = parent.inject(self.parent_pos, packet)
         enq = packet.up_enq
         packet.up_enq = -1
         self.stats.accumulator("up_delay").add(start - enq if enq >= 0 else 0)
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "iri.up_inject", start)
-        done = start + packet.flits * self.parent.slot_ticks
-        self.engine.schedule_keyed_at(
-            done, self._up_done_key, self._up_done, priority=1
+        # the port release carries its content key: no counter draw
+        self.engine._push(
+            (start + packet.flits * parent.slot_ticks, _PRIO_NORMAL,
+             self._up_done_key, self._up_done, None)
         )
 
     def _up_done(self) -> None:
@@ -532,13 +580,14 @@ class InterRingInterface:
             else:
                 self.parent.forward(self.parent_pos, packet)
                 return
-        fld = self.codec.field(packet.dest_mask, self.parent.level)
+        mask = packet.dest_mask
+        pf = self._pf_mask
+        shift = self._p_shift
+        fld = (mask & pf) >> shift
         mybit = 1 << self.parent_pos
         if fld & mybit:
             remaining = fld & ~mybit
-            packet.dest_mask = self.codec.with_field(
-                packet.dest_mask, self.parent.level, remaining
-            )
+            packet.dest_mask = (mask & ~pf) | (remaining << shift)
             if remaining:
                 copy = packet.copy_for_branch()
                 self._enqueue_down(copy)
@@ -550,7 +599,7 @@ class InterRingInterface:
 
     def _enqueue_down(self, packet: Packet) -> None:
         # Switching down clears every higher-level field (paper §2.2).
-        packet.dest_mask = self.codec.clear_upper(packet.dest_mask, self.parent.level)
+        packet.dest_mask &= self._keep_mask
         packet.route_state = DELIVER
         packet.down_enq = self.engine.now
         tr = self.tracer
@@ -565,20 +614,28 @@ class InterRingInterface:
         if self._down_busy or self.down_fifo.empty:
             return
         self._down_busy = True
-        packet = self.down_fifo.pop(self.engine.now)
-        self.engine.schedule(self.switch_ticks, self._inject_child, packet)
+        engine = self.engine
+        now = engine.now
+        packet = self.down_fifo.pop(now)
+        seq = engine._seq + 1
+        engine._seq = seq
+        engine._push(
+            (now + self.switch_ticks, _PRIO_NORMAL, seq, self._inject_child, packet)
+        )
 
     def _inject_child(self, packet: Packet) -> None:
-        start = self.child.inject(self.child_pos, packet)
+        child = self.child
+        start = child.inject(self.child_pos, packet)
         enq = packet.down_enq
         packet.down_enq = -1
         self.stats.accumulator("down_delay").add(start - enq if enq >= 0 else 0)
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "iri.down_inject", start)
-        done = start + packet.flits * self.child.slot_ticks
-        self.engine.schedule_keyed_at(
-            done, self._down_done_key, self._down_done, priority=1
+        # the port release carries its content key: no counter draw
+        self.engine._push(
+            (start + packet.flits * child.slot_ticks, _PRIO_NORMAL,
+             self._down_done_key, self._down_done, None)
         )
 
     def _down_done(self) -> None:

@@ -11,7 +11,7 @@ higher scheduler priority — exactly the behaviour of a slotted ring, where a
 node may only inject into empty slots.
 
 Routing follows the paper's ascend/descend rules.  A packet's travel mode is
-kept in ``meta['state']``:
+kept in ``Packet.route_state``:
 
 ``ascend``
     climbing to a higher ring; station members just forward, the inter-ring
@@ -35,6 +35,9 @@ ring's ``uid`` and the position (see :mod:`repro.sim.engine`), not the
 engine's global counter.  Those keys define the same-tick tie-break order
 that the pinned protocol fingerprints and the benchmark's surface hashes
 depend on, so they must stay content-derived.
+
+Rings and their interfaces run this hand-written code on both backends:
+the generated core (:mod:`repro.elab`) specializes only the station side.
 """
 
 from __future__ import annotations
@@ -131,13 +134,6 @@ class Ring:
     def inject(self, pos: int, packet: Packet) -> int:
         """Place ``packet`` onto the ring at ``pos`` (head starts moving on
         the first free slot).  Returns the tick transmission starts."""
-        return self._send(pos, packet)
-
-    def forward(self, pos: int, packet: Packet) -> int:
-        """Forward a through packet from ``pos`` to the next member."""
-        return self._send(pos, packet)
-
-    def _send(self, pos: int, packet: Packet) -> int:
         # Cut-through: the head flit moves on after one hop; the tail's
         # serialization time is charged once, at final delivery (the
         # interfaces add ``(flits-1)*slot`` when consuming).  The link is
@@ -155,18 +151,15 @@ class Ring:
         np = pos + 1
         if np >= self.size:
             np = 0
+        # the ring rides in the arg tuple: no bound method per hop
         engine._push(
-            (start + self.hop_ticks, 0, self._abase | np, self._arrive,
-             (np, packet))
+            (start + self.hop_ticks, 0, self._abase | np, _ring_arrive,
+             (self, np, packet))
         )
         return start
 
-    def _arrive(self, arg) -> None:
-        pos, packet = arg
-        member = self.members[pos]
-        if member is None:
-            raise RuntimeError(f"{self.name}: no member at position {pos}")
-        member.ring_arrival(self, packet)
+    #: forwarding a through packet from ``pos`` is the same link reservation
+    forward = inject
 
     def halt_link(self, into_pos: int, duration: int) -> None:
         """Backpressure: stop the link feeding ``into_pos`` for ``duration``
@@ -187,3 +180,12 @@ class Ring:
 
     def start_window(self, now: int) -> None:
         self.busy.start_window(now)
+
+
+def _ring_arrive(arg) -> None:
+    """Arrival event: the packet's head reached the member at ``pos``."""
+    ring, pos, packet = arg
+    member = ring.members[pos]
+    if member is None:
+        raise RuntimeError(f"{ring.name}: no member at position {pos}")
+    member.ring_arrival(ring, packet)

@@ -5,10 +5,11 @@ The paper instruments the *machine*; this module instruments the
 :class:`~repro.sim.engine.Engine` into a profiled subclass (the same
 ``obj.__class__`` swap the elab backend uses on components — no state is
 copied, so install/uninstall are exact) whose event loop attributes wall
-time to *pump sites*: the bound-method handler each event dispatches to,
-keyed by qualified name (``MemoryModule._service``, ``Ring._advance_slot``;
-under the elab backend the generated names — ``ElabMem._service`` — show
-through, which is exactly what you want when profiling that backend).
+time to *pump sites*: the handler each event dispatches to, keyed by
+qualified name (``MemoryModule._service``, or ``_ring_arrive`` for a
+module-level callback; under the elab backend the generated names —
+``ElabMem._service`` — show through, which is exactly what you want when
+profiling that backend).
 
 Two measurements per site:
 

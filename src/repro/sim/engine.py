@@ -17,10 +17,11 @@ plain :mod:`heapq` list popped in the total order of ``(time, priority,
 seq)`` keys; the heap lives in C, so neither a push nor a pop costs a
 Python frame.
 
-Components on the very hottest paths (bus grants, memory/NC pumps) inline
-``Engine.schedule`` by bumping ``engine._seq`` themselves and handing the
-finished event tuple to ``engine._push`` — the single insertion point, a
-``heappush`` bound to the queue.
+Components on the very hottest paths (bus grants, ring hops, the
+ring-interface and memory/NC pumps) inline ``Engine.schedule`` by bumping
+``engine._seq`` themselves and handing the finished event tuple to
+``engine._push`` — the single insertion point, a ``heappush`` bound to the
+queue.
 
 Content-derived sequence keys
 -----------------------------

@@ -13,7 +13,8 @@ queued, so ``pushes`` and ``wait_total`` (pop tick minus enqueue tick,
 summed over popped entries) plus the ages of the queued entries give the
 time-weighted mean depth, the wait count and the mean wait.  The generated
 core (:mod:`repro.elab.codegen`) inlines :meth:`Fifo.push` /
-:meth:`Fifo.pop` and keeps the same sums.
+:meth:`Fifo.pop` for the memory and NC input FIFOs only, and keeps the
+same sums; every other FIFO runs these methods on both cores.
 """
 
 from __future__ import annotations

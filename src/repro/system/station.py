@@ -84,7 +84,13 @@ class Station:
 
     # ------------------------------------------------------------------
     def deliver_from_ring(self, pkt: Packet) -> None:
-        """Dispatch a packet that the ring interface moved over the bus."""
+        """Dispatch a packet that the ring interface moved over the bus.
+
+        Barrier writes and interrupts fan out to this station's processors,
+        an uncached response completes at its requester, and every other
+        packet goes to the line's :meth:`module_for`.  Stations are never
+        re-classed, so the ring interface's bound ``deliver_cb`` stays
+        valid across a backend switch."""
         mtype = pkt.mtype
         if mtype is MsgType.BARRIER_WRITE:
             bit = pkt.meta["bit"]
@@ -107,8 +113,4 @@ class Station:
         if mtype is MsgType.UNCACHED_RESP:
             self.cpu_by_global(pkt.requester).complete_uncached(pkt.addr, pkt.data)
             return
-        home_here = self.config.home_station(pkt.addr) == self.station_id
-        if home_here:
-            self.memory.handle(pkt)
-        else:
-            self.nc.handle(pkt)
+        self.module_for(pkt.addr).handle(pkt)

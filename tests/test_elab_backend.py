@@ -20,6 +20,7 @@ import pytest
 from repro.elab import backend as elab_backend
 from repro.elab import codegen
 from repro.elab.ir import MachineIR
+from repro.interconnect.routing import Geometry
 from repro.monitor import Monitor
 from repro.obs import Observability
 from repro.system.config import MachineConfig
@@ -42,6 +43,12 @@ def _small_2ring() -> MachineConfig:
     return MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
 
 
+def _small_3level() -> MachineConfig:
+    cfg = MachineConfig.small()
+    cfg.geometry = Geometry((2, 2, 2), processors_per_station=2)
+    return cfg
+
+
 def _run(backend: str, config, workload: str, nprocs: int) -> tuple:
     machine = Machine(config(), backend=backend)
     _WORKLOADS[workload]().run(machine, nprocs=nprocs)
@@ -58,6 +65,7 @@ def _run(backend: str, config, workload: str, nprocs: int) -> tuple:
         pytest.param(MachineConfig.prototype, 16, id="16"),
         pytest.param(MachineConfig.prototype, 64, id="64"),
         pytest.param(_small_2ring, 8, id="2ring-8"),
+        pytest.param(_small_3level, 16, id="3level-16"),
     ],
 )
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
@@ -219,7 +227,13 @@ def test_default_run_writes_nothing_to_disk(tmp_path, monkeypatch):
 
 def test_one_compiled_core_per_config():
     from repro.cpu.processor import Processor
+    from repro.interconnect.interfaces import (
+        InterRingInterface,
+        StationRingInterface,
+    )
+    from repro.interconnect.ring import Ring
     from repro.system.bus import Bus
+    from repro.system.station import Station
 
     a, b, traced = (Machine(_small_2ring()) for _ in range(3))
     Observability(probes=False).attach(traced)
@@ -230,6 +244,17 @@ def test_one_compiled_core_per_config():
     # a traced machine holds the interpreted classes
     assert type(traced.cpus[0]) is Processor
     assert type(traced.stations[0].bus) is Bus
+    # the generated core specializes the station side only: rings, ring
+    # interfaces and stations run the hand-written classes on both cores
+    assert a.backend == "elab"
+    assert all(type(st) is Station for st in a.stations)
+    assert all(type(st.bus) is not Bus for st in a.stations)
+    assert all(
+        type(st.ring_interface) is StationRingInterface for st in a.stations
+    )
+    assert all(type(ring) is Ring for ring in a.net.rings.values())
+    assert a.net.iris
+    assert all(type(iri) is InterRingInterface for iri in a.net.iris)
 
 
 def test_generated_code_tracebacks_show_source_lines():
