@@ -567,7 +567,7 @@ class NetworkCache:
         if global_cpu is None:
             return False
         cpu = self.station.cpu_by_global(global_cpu)
-        line = cpu.l2.lookup(line_addr, touch=False)
+        line = cpu.l2.lookup(line_addr)
         return line is not None and line.state.readable
 
     def _nack_cpu(self, cpu: int, addr: int) -> None:

@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Tuple
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Read:
     """Load one word; the value is sent back into the generator."""
 
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Write:
     """Store one word."""
 
@@ -33,7 +33,7 @@ class Write:
     value: Any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReadRun:
     """Load ``count`` words starting at ``addr``; the list of values is sent
     back into the generator.
@@ -62,7 +62,7 @@ class ReadRun:
     stride: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WriteRun:
     """Store ``values`` to consecutive words starting at ``addr`` (same
     closed-form hit batching as :class:`ReadRun`)."""
@@ -72,7 +72,7 @@ class WriteRun:
     stride: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AtomicRMW:
     """Atomic read-modify-write (LL/SC-style): the line is acquired
     exclusively, ``fn(old)`` is stored, and ``old`` is sent back.
@@ -82,14 +82,14 @@ class AtomicRMW:
     fn: Callable[[Any], Any]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Compute:
     """Local computation costing ``cycles`` CPU cycles (no memory traffic)."""
 
     cycles: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Barrier:
     """Hardware barrier over ``cpus`` (global ids) using the per-processor
     barrier registers and a multicast register write (§3.2)."""
@@ -98,14 +98,14 @@ class Barrier:
     cpus: Tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Phase:
     """Set the processor's phase-identifier register (monitoring, §3.3)."""
 
     pid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SoftOp:
     """A system-software operation exposing low-level hardware control
     (§3.2): coherence bypass, kill/invalidate/writeback/prefetch, block

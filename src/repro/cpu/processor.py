@@ -1,14 +1,17 @@
 """The processor module (paper §3.1.1).
 
 Models an R4400-class CPU: in-order, blocking on its single outstanding
-memory request, with an on-chip primary cache (L1) and an external 1 MB
-secondary cache (L2).  The external agent's FIFOs and formatting overhead
-are folded into the fixed ``l2_miss_detect`` / ``cpu_fill`` latencies.
+memory request, with a direct-mapped on-chip primary cache (L1) and a
+direct-mapped external 1 MB secondary cache (L2).  The external agent's
+FIFOs and formatting overhead are folded into the fixed
+``l2_miss_detect`` / ``cpu_fill`` latencies.
 
 Execution is driven by a workload generator (see :mod:`repro.cpu.ops`).
 Cache hits are resolved synchronously in batches of ``config.cpu_batch``
 ops per scheduler event — the fast path that keeps simulation cost
-proportional to misses.  An invalidation arriving mid-batch takes effect at
+proportional to misses.  A Read or Write hit costs one iteration of the
+batch loop in :meth:`Processor._step`: two array probes, a counter and
+a tick charge.  An invalidation arriving mid-batch takes effect at
 the next batch boundary (tens of CPU cycles), far below the protocol's
 latency scale; tests that check sequential-consistency litmus outcomes run
 with ``cpu_batch=1`` where batching cannot reorder anything.
@@ -103,30 +106,17 @@ class Processor:
     # ==================================================================
     # the execution loop
     # ==================================================================
-    def _next_op(self):
-        if not self.started:
-            self.started = True
-            return next(self.program)
-        value, self._resume_value = self._resume_value, None
-        send = self._program_send
-        if send is None:
-            # plain iterators are fine for programs that ignore read values
-            return next(self.program)
-        return send(value)
-
     def _finish(self, extra_ticks: int) -> None:
         self.finished_at = self.engine.now + extra_ticks
         if self.on_finish is not None:
             self.engine.schedule(extra_ticks, lambda: self.on_finish(self))
 
     def _step(self) -> None:
-        if self.program is None or self.done:
+        program = self.program
+        if program is None or self.finished_at is not None:
             return
         cfg = self.config
         schedule = self.engine.schedule
-        next_op = self._next_op
-        try_read = self._try_read
-        try_write = self._try_write
         Read, Write, Compute, AtomicRMW = O.Read, O.Write, O.Compute, O.AtomicRMW
         acc = 0
         run = self._run
@@ -134,27 +124,68 @@ class Processor:
             acc = self._advance_run(run, 0)
             if acc is None:
                 return
+        # Read and Write hits resolve inside this loop.  The value sent
+        # into the program lives in ``value`` and is stored back to
+        # ``_resume_value`` on every exit from the loop.
+        value = self._resume_value
+        send = self._program_send if self.started else None
+        l1 = self.l1
+        l1_lookup, l2_lookup = l1.lookup, self.l2.lookup
+        l1_hit, l2_hit = self._l1_hit, self._l2_hit
+        lmask = self._line_mask
+        wb = self._word_bytes
         for _ in range(cfg.cpu_batch):
             try:
-                op = next_op()
+                if send is not None:
+                    v, value = value, None
+                    op = send(v)
+                elif self.started:
+                    # plain iterators are fine for programs that ignore
+                    # read values
+                    value = None
+                    op = next(program)
+                else:
+                    # the first op starts the program and leaves the resume
+                    # value alone
+                    self.started = True
+                    send = self._program_send
+                    op = next(program)
             except StopIteration:
+                self._resume_value = value
                 self._finish(acc)
                 return
             cls = type(op)
             if cls is Read:
-                hit, ticks, value = try_read(op.addr)
-                if hit:
-                    acc += ticks
-                    self._resume_value = value
+                addr = op.addr
+                la = addr & ~lmask
+                line = l2_lookup(la)
+                if line is not None and line.state.readable:
+                    self._reads_ctr.value += 1
+                    if l1_lookup(la) is not None:
+                        acc += l1_hit
+                    else:
+                        l1.install(la, line.state, None)
+                        acc += l2_hit
+                    value = line.data[(addr & lmask) // wb]
                     continue
-                schedule(acc, self._issue, ("read", op.addr, None))
+                self._resume_value = value
+                schedule(acc, self._issue, ("read", addr, None))
                 return
             if cls is Write:
-                hit, ticks = try_write(op.addr, op.value)
-                if hit:
-                    acc += ticks
+                addr = op.addr
+                la = addr & ~lmask
+                line = l2_lookup(la)
+                if line is not None and line.state.writable:
+                    self._writes_ctr.value += 1
+                    if l1_lookup(la) is not None:
+                        acc += l1_hit
+                    else:
+                        l1.install(la, line.state, None)
+                        acc += l2_hit
+                    line.data[(addr & lmask) // wb] = op.value
                     continue
-                schedule(acc, self._issue, ("write", op.addr, op.value))
+                self._resume_value = value
+                schedule(acc, self._issue, ("write", addr, op.value))
                 return
             if cls is Compute:
                 acc += int(op.cycles * cfg.compute_scale) * self._cpu
@@ -166,9 +197,11 @@ class Processor:
                     "end": op.addr + op.count * stride,
                     "out": [], "values": None, "vi": 0, "awaiting": False,
                 }
+                self._resume_value = value
                 acc = self._advance_run(run, acc)
                 if acc is None:
                     return
+                value = self._resume_value
                 continue
             if cls is O.WriteRun:
                 stride = op.stride or self._word_bytes
@@ -178,28 +211,34 @@ class Processor:
                     "end": op.addr + len(vals) * stride,
                     "out": None, "values": vals, "vi": 0, "awaiting": False,
                 }
+                self._resume_value = value
                 acc = self._advance_run(run, acc)
                 if acc is None:
                     return
+                value = self._resume_value
                 continue
             if cls is AtomicRMW:
                 hit, ticks, old = self._try_rmw(op.addr, op.fn)
                 if hit:
                     acc += ticks
-                    self._resume_value = old
+                    value = old
                     continue
+                self._resume_value = value
                 schedule(acc, self._issue, ("rmw", op.addr, op.fn))
                 return
             if cls is O.Barrier:
+                self._resume_value = value
                 schedule(acc, self._do_barrier, op)
                 return
             if cls is O.Phase:
                 self.phase = op.pid
                 continue
             if cls is O.SoftOp:
+                self._resume_value = value
                 schedule(acc, self._do_softop, op)
                 return
             raise SimulationError(f"unknown op {op!r} from program on P{self.cpu_id}")
+        self._resume_value = value
         schedule(max(acc, 1), self._step)
 
     # ------------------------------------------------------------------
@@ -207,31 +246,6 @@ class Processor:
     # ------------------------------------------------------------------
     def _word_index(self, addr: int) -> int:
         return (addr & self._line_mask) // self._word_bytes
-
-    def _try_read(self, addr: int):
-        la = addr & ~self._line_mask
-        l1 = self.l1.lookup(la)
-        line = self.l2.lookup(la)
-        if line is not None and line.state.readable:
-            self._reads_ctr.value += 1
-            if l1 is not None:
-                return True, self._l1_hit, line.data[(addr & self._line_mask) // self._word_bytes]
-            self.l1.install(la, line.state, None)
-            return True, self._l2_hit, line.data[(addr & self._line_mask) // self._word_bytes]
-        return False, 0, None
-
-    def _try_write(self, addr: int, value):
-        la = addr & ~self._line_mask
-        line = self.l2.lookup(la)
-        if line is not None and line.state.writable:
-            self._writes_ctr.value += 1
-            l1 = self.l1.lookup(la)
-            ticks = self._l1_hit if l1 is not None else self._l2_hit
-            if l1 is None:
-                self.l1.install(la, line.state, None)
-            line.data[(addr & self._line_mask) // self._word_bytes] = value
-            return True, ticks
-        return False, 0
 
     def _try_rmw(self, addr: int, fn):
         la = addr & ~self._line_mask
@@ -373,7 +387,7 @@ class Processor:
         if p is None:
             return
         la = p["la"]
-        line = self.l2.lookup(la, touch=False)
+        line = self.l2.lookup(la)
         kind = p["kind"]
         # the line may have arrived or changed while we waited; re-evaluate
         if kind == "read" and line is not None and line.state.readable:
@@ -464,7 +478,7 @@ class Processor:
                     f"P{self.cpu_id}: upgrade ack for {la:#x} without a copy"
                 )
             line.state = CacheState.DIRTY
-            l1 = self.l1.lookup(la, touch=False)
+            l1 = self.l1.lookup(la)
             if l1 is not None:
                 l1.state = CacheState.DIRTY
         else:
@@ -595,7 +609,7 @@ class Processor:
         if v is not None:
             v.cpu_invalidated(self, la)
         if only_shared:
-            line = self.l2.lookup(la, touch=False)
+            line = self.l2.lookup(la)
             if line is not None and line.state is CacheState.DIRTY:
                 # a dirty copy means this processor owns the line; the
                 # invalidation is from an older epoch (see the NC's
@@ -611,7 +625,7 @@ class Processor:
     ) -> None:
         """Memory/NC asks for this CPU's dirty copy.  Responds over the bus
         with the data (or None if the copy is gone — a write-back race)."""
-        line = self.l2.lookup(la, touch=False)
+        line = self.l2.lookup(la)
         if line is None or line.state is not CacheState.DIRTY:
             respond(None)
             return
@@ -620,7 +634,7 @@ class Processor:
             self.invalidate_line(la)
         else:
             self.l2.downgrade(la)
-            l1 = self.l1.lookup(la, touch=False)
+            l1 = self.l1.lookup(la)
             if l1 is not None:
                 l1.state = CacheState.SHARED
         self.stats.counter("interventions").incr()

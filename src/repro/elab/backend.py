@@ -8,21 +8,25 @@ Two backends execute a machine:
 ``elab``
     a generated specialized core (:mod:`repro.elab.codegen`) for the
     station bus, the ordered ports, the memory and NC pumps and the CPU
-    request path — constants baked in, pump loops fused, no hook checks.
-    Bit-identical to ``interp`` on the whole metrics snapshot
-    (``Machine.obs_snapshot(include_wall=False)``), the canonical reporting
-    surface included.
+    request path — constants baked in, pump loops fused, the coherence
+    checker and monitor called where the interpreted classes call them,
+    no tracer stamps.  Bit-identical to ``interp`` on the whole metrics
+    snapshot (``Machine.obs_snapshot(include_wall=False)``), the canonical
+    reporting surface included, and on every checker count and monitor
+    table.
 
 Rings, ring interfaces and stations are never re-classed: their
 hand-written classes run on both backends and check their own hooks.
 
-Selection follows the attached hooks.  Any hook in a component slot — a
-tracer, monitor, verifier or fault filter — gives ``interp``; otherwise
-the generated core runs, whatever engine-level samplers ride along
-(probes, the telemetry stream, a watchdog, the profiler): those read only
-state the generated core maintains.  ``Machine(backend="interp")`` pins
-the reference core; ``Machine(backend="elab")`` selects exactly like the
-default but warns if elaboration fails.
+Selection follows the attached hooks.  A tracer in a component slot or a
+fault injector gives ``interp``; otherwise the generated core runs, with
+the coherence checker, the monitor and any engine-level samplers (probes,
+the telemetry stream, a watchdog, the profiler) riding along: the checker
+and monitor are called from the generated services or from inherited
+code, and the samplers read only state the generated core maintains.
+``Machine(backend="interp")`` pins the reference core;
+``Machine(backend="elab")`` selects exactly like the default but warns if
+elaboration fails.
 
 Each process generates a config's core in memory and compiles it once:
 :func:`load` maps the generated source text to its executed module, so a
@@ -35,9 +39,8 @@ The elaborated core is applied by *re-classing* the already-wired component
 instances (``obj.__class__ = Generated``) — no state is copied, moved, or
 rebuilt, which is what keeps the switch exact.  Two safety rules:
 
-* **component-slot hooks force interp**: the generated code checks no hook
-  slot, so a tracer, monitor, verifier or fault injector keeps the machine
-  interpreted;
+* **tracers and fault injectors force interp**: the generated code stamps
+  no tracer, so a tracer or a fault injector keeps the machine interpreted;
 * **no switching under in-flight events**: pending events hold bound
   methods captured under the old classes; the backend only flips when the
   event queue is empty (:meth:`sync` is a no-op otherwise).
@@ -64,30 +67,21 @@ _serial = itertools.count()
 
 
 def interp_only_hooks(machine) -> bool:
-    """Any hook attached in a component slot the generated code does not
-    check (tracer / monitor / verifier / fault injection)?
+    """A hook the generated code does not honour attached: a tracer in a
+    re-classed component's slot, or a fault injector?
 
-    Scans the slots of the re-classed components directly (not just the
-    Machine-level attributes) so hooks installed by hand in tests are
+    Scans the tracer slots of the re-classed components directly (not just
+    the Machine-level attributes) so tracers installed by hand in tests are
     honoured too.  Ring interfaces are never re-classed, so their hook
     slots are checked by their own code on either core.
     """
-    if (
-        machine.monitor is not None
-        or machine.verifier is not None
-        or machine.fault is not None
-    ):
+    if machine.fault is not None:
         return True
     for st in machine.stations:
-        for mod in (st.memory, st.nc):
-            if (
-                mod.tracer is not None
-                or mod.monitor is not None
-                or mod.verifier is not None
-            ):
-                return True
+        if st.memory.tracer is not None or st.nc.tracer is not None:
+            return True
         for cpu in st.cpus:
-            if cpu.tracer is not None or cpu.verifier is not None:
+            if cpu.tracer is not None:
                 return True
     return False
 
@@ -147,7 +141,8 @@ def sync(machine) -> None:
 
 
 def ensure_interp(machine) -> None:
-    """Force the interpreted classes back in place (hook attachment)."""
+    """Force the interpreted classes back in place (tracer or fault
+    injector attachment)."""
     if not machine._elab_active:
         return
     if machine.engine.pending:

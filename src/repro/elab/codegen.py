@@ -15,9 +15,11 @@ cache and the processor — with their hot-path methods rewritten:
   pointing at the *live* interpreted handler functions, so protocol
   behaviour is never duplicated — only the dispatch is compiled;
 * the CPU request path and its NACK retry run as module-level functions;
-* all tracer / verifier / monitor / fault-filter checks are deleted (the
-  backend guarantees the specialized classes are never active while any
-  hook is attached).
+* the memory and NC services call an attached monitor and coherence
+  checker at the same points as the interpreted ``_dispatch`` / ``_service``
+  (every other checker and monitor call sits in code the generated classes
+  inherit); tracer stamps are not generated, so the backend keeps the
+  interpreted classes while a tracer or a fault injector is attached.
 
 Rings, ring interfaces and stations are not generated: the hand-written
 classes of :mod:`repro.interconnect` and :mod:`repro.system.station` run
@@ -158,7 +160,6 @@ def generate_source(ir: MachineIR) -> str:
     w("from repro.core.states import CacheState")
     w("from repro.interconnect.packet import MsgType, Packet, next_pid")
     w("from repro.sim.engine import SimulationError")
-    w("from repro.softctl import ops as _softops")
     w("from repro.system.bus import Bus, OrderedPort")
     w("")
     for name, value in sorted(ir.consts.items()):
@@ -170,6 +171,14 @@ def generate_source(ir: MachineIR) -> str:
     w("_UPGRADE = MsgType.UPGRADE")
     w("_SHARED = CacheState.SHARED")
     w("")
+    w("def _nc_softop(self, pkt):")
+    w("    # imported on first use, as NetworkCache._dispatch does: only")
+    w("    # soft-control traffic reaches this slot")
+    w("    from repro.softctl import ops")
+    w("")
+    w("    return ops.nc_dispatch(self, pkt)")
+    w("")
+    w("")
     w("# dense coherence dispatch: MsgType.value -> live interp handler")
     w("_MT_MAX = max(_m._value_ for _m in MsgType)")
     w("")
@@ -179,7 +188,7 @@ def generate_source(ir: MachineIR) -> str:
     w("        table[mt._value_] = fn")
     w("    return tuple(table)")
     w("")
-    w("_NC_H = _mk_table(_softops.nc_dispatch, (")
+    w("_NC_H = _mk_table(_nc_softop, (")
     for mt, fn in nc_base.DISPATCH:
         w(f"    (MsgType.{mt}, _NCBase.{fn}),")
     w("))")
@@ -340,6 +349,11 @@ def generate_source(ir: MachineIR) -> str:
         w("")
         if svc == "nc":
             w("    def _service(self, pkt):")
+            w("        monitor = self.monitor")
+            w("        if monitor is not None:")
+            w("            monitor.record_nc_txn(")
+            w("                self.station_id, pkt, self.array.probe(pkt.addr)")
+            w("            )")
             w("        mtype = pkt.mtype")
             w('        if pkt.meta.get("local"):')
             w("            if mtype is _WRITE_BACK:")
@@ -348,15 +362,24 @@ def generate_source(ir: MachineIR) -> str:
             w("                extra = self._on_local_request(pkt)")
             w("        else:")
             w("            extra = _NC_H[mtype._value_](self, pkt)")
+            w("        verifier = self.verifier")
+            w("        if verifier is not None:")
+            w("            verifier.nc_event(self, pkt)")
             w("        engine = self.engine")
             w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
                           "self._done_key", done_fn, "self").rstrip())
         else:
             w("    def _service(self, pkt):")
             w("        entry = self.directory.entry(pkt.addr & LINE_MASK)")
+            w("        monitor = self.monitor")
+            w("        if monitor is not None:")
+            w("            monitor.record_memory_txn(self.station_id, pkt, entry)")
             w("        extra = _MEM_H[pkt.mtype._value_](")
             w('            self, pkt, entry, bool(pkt.meta.get("local"))')
             w("        )")
+            w("        verifier = self.verifier")
+            w("        if verifier is not None:")
+            w("            verifier.mem_event(self, pkt)")
             w("        engine = self.engine")
             w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
                           "self._done_key", done_fn, "self").rstrip())
@@ -421,9 +444,10 @@ def generate_source(ir: MachineIR) -> str:
     w("    if p is None:")
     w("        return")
     w('    la = p["la"]')
-    w("    # l2.lookup(la, touch=False) inlined: probe without MRU move")
-    w("    s = self.l2._sets.get((la // L2_LINE_B) % L2_SETS)")
-    w("    line = None if s is None else s.get(la)")
+    w("    # l2.lookup(la) inlined: one direct-mapped set probe + tag compare")
+    w("    line = self.l2._lines.get((la // L2_LINE_B) % L2_SETS)")
+    w("    if line is not None and line.addr != la:")
+    w("        line = None")
     w('    kind = p["kind"]')
     w('    if kind == "read":')
     w("        if line is not None and line.state.readable:")

@@ -124,12 +124,6 @@ class RoutingMaskCodec:
         """Extract the bit-field for one hierarchy level (unshifted)."""
         return (mask & self._field_masks[level]) >> self._shifts[level]
 
-    def with_field(self, mask: int, level: int, value: int) -> int:
-        """Return ``mask`` with the given level's field replaced."""
-        return (mask & ~self._field_masks[level]) | (
-            (value << self._shifts[level]) & self._field_masks[level]
-        )
-
     def stations(self, mask: int) -> List[int]:
         """All stations selected by ``mask`` (the overspecified set: the
         cartesian product of the per-level fields)."""
@@ -199,13 +193,6 @@ class RoutingMaskCodec:
                 top = level
                 break
         return top
-
-    def descend_targets(self, mask: int, level: int) -> List[int]:
-        """Positions on a level-``level`` ring whose downward links the
-        descending packet must take (set bits of that level's field)."""
-        fld = self.field(mask, level)
-        width = self.geometry.levels[level]
-        return [i for i in range(width) if fld & (1 << i)]
 
     def clear_upper(self, mask: int, level: int) -> int:
         """When a packet is switched down past ``level``, all bits in the

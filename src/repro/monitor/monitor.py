@@ -68,32 +68,36 @@ class Monitor:
                 return False
         return True
 
+    # Both recorders read the enum members' ``_name_`` / ``_value_`` slots:
+    # ``.name`` / ``.value`` are property calls, paid on every transaction.
     def record_memory_txn(self, station_id: int, pkt: Packet, entry) -> None:
         if not self._in_scope(pkt):
             return
+        txn = pkt.mtype._name_
         lock = "*" if entry.locked else ""
-        self.coherence_histogram.record(entry.state.value + lock, pkt.mtype.name)
-        self.originator_table.record(pkt.mtype.name, pkt.requester)
+        self.coherence_histogram.record(entry.state._value_ + lock, txn)
+        self.originator_table.record(txn, pkt.requester)
         phase = pkt.meta.get("phase")
         if phase is not None:
-            self.phase_table.record(pkt.mtype.name, phase)
-        self.trace.record(("mem", station_id, pkt.mtype.name, pkt.addr, pkt.requester))
+            self.phase_table.record(txn, phase)
+        self.trace.record(("mem", station_id, txn, pkt.addr, pkt.requester))
 
     def record_nc_txn(self, station_id: int, pkt: Packet, line) -> None:
         if not self._in_scope(pkt):
             return
+        txn = pkt.mtype._name_
         if line is None:
             state = "NotIn"
         else:
-            state = line.state.value + ("*" if line.locked else "")
-        self.nc_histogram.record(state, pkt.mtype.name)
+            state = line.state._value_ + ("*" if line.locked else "")
+        self.nc_histogram.record(state, txn)
         # same originator / phase attribution as memory transactions: the
         # monitoring PLDs watch the NC's bus port with identical tables
-        self.originator_table.record(pkt.mtype.name, pkt.requester)
+        self.originator_table.record(txn, pkt.requester)
         phase = pkt.meta.get("phase")
         if phase is not None:
-            self.phase_table.record(pkt.mtype.name, phase)
-        self.trace.record(("nc", station_id, pkt.mtype.name, pkt.addr, pkt.requester))
+            self.phase_table.record(txn, phase)
+        self.trace.record(("nc", station_id, txn, pkt.addr, pkt.requester))
 
     # ------------------------------------------------------------------
     def report(self) -> str:

@@ -549,7 +549,7 @@ class MsiFlatProtocol(CoherenceProtocol):
             # whole machine (modulo invalidations still on a bus or ring)
             checker._count("full-map-coverage")
             for cpu in checker.machine.cpus:
-                line = cpu.l2.lookup(la, touch=False)
+                line = cpu.l2.lookup(la)
                 if line is None or not line.state.readable:
                     continue
                 if (mask >> cpu.cpu_id) & 1:

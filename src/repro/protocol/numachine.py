@@ -759,7 +759,7 @@ class NumachineProtocol(CoherenceProtocol):
             pend = checker._pending_inval.get((mem.station_id, la))
             mask = entry.proc_mask
             for i, cpu in enumerate(mem.station.cpus):
-                line = cpu.l2.lookup(la, touch=False)
+                line = cpu.l2.lookup(la)
                 if line is None or not line.state.readable:
                     continue
                 if (mask >> i) & 1:
@@ -808,7 +808,7 @@ class NumachineProtocol(CoherenceProtocol):
         pend = checker._pending_inval.get((nc.station_id, la))
         mask = line.proc_mask
         for i, cpu in enumerate(nc.station.cpus):
-            l2 = cpu.l2.lookup(la, touch=False)
+            l2 = cpu.l2.lookup(la)
             if l2 is None or not l2.state.readable:
                 continue
             if (mask >> i) & 1:

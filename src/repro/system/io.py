@@ -106,7 +106,7 @@ class IOModule:
         from ..core.states import CacheState, LineState
 
         for cpu in self.station.cpus:
-            line = cpu.l2.lookup(la, touch=False)
+            line = cpu.l2.lookup(la)
             if line is not None and line.state is CacheState.DIRTY:
                 return list(line.data)
         ncl = self.station.nc.array.probe(la)

@@ -123,8 +123,12 @@ class Machine:
     # monitoring
     # ------------------------------------------------------------------
     def attach_monitor(self, monitor) -> None:
-        """Install a :class:`repro.monitor.Monitor` across all modules."""
-        self._ensure_interp()
+        """Install a :class:`repro.monitor.Monitor` across all modules.
+
+        The monitor records on either core: the generated memory and NC
+        services call it where the interpreted ones do (see
+        repro.elab.backend).
+        """
         self.monitor = monitor
         for st in self.stations:
             st.memory.monitor = monitor
@@ -146,8 +150,9 @@ class Machine:
     def attach_verifier(self, verifier=None):
         """Install a :class:`repro.verify.CoherenceChecker` across all
         components (null-object pattern: zero cost when not attached, and
-        bit-identical event streams when attached)."""
-        self._ensure_interp()
+        bit-identical event streams when attached).  The checker runs on
+        either core, so it checks the code that actually runs (see
+        repro.elab.backend)."""
         if verifier is None:
             from ..verify import CoherenceChecker
 
@@ -392,7 +397,7 @@ class Machine:
         la = cfg.line_addr(addr)
         idx = (addr % cfg.line_bytes) // cfg.word_bytes
         for cpu in self.cpus:
-            line = cpu.l2.lookup(la, touch=False)
+            line = cpu.l2.lookup(la)
             if line is not None and line.state is CacheState.DIRTY:
                 return line.data[idx]
         for st in self.stations:

@@ -175,7 +175,6 @@ class CoherenceChecker:
         pkt: Optional[Packet],
     ) -> None:
         key = (kind, station_id, la)
-        where = f"{kind}@S{station_id}"
         if state is None:
             # line evicted / never present: epoch reset
             self._last.pop(key, None)
@@ -189,7 +188,7 @@ class CoherenceChecker:
                 self._violate(
                     "legal-transition",
                     f"locked line changed state {pstate.value}->{state.value}",
-                    la=la, where=where, pkt=pkt,
+                    la=la, where=f"{kind}@S{station_id}", pkt=pkt,
                 )
             policy = self._policy
             illegal = policy.illegal_mem if kind == "mem" else policy.illegal_nc
@@ -197,7 +196,7 @@ class CoherenceChecker:
                 self._violate(
                     "legal-transition",
                     f"illegal transition {pstate.value}->{state.value}",
-                    la=la, where=where, pkt=pkt,
+                    la=la, where=f"{kind}@S{station_id}", pkt=pkt,
                 )
         self._last[key] = (state, locked)
         now = self.machine.engine.now
@@ -209,7 +208,7 @@ class CoherenceChecker:
                     "locked-liveness",
                     f"line locked for {now - since} ticks "
                     f"(bound {self.max_locked_ticks})",
-                    la=la, where=where, pkt=pkt,
+                    la=la, where=f"{kind}@S{station_id}", pkt=pkt,
                 )
         else:
             self._locked_since.pop(key, None)
@@ -353,7 +352,7 @@ class CoherenceChecker:
             for other in self.machine.cpus:
                 if other is cpu:
                     continue
-                line = other.l2.lookup(la, touch=False)
+                line = other.l2.lookup(la)
                 if line is None:
                     continue
                 if line.state is CacheState.DIRTY:
@@ -386,7 +385,7 @@ class CoherenceChecker:
             for other in station.cpus:
                 if other is cpu:
                     continue
-                line = other.l2.lookup(la, touch=False)
+                line = other.l2.lookup(la)
                 if line is not None and line.state is CacheState.DIRTY:
                     self._violate(
                         "writer-reader-exclusion",

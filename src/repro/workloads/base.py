@@ -35,10 +35,10 @@ class SharedArray:
         return self.region.addr(i * self.word)
 
     def read(self, i: int) -> Read:
-        return Read(self.addr(i))
+        return Read(self.region.addr(i * self.word))
 
     def write(self, i: int, v) -> Write:
-        return Write(self.addr(i), v)
+        return Write(self.region.addr(i * self.word), v)
 
 
 class SharedMatrix:
@@ -57,10 +57,10 @@ class SharedMatrix:
         return self.region.addr((r * self.cols + c) * self.word)
 
     def read(self, r: int, c: int) -> Read:
-        return Read(self.addr(r, c))
+        return Read(self.region.addr((r * self.cols + c) * self.word))
 
     def write(self, r: int, c: int, v) -> Write:
-        return Write(self.addr(r, c), v)
+        return Write(self.region.addr((r * self.cols + c) * self.word), v)
 
 
 class BarrierFactory:

@@ -1,4 +1,4 @@
-"""Tests for the cache arrays: L1/L2 (set-associative LRU) and the NC's
+"""Tests for the cache arrays: the direct-mapped L1/L2 arrays and the NC's
 direct-mapped slot array — including a hypothesis model check."""
 
 from hypothesis import given, settings
@@ -21,24 +21,13 @@ def test_lookup_miss_and_install():
 
 
 def test_direct_mapped_conflict_evicts():
-    c = CacheArray("t", size_bytes=4 * LINE, line_bytes=LINE, assoc=1)
+    c = CacheArray("t", size_bytes=4 * LINE, line_bytes=LINE)
     c.install(0, CacheState.DIRTY, [7] * 8)
     victim = c.install(4 * LINE, CacheState.SHARED, [0] * 8)  # same set
     assert victim is not None
     assert victim.addr == 0
     assert victim.state is CacheState.DIRTY
     assert c.lookup(0) is None
-
-
-def test_assoc_lru_order():
-    c = CacheArray("t", size_bytes=4 * LINE, line_bytes=LINE, assoc=2)
-    a, b, d = 0, 2 * LINE, 4 * LINE  # all map to set 0
-    c.install(a, CacheState.SHARED, [])
-    c.install(b, CacheState.SHARED, [])
-    c.lookup(a)                       # touch a: b becomes LRU
-    victim = c.install(d, CacheState.SHARED, [])
-    assert victim.addr == b
-    assert c.lookup(a) is not None
 
 
 def test_invalidate_and_downgrade():
@@ -50,7 +39,7 @@ def test_invalidate_and_downgrade():
 
 
 def test_reinstall_same_line_no_victim():
-    c = CacheArray("t", size_bytes=2 * LINE, line_bytes=LINE, assoc=1)
+    c = CacheArray("t", size_bytes=2 * LINE, line_bytes=LINE)
     c.install(0, CacheState.SHARED, [1])
     victim = c.install(0, CacheState.DIRTY, [2])
     assert victim is None
@@ -59,32 +48,26 @@ def test_reinstall_same_line_no_victim():
 
 @given(st.lists(st.tuples(st.integers(0, 15), st.booleans()), max_size=120))
 @settings(max_examples=80, deadline=None)
-def test_cache_array_matches_reference_lru_model(ops):
-    """Cross-check CacheArray against a brute-force LRU model."""
-    assoc, nsets = 2, 4
-    c = CacheArray("t", size_bytes=assoc * nsets * LINE, line_bytes=LINE,
-                   assoc=assoc)
-    model = {s: [] for s in range(nsets)}  # set -> [addr] in LRU..MRU order
+def test_cache_array_matches_reference_direct_mapped_model(ops):
+    """Cross-check CacheArray against a brute-force direct-mapped model."""
+    nsets = 4
+    c = CacheArray("t", size_bytes=nsets * LINE, line_bytes=LINE)
+    model = {}  # set -> the address it holds
     for block, is_install in ops:
         addr = block * LINE
         s = block % nsets
         if is_install:
             victim = c.install(addr, CacheState.SHARED, [])
-            if addr in model[s]:
-                model[s].remove(addr)
+            occupant = model.get(s)
+            if occupant is None or occupant == addr:
                 assert victim is None
-            elif len(model[s]) >= assoc:
-                expect_victim = model[s].pop(0)
-                assert victim is not None and victim.addr == expect_victim
             else:
-                assert victim is None
-            model[s].append(addr)
+                assert victim is not None and victim.addr == occupant
+            model[s] = addr
         else:
             line = c.lookup(addr)
-            assert (line is not None) == (addr in model[s])
-            if line is not None:
-                model[s].remove(addr)
-                model[s].append(addr)
+            assert (line is not None) == (model.get(s) == addr)
+    assert [line.addr for line in c.lines()] == [model[s] for s in sorted(model)]
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,12 @@ The specialized core generated by :mod:`repro.elab.codegen` must be
 bit-identical to the interpreted classes on the whole metrics snapshot
 (``Machine.obs_snapshot(include_wall=False)``: event count, simulated time,
 every counter, accumulator and FIFO statistic, utilizations) for every
-machine shape, workload and processor count.  These tests pin that
-contract, the hook/backend interaction (component-slot hooks force the
-interpreted path, engine-level samplers do not), the dispatch tables
-against the interpreted handler maps, and the in-memory compile of
-generated cores.
+machine shape, workload and processor count, and on every checker count
+and monitor table.  These tests pin that contract, the hook/backend
+interaction (a tracer or a fault plan forces the interpreted path; the
+coherence checker, the monitor and engine-level samplers do not), the
+dispatch tables against the interpreted handler maps, and the in-memory
+compile of generated cores.
 """
 
 from __future__ import annotations
@@ -17,16 +18,18 @@ import traceback
 
 import pytest
 
+from repro.cpu.ops import Read, Write
 from repro.elab import backend as elab_backend
 from repro.elab import codegen
 from repro.elab.ir import MachineIR
+from repro.fault import FaultPlan
 from repro.interconnect.routing import Geometry
 from repro.monitor import Monitor
 from repro.obs import Observability
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
 from repro.workloads.lu import LUContiguous
-from repro.workloads.synthetic import HotSpot
+from repro.workloads.synthetic import HotSpot, ProducerConsumer
 
 
 def _fingerprint(machine: Machine) -> dict:
@@ -78,19 +81,24 @@ def test_backends_bit_identical(workload, config, nprocs):
 
 
 def test_default_selection_follows_hooks(tmp_path):
-    plain, sampled, traced, verified = (Machine(_small_2ring()) for _ in range(4))
+    plain, sampled, traced, verified, monitored = (
+        Machine(_small_2ring()) for _ in range(5)
+    )
     sampler = Observability(trace=False, stream_path=tmp_path / "s.jsonl")
     sampler.attach(sampled)
     Observability(probes=False).attach(traced)
     verified.attach_verifier()
-    for m in (plain, sampled, traced, verified):
+    monitored.attach_monitor(Monitor())
+    for m in (plain, sampled, traced, verified, monitored):
         HotSpot(words=16, ops=10).run(m, nprocs=4)
     sampler.stream.close()
-    # engine-level samplers ride the elab core; component-slot hooks do not
+    # engine-level samplers, the checker and the monitor ride the elab
+    # core; a tracer does not
     assert plain.backend == "elab"
     assert sampled.backend == "elab"
     assert traced.backend == "interp"
-    assert verified.backend == "interp"
+    assert verified.backend == "elab"
+    assert monitored.backend == "elab"
 
 
 def test_unknown_backend_is_rejected():
@@ -101,28 +109,35 @@ def test_unknown_backend_is_rejected():
 
 
 # ----------------------------------------------------------------------
-# hooks force the interpreted path
+# tracers and fault plans force the interpreted path
 # ----------------------------------------------------------------------
 def test_hooks_force_interp():
-    m = Machine(
-        MachineConfig.small(stations_per_ring=2, rings=2, cpus=2),
-        backend="elab",
-    )
-    m.attach_verifier()
-    HotSpot(words=16, ops=20).run(m, nprocs=4)
-    assert m.backend == "interp"
+    traced, faulted = (Machine(_small_2ring(), backend="elab") for _ in range(2))
+    Observability(probes=False).attach(traced)
+    faulted.attach_fault(FaultPlan(seed=3, events=[]))
+    for m in (traced, faulted):
+        HotSpot(words=16, ops=20).run(m, nprocs=4)
+    assert traced.backend == "interp"
+    assert faulted.backend == "interp"
 
 
 @pytest.mark.parametrize("attach", ["monitor", "verifier"])
 def test_interp_only_hooks_still_force_interp(attach):
-    machine = Machine(MachineConfig.prototype(), backend="elab")
-    Observability(trace=False).attach(machine)
-    if attach == "monitor":
-        machine.attach_monitor(Monitor())
-    else:
-        machine.attach_verifier()
-    HotSpot(words=16, ops=10).run(machine, nprocs=4)
-    assert machine.backend == "interp"
+    # beside the checker or the monitor, a sampler keeps the elab core and
+    # a tracer still forces interp
+    sampled, traced = (
+        Machine(MachineConfig.prototype(), backend="elab") for _ in range(2)
+    )
+    Observability(trace=False).attach(sampled)
+    Observability(probes=False).attach(traced)
+    for machine in (sampled, traced):
+        if attach == "monitor":
+            machine.attach_monitor(Monitor())
+        else:
+            machine.attach_verifier()
+        HotSpot(words=16, ops=10).run(machine, nprocs=4)
+    assert sampled.backend == "elab"
+    assert traced.backend == "interp"
 
 
 def test_hooked_run_matches_elab_run(monkeypatch):
@@ -131,7 +146,7 @@ def test_hooked_run_matches_elab_run(monkeypatch):
     HotSpot(words=16, ops=20).run(m, nprocs=4)
     assert m.backend == "elab"
     hooked = Machine(cfg(), backend="elab")
-    hooked.attach_verifier()
+    hooked.attach_fault(FaultPlan(seed=3, events=[]))
     HotSpot(words=16, ops=20).run(hooked, nprocs=4)
     assert hooked.backend == "interp"
     assert _fingerprint(m) == _fingerprint(hooked)
@@ -144,8 +159,62 @@ def test_attach_after_elab_run_reverts_and_resyncs():
     )
     HotSpot(words=16, ops=20).run(m, nprocs=4)
     assert m.backend == "elab"
-    m.attach_verifier()  # drained engine: revert is legal here
+    m.attach_verifier()  # the checker rides the elab core: no revert
+    assert m.backend == "elab"
+    # drained engine: a tracer's revert is legal here
+    m.attach_observability(Observability(probes=False))
     assert m.backend == "interp"
+
+
+# ----------------------------------------------------------------------
+# the checker and the monitor run on the generated core
+# ----------------------------------------------------------------------
+_CHECKED = {
+    "prodcons": lambda: ProducerConsumer(rounds=10),
+    "hotspot": lambda: HotSpot(words=16, ops=40),
+}
+
+
+@pytest.mark.parametrize(
+    "workload, nprocs", [("prodcons", 16), ("hotspot", 64)]
+)
+def test_checked_and_monitored_run_matches_interp(workload, nprocs):
+    runs = {}
+    for backend in (None, "interp"):
+        machine = Machine(MachineConfig.prototype(), backend=backend)
+        checker = machine.attach_verifier()
+        monitor = Monitor()
+        machine.attach_monitor(monitor)
+        _CHECKED[workload]().run(machine, nprocs=nprocs)
+        runs[backend] = (
+            machine.backend,
+            _fingerprint(machine),
+            dict(checker.checks),
+            monitor.report(),
+            monitor.trace.recent(len(monitor.trace)),
+        )
+    assert runs[None][0] == "elab"
+    assert runs["interp"][0] == "interp"
+    assert sum(runs[None][2].values()) > 0 and runs[None][4]
+    assert runs[None][1:] == runs["interp"][1:]
+
+
+def test_plain_iterator_program_on_both_cores():
+    # a program without ``send`` gets next(): its hits resolve in the
+    # batch loop just like a generator's
+    snapshots = []
+    for backend in ("elab", "interp"):
+        machine = Machine(_small_2ring(), backend=backend)
+        a = machine.allocate(64, placement="local:0").addr(0)
+        machine.run({0: iter([Write(a, 1), Read(a), Read(a), Write(a, 2)])})
+        cpu = machine.cpus[0]
+        assert machine.backend == backend
+        assert cpu.stats.counter("write_misses").value == 1
+        assert cpu.stats.counter("reads").value == 2
+        assert cpu.stats.counter("writes").value == 1
+        assert machine.read_word(a) == 2
+        snapshots.append(_fingerprint(machine))
+    assert snapshots[0] == snapshots[1]
 
 
 # ----------------------------------------------------------------------

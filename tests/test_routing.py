@@ -82,18 +82,6 @@ def test_clear_upper(proto):
     assert proto.field(cleared, 0) == proto.field(mask, 0)
 
 
-def test_descend_targets(proto):
-    mask = proto.combine([0, 5, 13])  # rings 0, 1, 3
-    assert proto.descend_targets(mask, 1) == [0, 1, 3]
-
-
-def test_with_field(proto):
-    mask = proto.station_mask(0)
-    mask2 = proto.with_field(mask, 0, 0b1100)
-    assert proto.field(mask2, 0) == 0b1100
-    assert proto.field(mask2, 1) == proto.field(mask, 1)
-
-
 # ----------------------------------------------------------------------
 # property-based: the mask algebra on arbitrary geometries
 # ----------------------------------------------------------------------

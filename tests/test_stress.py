@@ -28,13 +28,13 @@ def check_final_coherence(m: Machine, region, nwords: int) -> None:
         dirty = [
             (cpu.cpu_id, line)
             for cpu in m.cpus
-            if (line := cpu.l2.lookup(la, touch=False)) is not None
+            if (line := cpu.l2.lookup(la)) is not None
             and line.state is CacheState.DIRTY
         ]
         assert len(dirty) <= 1, f"line {la:#x} has {len(dirty)} dirty owners"
         authoritative = m.read_word(la)
         for cpu in m.cpus:
-            line = cpu.l2.lookup(la, touch=False)
+            line = cpu.l2.lookup(la)
             if line is not None and line.state.readable:
                 assert line.data[0] == authoritative, (
                     f"P{cpu.cpu_id} holds stale {line.data[0]} != "
