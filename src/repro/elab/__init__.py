@@ -10,13 +10,13 @@ interpreting it event by event through generic dispatch, this package
 * :mod:`repro.elab.codegen` emits a specialized Python module from the IR
   for the station bus, ordered ports, memory and NC pumps and the CPU
   request path (literal constants, fused pump loops, dense coherence
-  dispatch, the coherence checker and monitor called where the
-  interpreted classes call them, no tracer stamps); rings, ring
-  interfaces and stations run their hand-written classes on both cores;
+  dispatch, the tracer, coherence checker and monitor called where the
+  interpreted classes call them); rings, ring interfaces and stations run
+  their hand-written classes on both cores;
 * :mod:`repro.elab.backend` compiles that source in memory, once per
-  process, and applies it per run unless a tracer sits in a component
-  slot or a fault injector is attached: those runs stay on the
-  interpreted classes, which the generated core is bit-identical to.
+  process, and puts it in place on every machine not built with
+  ``backend="interp"``, whatever hooks are attached; the interpreted
+  classes stay as the reference core it is bit-identical to.
 """
 
 from .backend import sync

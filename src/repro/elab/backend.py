@@ -3,30 +3,31 @@
 Two backends execute a machine:
 
 ``interp``
-    the ordinary class hierarchy — every hook point (tracer, verifier,
-    monitor, fault filter) is checked on the hot paths;
+    the ordinary class hierarchy, the reference core;
 ``elab``
     a generated specialized core (:mod:`repro.elab.codegen`) for the
     station bus, the ordered ports, the memory and NC pumps and the CPU
-    request path — constants baked in, pump loops fused, the coherence
-    checker and monitor called where the interpreted classes call them,
-    no tracer stamps.  Bit-identical to ``interp`` on the whole metrics
+    request path — constants baked in, pump loops fused, and every hook
+    (tracer, coherence checker, monitor) called where the interpreted
+    classes call it.  Bit-identical to ``interp`` on the whole metrics
     snapshot (``Machine.obs_snapshot(include_wall=False)``), the canonical
-    reporting surface included, and on every checker count and monitor
-    table.
+    reporting surface and the trace section included, on the Chrome
+    trace, on every checker count and monitor table, and on every fault
+    a fault plan triggers.
 
 Rings, ring interfaces and stations are never re-classed: their
 hand-written classes run on both backends and check their own hooks.
 
-Selection follows the attached hooks.  A tracer in a component slot or a
-fault injector gives ``interp``; otherwise the generated core runs, with
-the coherence checker, the monitor and any engine-level samplers (probes,
-the telemetry stream, a watchdog, the profiler) riding along: the checker
-and monitor are called from the generated services or from inherited
-code, and the samplers read only state the generated core maintains.
-``Machine(backend="interp")`` pins the reference core;
-``Machine(backend="elab")`` selects exactly like the default but warns if
-elaboration fails.
+The core is a property of the machine, not of what is attached to it: a
+machine runs the generated core unless it was built with
+``backend="interp"`` (``None`` and ``"elab"`` mean the same).  Every hook
+runs on it.  The tracer, checker and monitor are called from the generated
+services or from inherited code; the fault injector acts only on code both
+cores share (the packet filter and the FIFO and credit squeezes on the
+ring interfaces, link stalls on the rings, service spikes on the
+``_dram_*`` / ``_nc_*`` attributes the inherited handlers read); and the
+engine-level samplers (probes, the telemetry stream, a watchdog, the
+profiler) read only state the generated core maintains.
 
 Each process generates a config's core in memory and compiles it once:
 :func:`load` maps the generated source text to its executed module, so a
@@ -37,17 +38,15 @@ nothing is written to disk.  The source is registered with
 
 The elaborated core is applied by *re-classing* the already-wired component
 instances (``obj.__class__ = Generated``) — no state is copied, moved, or
-rebuilt, which is what keeps the switch exact.  Two safety rules:
+rebuilt, which is what keeps the switch exact.  The switch is one-way and
+never happens under in-flight events: pending events hold bound methods
+captured under the old classes, so :func:`sync` is a no-op while the
+event queue is non-empty.  :meth:`Machine.run` calls it on entry, and
+:meth:`Machine.attach_fault` calls it before the injector schedules its
+fault windows.
 
-* **tracers and fault injectors force interp**: the generated code stamps
-  no tracer, so a tracer or a fault injector keeps the machine interpreted;
-* **no switching under in-flight events**: pending events hold bound
-  methods captured under the old classes; the backend only flips when the
-  event queue is empty (:meth:`sync` is a no-op otherwise).
-
-If elaboration fails (a broken generator, say) the machine stays
-interpreted — the default selection never breaks a run; an explicit
-``backend="elab"`` warns.
+If elaboration fails (a broken generator, say) the machine warns once and
+is pinned to the interpreted classes.
 """
 
 from __future__ import annotations
@@ -64,26 +63,6 @@ from .ir import MachineIR
 _modules: Dict[str, types.ModuleType] = {}
 #: serial numbers naming each compiled module (unique even across threads)
 _serial = itertools.count()
-
-
-def interp_only_hooks(machine) -> bool:
-    """A hook the generated code does not honour attached: a tracer in a
-    re-classed component's slot, or a fault injector?
-
-    Scans the tracer slots of the re-classed components directly (not just
-    the Machine-level attributes) so tracers installed by hand in tests are
-    honoured too.  Ring interfaces are never re-classed, so their hook
-    slots are checked by their own code on either core.
-    """
-    if machine.fault is not None:
-        return True
-    for st in machine.stations:
-        if st.memory.tracer is not None or st.nc.tracer is not None:
-            return True
-        for cpu in st.cpus:
-            if cpu.tracer is not None:
-                return True
-    return False
 
 
 def load(source: str) -> types.ModuleType:
@@ -105,64 +84,28 @@ def load(source: str) -> types.ModuleType:
 
 # ----------------------------------------------------------------------
 def sync(machine) -> None:
-    """Bring the machine's active backend in line with the selection and
-    the hook state.  Called on entry to :meth:`Machine.run`; a no-op when
-    nothing changed or events are in flight."""
-    pref = machine._backend_pref
-    want = not (
-        pref == "interp" or machine._elab_failed or interp_only_hooks(machine)
-    )
-    if want == machine._elab_active:
+    """Put the generated core in place, unless it already is, the machine
+    is pinned to ``interp`` or events are in flight."""
+    if machine._elab_active or machine._backend_pref == "interp":
         return
     if machine.engine.pending:
         return  # pending events hold old bound methods; never swap now
-    if not want:
-        _revert(machine)
-        return
     try:
         # imported on first use: loading this large module (compiled from
         # source when no bytecode is cached) adds up to ~2 MB of peak RSS
-        # that interp-only processes should not pay
+        # that a process running only backend="interp" machines should
+        # not pay
         from . import codegen
 
-        ir = MachineIR.from_machine(machine)
-        _specialize(machine, load(codegen.generate_source(ir)))
+        mod = load(codegen.generate_source(MachineIR.from_machine(machine)))
     except Exception as exc:
-        machine._elab_failed = True
-        if pref == "elab":
-            warnings.warn(
-                f'backend="elab" unavailable ({exc}); '
-                "running interpreted",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return
-    machine._elab_active = True
-
-
-def ensure_interp(machine) -> None:
-    """Force the interpreted classes back in place (tracer or fault
-    injector attachment)."""
-    if not machine._elab_active:
-        return
-    if machine.engine.pending:
-        raise RuntimeError(
-            "cannot attach hooks while elaborated events are in flight; "
-            "drain the engine (run to completion) first"
+        machine._backend_pref = "interp"
+        warnings.warn(
+            f"elaboration failed ({exc}); running interpreted",
+            RuntimeWarning,
+            stacklevel=2,
         )
-    _revert(machine)
-
-
-# ----------------------------------------------------------------------
-def _recapture(machine) -> None:
-    """Re-capture the bus grant each ring interface holds: a bound method
-    pins the function of the class *at capture time*, so it must be
-    refreshed after every bus class swap (in either direction)."""
-    for st in machine.stations:
-        st.ring_interface.bus_granter = st.bus.request
-
-
-def _specialize(machine, mod) -> None:
+        return
     for st in machine.stations:
         st.bus.__class__ = mod.ElabBus
         st.memory.__class__ = mod.ElabMem
@@ -171,23 +114,7 @@ def _specialize(machine, mod) -> None:
         st.nc.out_port.__class__ = mod.ElabPort
         for cpu in st.cpus:
             cpu.__class__ = mod.ElabCPU
-    _recapture(machine)
-
-
-def _revert(machine) -> None:
-    from ..cpu.processor import Processor
-    from ..system.bus import Bus, OrderedPort
-
-    # the interpreted classes are the active protocol's engine classes,
-    # not the protocol-agnostic bases
-    proto = machine.protocol
-    for st in machine.stations:
-        st.bus.__class__ = Bus
-        st.memory.__class__ = proto.memory_class
-        st.memory.out_port.__class__ = OrderedPort
-        st.nc.__class__ = proto.nc_class
-        st.nc.out_port.__class__ = OrderedPort
-        for cpu in st.cpus:
-            cpu.__class__ = Processor
-    _recapture(machine)
-    machine._elab_active = False
+        # a bound method pins the function of the class at capture time,
+        # so the ring interface's bus grant is re-captured after the swap
+        st.ring_interface.bus_granter = st.bus.request
+    machine._elab_active = True

@@ -14,12 +14,12 @@ cache and the processor — with their hot-path methods rewritten:
 * the coherence dispatch is a dense tuple indexed by ``MsgType.value``
   pointing at the *live* interpreted handler functions, so protocol
   behaviour is never duplicated — only the dispatch is compiled;
-* the CPU request path and its NACK retry run as module-level functions;
-* the memory and NC services call an attached monitor and coherence
-  checker at the same points as the interpreted ``_dispatch`` / ``_service``
-  (every other checker and monitor call sits in code the generated classes
-  inherit); tracer stamps are not generated, so the backend keeps the
-  interpreted classes while a tracer or a fault injector is attached.
+* the CPU request path runs as a module-level function, so the NACK retry
+  schedules it with the CPU packed in the event argument;
+* every overridden method calls an attached tracer, coherence checker and
+  monitor at the same points as the hand-written method it replaces (every
+  other hook call sits in code the generated classes inherit), so hooked
+  runs execute the generated core too.
 
 Rings, ring interfaces and stations are not generated: the hand-written
 classes of :mod:`repro.interconnect` and :mod:`repro.system.station` run
@@ -208,8 +208,8 @@ def generate_source(ir: MachineIR) -> str:
     w("# The two hottest bus completions — the CPU's request delivery and the")
     w("# NC's NACK-retry — are encoded as plain tuples instead of lambdas /")
     w("# closures: ``(target, pkt)`` delivers ``target.handle(pkt)``, and")
-    w("# ``(cpu, addr, None)`` runs the NACK retry.  Everything else (interp")
-    w("# protocol handlers, SRI drain) still passes a real callable.")
+    w("# ``(cpu, addr, None)`` calls ``cpu.nack_from_module(addr)``.  Everything")
+    w("# else (interp protocol handlers, SRI drain) still passes a real callable.")
     w("def _bus_complete(arg):")
     w("    bus, start, on_complete = arg")
     w("    if type(on_complete) is tuple:")
@@ -217,14 +217,7 @@ def generate_source(ir: MachineIR) -> str:
     w("            t, k = on_complete")
     w("            t.handle(k)")
     w("        else:")
-    w("            cc = on_complete[0]")
-    w("            p = cc._pending")
-    w('            if p is not None and p["la"] == on_complete[1]:')
-    w('                p["tries"] += 1')
-    w('                cc.stats.counter("retries").incr()')
-    w("                engine = cc.engine")
-    w(_push_event("                ", "engine.now + cc._retry", 1,
-                  "_cpu_send_request", "cc").rstrip())
+    w("            on_complete[0].nack_from_module(on_complete[1])")
     w("    else:")
     w("        on_complete(start)")
     w("    if not bus._queue:")
@@ -326,6 +319,9 @@ def generate_source(ir: MachineIR) -> str:
         w("    def handle(self, pkt):")
         w("        engine = self.engine")
         w("        now = engine.now")
+        w("        tr = self.tracer")
+        w("        if tr is not None:")
+        w(f'            tr.stamp_pkt(pkt, "{svc}.in", now)')
         w("        f = self.in_fifo")
         w(_fifo_push(i2, "f", "pkt").rstrip())
         w("        if self._busy:")
@@ -347,8 +343,12 @@ def generate_source(ir: MachineIR) -> str:
         w(_fifo_pop(i2, "f", "pkt").rstrip())
         w(_push_event(i2, f"now + {latency}", 1, "self._service", "pkt").rstrip())
         w("")
+        w("    def _service(self, pkt):")
+        w("        engine = self.engine")
+        w("        tr = self.tracer")
+        w("        if tr is not None:")
+        w(f'            tr.stamp_pkt(pkt, "{svc}.svc", engine.now)')
         if svc == "nc":
-            w("    def _service(self, pkt):")
             w("        monitor = self.monitor")
             w("        if monitor is not None:")
             w("            monitor.record_nc_txn(")
@@ -365,11 +365,9 @@ def generate_source(ir: MachineIR) -> str:
             w("        verifier = self.verifier")
             w("        if verifier is not None:")
             w("            verifier.nc_event(self, pkt)")
-            w("        engine = self.engine")
             w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
                           "self._done_key", done_fn, "self").rstrip())
         else:
-            w("    def _service(self, pkt):")
             w("        entry = self.directory.entry(pkt.addr & LINE_MASK)")
             w("        monitor = self.monitor")
             w("        if monitor is not None:")
@@ -380,7 +378,6 @@ def generate_source(ir: MachineIR) -> str:
             w("        verifier = self.verifier")
             w("        if verifier is not None:")
             w("            verifier.mem_event(self, pkt)")
-            w("        engine = self.engine")
             w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
                           "self._done_key", done_fn, "self").rstrip())
         w("")
@@ -485,6 +482,9 @@ def generate_source(ir: MachineIR) -> str:
     w("        target = st.nc")
     w("    else:")
     w('        raise ValueError(f"address {la:#x} beyond physical memory")')
+    w("    tr = self.tracer")
+    w("    if tr is not None:")
+    w('        tr.stamp(self.cpu_id, "cpu.send", self.engine.now)')
     w("    bus = st.bus")
     w("    # delivery as a data tuple (see _bus_complete): no lambda per issue")
     w("    bus._queue.append((CMD, (target, pkt)))")
@@ -505,6 +505,9 @@ def generate_source(ir: MachineIR) -> str:
     w('        p["tries"] += 1')
     w('        self.stats.counter("retries").incr()')
     w("        engine = self.engine")
+    w("        tr = self.tracer")
+    w("        if tr is not None:")
+    w("            tr.retry(self.cpu_id, engine.now)")
     w(_push_event(i2, "engine.now + self._retry", 1,
                   "_cpu_send_request", "self").rstrip())
     w("")

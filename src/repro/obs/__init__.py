@@ -24,11 +24,11 @@ perturbing them; this package is the simulator's equivalent.  It bundles:
     obs.write_snapshot("obs.json")         # python -m repro.obs.report obs.json
 
 Every instrumentation hook in the simulator defaults to ``None`` and costs
-one attribute load plus an ``is not None`` test when disabled.  The tracer
-sits in component slots, so a traced run executes on the interpreted
-core.  Probes and the telemetry stream are engine-level samplers: without
-a tracer the run stays on the generated specialized core, which keeps every
-statistic they and the snapshot read (see :mod:`repro.elab.backend`).
+one attribute load plus an ``is not None`` test when disabled.  Every piece
+runs on the generated specialized core: its memory, NC and CPU methods
+stamp the tracer where the interpreted ones do, and it keeps every
+statistic the probes, the telemetry stream and the snapshot read (see
+:mod:`repro.elab.backend`).
 """
 
 from __future__ import annotations

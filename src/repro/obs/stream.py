@@ -12,9 +12,8 @@ per-CPU completion progress — to a JSONL file, flushed per line so
 
 The emitter only *reads* simulator state; like the probes it adds its own
 sampling events to the event count but never changes simulated time or the
-order of the machine's own events.  Unless a tracer or a fault injector
-forces the interpreter, a streamed run executes on the generated
-specialized core (see :mod:`repro.elab.backend`): the stream is
+order of the machine's own events.  A streamed run executes on the
+generated specialized core (see :mod:`repro.elab.backend`): the stream is
 engine-level and survives the class swap untouched, and its lines read the
 same as an interpreted run's.
 """

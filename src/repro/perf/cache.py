@@ -23,11 +23,10 @@ Environment knobs:
   timestamp).  ``python -m repro.perf.cache --prune`` applies the same
   policy on demand; ``--stats`` and ``--clear`` are also available.
 
-No execution strategy is in the key: the simulated core is chosen by the
-attached hooks (:mod:`repro.elab.backend`), and the interpreted and
+No execution strategy is in the key: every run the sweep makes executes
+the generated core (:mod:`repro.elab.backend`), and the interpreted and
 elaborated cores are bit-identical on the whole metrics snapshot (pinned
-by ``tests/test_elab_backend.py``), so every stored record comes from the
-one hook-derived selection.
+by ``tests/test_elab_backend.py``).
 """
 
 from __future__ import annotations

@@ -51,8 +51,8 @@ class Machine:
     ) -> None:
         self.config = config or MachineConfig()
         self.config.validate()
-        # attached hooks pick the core (see repro.elab.backend); "interp"
-        # pins the reference core, "elab" warns if elaboration fails
+        # the generated core runs unless "interp" pins the reference core
+        # (see repro.elab.backend); None and "elab" mean the same
         if backend not in (None, "elab", "interp"):
             raise ValueError(
                 f"unknown backend {backend!r}: expected None, 'elab' or 'interp'"
@@ -64,9 +64,8 @@ class Machine:
 
         self.protocol = resolve_protocol(self.config)
         self.protocol_name = self.protocol.name
-        # True while the generated elab core is in place
+        # True once the generated elab core is in place
         self._elab_active = False
-        self._elab_failed = False
         self.engine = Engine()
         self.net: Interconnect = build_interconnect(self.engine, self.config)
         self.codec = self.net.codec
@@ -139,12 +138,10 @@ class Machine:
         tracer + time-series probes + optional telemetry stream) across all
         components.
 
-        A tracer sits in component slots, so a traced run executes on the
-        interpreted core.  Probes and the telemetry stream are engine-level
-        samplers: without a tracer the next :meth:`run` stays on the elab
-        core (see repro.elab.backend).
+        The tracer runs on either core: the generated memory, NC and CPU
+        methods stamp it where the interpreted ones do.  Probes and the
+        telemetry stream are engine-level samplers (see repro.elab.backend).
         """
-        self._ensure_interp()
         obs.attach(self)
 
     def attach_verifier(self, verifier=None):
@@ -173,10 +170,17 @@ class Machine:
     def attach_fault(self, plan):
         """Apply a :class:`repro.fault.FaultPlan` via a
         :class:`repro.fault.FaultInjector`; must be called before
-        :meth:`run`."""
-        self._ensure_interp()
+        :meth:`run`.
+
+        The generated core is put in place first: the injector schedules
+        its fault windows here, and the core is never swapped while events
+        are pending.  Every fault mechanism acts on code both cores share
+        (see repro.elab.backend).
+        """
+        from ..elab import backend as _backend
         from ..fault import FaultInjector
 
+        _backend.sync(self)
         self.fault = FaultInjector(plan).attach(self)
         return self.fault
 
@@ -188,11 +192,6 @@ class Machine:
         """The backend currently in place: ``"elab"`` when the generated
         specialized core is active, else ``"interp"``."""
         return "elab" if self._elab_active else "interp"
-
-    def _ensure_interp(self) -> None:
-        from ..elab import backend as _backend
-
-        _backend.ensure_interp(self)
 
     def obs_snapshot(self, include_wall: bool = True) -> dict:
         """The unified metrics snapshot (see :mod:`repro.obs.registry`);
@@ -217,8 +216,8 @@ class Machine:
         :class:`DeadlockError` if the event queue drains while any program
         is still blocked (a protocol bug or a genuinely deadlocked workload).
         """
-        # apply the selected backend (specialized core unless hooks demand
-        # the interpreted one); a no-op while events are in flight
+        # put the generated core in place (unless pinned to "interp"); a
+        # no-op while events are in flight
         from ..elab import backend as _backend
 
         _backend.sync(self)

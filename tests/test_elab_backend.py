@@ -4,17 +4,18 @@ The specialized core generated by :mod:`repro.elab.codegen` must be
 bit-identical to the interpreted classes on the whole metrics snapshot
 (``Machine.obs_snapshot(include_wall=False)``: event count, simulated time,
 every counter, accumulator and FIFO statistic, utilizations) for every
-machine shape, workload and processor count, and on every checker count
-and monitor table.  These tests pin that contract, the hook/backend
-interaction (a tracer or a fault plan forces the interpreted path; the
-coherence checker, the monitor and engine-level samplers do not), the
-dispatch tables against the interpreted handler maps, and the in-memory
-compile of generated cores.
+machine shape, workload and processor count, and on every trace, checker
+count, monitor table and triggered fault.  These tests pin that contract,
+the one selection rule (every hook runs on the generated core; only
+``backend="interp"`` or a failed elaboration keeps the interpreted
+classes), the dispatch tables against the interpreted handler maps, and
+the in-memory compile of generated cores.
 """
 
 from __future__ import annotations
 
 import traceback
+import warnings
 
 import pytest
 
@@ -22,10 +23,10 @@ from repro.cpu.ops import Read, Write
 from repro.elab import backend as elab_backend
 from repro.elab import codegen
 from repro.elab.ir import MachineIR
-from repro.fault import FaultPlan
+from repro.fault import FaultEvent, FaultPlan
 from repro.interconnect.routing import Geometry
 from repro.monitor import Monitor
-from repro.obs import Observability
+from repro.obs import Observability, Profiler
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
 from repro.workloads.lu import LUContiguous
@@ -80,25 +81,51 @@ def test_backends_bit_identical(workload, config, nprocs):
     assert interp == elab
 
 
-def test_default_selection_follows_hooks(tmp_path):
-    plain, sampled, traced, verified, monitored = (
-        Machine(_small_2ring()) for _ in range(5)
-    )
+def test_every_hook_runs_on_the_generated_core(tmp_path):
+    machines = {
+        hook: Machine(_small_2ring())
+        for hook in ("tracer", "samplers", "checker", "monitor", "watchdog",
+                     "profiler", "fault")
+    }
+    Observability(probes=False).attach(machines["tracer"])
     sampler = Observability(trace=False, stream_path=tmp_path / "s.jsonl")
-    sampler.attach(sampled)
-    Observability(probes=False).attach(traced)
-    verified.attach_verifier()
-    monitored.attach_monitor(Monitor())
-    for m in (plain, sampled, traced, verified, monitored):
+    sampler.attach(machines["samplers"])
+    machines["checker"].attach_verifier()
+    machines["monitor"].attach_monitor(Monitor())
+    machines["watchdog"].attach_watchdog(max_events=10_000_000)
+    profiler = Profiler(sample_every=4).install(machines["profiler"].engine)
+    machines["fault"].attach_fault(FaultPlan(seed=3, events=[]))
+    for m in machines.values():
         HotSpot(words=16, ops=10).run(m, nprocs=4)
     sampler.stream.close()
-    # engine-level samplers, the checker and the monitor ride the elab
-    # core; a tracer does not
-    assert plain.backend == "elab"
-    assert sampled.backend == "elab"
-    assert traced.backend == "interp"
-    assert verified.backend == "elab"
-    assert monitored.backend == "elab"
+    profiler.uninstall()
+    assert {hook: m.backend for hook, m in machines.items()} == {
+        hook: "elab" for hook in machines
+    }
+
+
+def test_failed_elaboration_warns_once_and_pins_interp(monkeypatch):
+    reference = Machine(_small_2ring(), backend="interp")
+    HotSpot(words=16, ops=20).run(reference, nprocs=4)
+    calls = []
+
+    def broken(ir):
+        calls.append(ir)
+        raise RuntimeError("generator broken")
+
+    monkeypatch.setattr(codegen, "generate_source", broken)
+    m = Machine(_small_2ring())
+    with pytest.warns(RuntimeWarning, match="generator broken") as caught:
+        HotSpot(words=16, ops=20).run(m, nprocs=4)
+    assert len(caught) == 1
+    assert m.backend == "interp"
+    assert _fingerprint(m) == _fingerprint(reference)
+    # pinned: the next run neither warns nor calls the generator again
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m.run({})
+    assert len(calls) == 1
+    assert m.backend == "interp"
 
 
 def test_unknown_backend_is_rejected():
@@ -108,66 +135,21 @@ def test_unknown_backend_is_rejected():
             Machine(cfg, backend=backend)
 
 
-# ----------------------------------------------------------------------
-# tracers and fault plans force the interpreted path
-# ----------------------------------------------------------------------
-def test_hooks_force_interp():
-    traced, faulted = (Machine(_small_2ring(), backend="elab") for _ in range(2))
-    Observability(probes=False).attach(traced)
-    faulted.attach_fault(FaultPlan(seed=3, events=[]))
-    for m in (traced, faulted):
-        HotSpot(words=16, ops=20).run(m, nprocs=4)
-    assert traced.backend == "interp"
-    assert faulted.backend == "interp"
-
-
-@pytest.mark.parametrize("attach", ["monitor", "verifier"])
-def test_interp_only_hooks_still_force_interp(attach):
-    # beside the checker or the monitor, a sampler keeps the elab core and
-    # a tracer still forces interp
-    sampled, traced = (
-        Machine(MachineConfig.prototype(), backend="elab") for _ in range(2)
-    )
-    Observability(trace=False).attach(sampled)
-    Observability(probes=False).attach(traced)
-    for machine in (sampled, traced):
-        if attach == "monitor":
-            machine.attach_monitor(Monitor())
-        else:
-            machine.attach_verifier()
-        HotSpot(words=16, ops=10).run(machine, nprocs=4)
-    assert sampled.backend == "elab"
-    assert traced.backend == "interp"
-
-
-def test_hooked_run_matches_elab_run(monkeypatch):
-    cfg = lambda: MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
-    m = Machine(cfg(), backend="elab")
+def test_attach_after_elab_run_keeps_the_core():
+    m = Machine(_small_2ring())
     HotSpot(words=16, ops=20).run(m, nprocs=4)
     assert m.backend == "elab"
-    hooked = Machine(cfg(), backend="elab")
-    hooked.attach_fault(FaultPlan(seed=3, events=[]))
-    HotSpot(words=16, ops=20).run(hooked, nprocs=4)
-    assert hooked.backend == "interp"
-    assert _fingerprint(m) == _fingerprint(hooked)
-
-
-def test_attach_after_elab_run_reverts_and_resyncs():
-    m = Machine(
-        MachineConfig.small(stations_per_ring=2, rings=2, cpus=2),
-        backend="elab",
-    )
+    m.attach_verifier()
+    obs = Observability(probes=False)
+    m.attach_observability(obs)
+    assert m.backend == "elab"
     HotSpot(words=16, ops=20).run(m, nprocs=4)
     assert m.backend == "elab"
-    m.attach_verifier()  # the checker rides the elab core: no revert
-    assert m.backend == "elab"
-    # drained engine: a tracer's revert is legal here
-    m.attach_observability(Observability(probes=False))
-    assert m.backend == "interp"
+    assert obs.tracer.finished
 
 
 # ----------------------------------------------------------------------
-# the checker and the monitor run on the generated core
+# the checker, the monitor and fault plans run on the generated core
 # ----------------------------------------------------------------------
 _CHECKED = {
     "prodcons": lambda: ProducerConsumer(rounds=10),
@@ -196,6 +178,53 @@ def test_checked_and_monitored_run_matches_interp(workload, nprocs):
     assert runs[None][0] == "elab"
     assert runs["interp"][0] == "interp"
     assert sum(runs[None][2].values()) > 0 and runs[None][4]
+    assert runs[None][1:] == runs["interp"][1:]
+
+
+def _every_fault_plan() -> FaultPlan:
+    """Every fault kind, plus the FIFO and nonsinkable-credit squeezes;
+    the run completes under both protocols."""
+    return FaultPlan(
+        seed=4,
+        events=[
+            FaultEvent("link_stall", 2_000.0,
+                       {"ring": "central", "pos": 1, "duration_ns": 3_000.0}),
+            FaultEvent("link_stall", 1_000.0,
+                       {"ring": "local:0", "pos": 2, "duration_ns": 2_000.0}),
+            FaultEvent("service_spike", 1_500.0,
+                       {"target": "mem", "station": 0, "duration_ns": 5_000.0,
+                        "factor": 4}),
+            FaultEvent("service_spike", 500.0,
+                       {"target": "nc", "station": 1, "duration_ns": 5_000.0,
+                        "factor": 3}),
+            FaultEvent("packet_delay", 0.0,
+                       {"station": 1, "duration_ns": 8_000.0, "prob": 0.3,
+                        "delay_ns": 800.0}),
+            FaultEvent("packet_dup", 0.0,
+                       {"station": 2, "duration_ns": 8_000.0, "prob": 0.2}),
+        ],
+        in_fifo_capacity=8,
+        nonsink_limit=2,
+    )
+
+
+@pytest.mark.parametrize("nprocs", [16, 64])
+def test_faulted_run_matches_interp(nprocs):
+    runs = {}
+    for backend in (None, "interp"):
+        machine = Machine(MachineConfig.prototype(), backend=backend)
+        checker = machine.attach_verifier()
+        fault = machine.attach_fault(_every_fault_plan())
+        HotSpot(words=16, ops=40).run(machine, nprocs=nprocs)
+        runs[backend] = (
+            machine.backend,
+            _fingerprint(machine),
+            dict(fault.triggered),
+            dict(checker.checks),
+        )
+    assert runs[None][0] == "elab"
+    assert runs["interp"][0] == "interp"
+    assert all(runs[None][2].values()), runs[None][2]
     assert runs[None][1:] == runs["interp"][1:]
 
 
@@ -268,21 +297,6 @@ def test_codegen_is_deterministic():
     assert other != a
 
 
-def test_generated_core_carries_no_tracer_site():
-    # the one generated core checks no hook slot: tracers run interpreted
-    shapes = (
-        MachineConfig.prototype,
-        lambda: MachineConfig.small(stations_per_ring=2, rings=1, cpus=2),
-        _small_2ring,
-    )
-    for protocol in ("numachine", "msi"):
-        for shape in shapes:
-            cfg = shape()
-            cfg.protocol = protocol
-            src = codegen.generate_source(MachineIR.from_machine(Machine(cfg)))
-            assert "tracer" not in src
-
-
 def test_default_run_writes_nothing_to_disk(tmp_path, monkeypatch):
     monkeypatch.setenv("NUMACHINE_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("NUMACHINE_CACHE", "1")
@@ -295,7 +309,6 @@ def test_default_run_writes_nothing_to_disk(tmp_path, monkeypatch):
 
 
 def test_one_compiled_core_per_config():
-    from repro.cpu.processor import Processor
     from repro.interconnect.interfaces import (
         InterRingInterface,
         StationRingInterface,
@@ -308,11 +321,11 @@ def test_one_compiled_core_per_config():
     Observability(probes=False).attach(traced)
     for m in (a, b, traced):
         HotSpot(words=16, ops=10).run(m, nprocs=4)
-    assert type(a.cpus[0]) is type(b.cpus[0])
-    assert type(a.stations[0].bus) is type(b.stations[0].bus)
-    # a traced machine holds the interpreted classes
-    assert type(traced.cpus[0]) is Processor
-    assert type(traced.stations[0].bus) is Bus
+    # a traced machine holds the same generated classes as untraced ones
+    for m in (b, traced):
+        assert type(m.cpus[0]) is type(a.cpus[0])
+        assert type(m.stations[0].bus) is type(a.stations[0].bus)
+        assert type(m.stations[0].nc) is type(a.stations[0].nc)
     # the generated core specializes the station side only: rings, ring
     # interfaces and stations run the hand-written classes on both cores
     assert a.backend == "elab"

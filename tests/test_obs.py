@@ -507,7 +507,8 @@ def test_sparkline_shapes():
 
 
 # ----------------------------------------------------------------------
-# non-intrusive: a traced (interpreted) run replays the untraced elab run
+# non-intrusive: a traced run replays the untraced run, and traces the same
+# on both cores
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "config, nprocs, ops",
@@ -524,12 +525,23 @@ def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time(
     plain = Machine(config())
     HotSpot(words=16, ops=ops).run(plain, nprocs=nprocs)
 
-    traced = Machine(config())
-    Observability(probes=False).attach(traced)  # tracer only: no extra events
-    HotSpot(words=16, ops=ops).run(traced, nprocs=nprocs)
+    def traced_run(backend):
+        machine = Machine(config(), backend=backend)
+        # tracer only: no extra events
+        Observability(probes=False).attach(machine)
+        HotSpot(words=16, ops=ops).run(machine, nprocs=nprocs)
+        return machine
 
+    traced, reference = traced_run(None), traced_run("interp")
+    assert (plain.backend, traced.backend, reference.backend) == (
+        "elab", "elab", "interp"
+    )
+    # the generated core stamps every transaction as the interpreter does
+    assert traced.obs_snapshot(include_wall=False) == reference.obs_snapshot(
+        include_wall=False
+    )
+    assert traced.obs.chrome_trace() == reference.obs.chrome_trace()
     # tracing records but never reschedules: identical event stream
-    assert (plain.backend, traced.backend) == ("elab", "interp")
     assert canonical_surface(traced) == canonical_surface(plain)
     assert traced.obs.tracer.finished
     snap = traced.obs_snapshot(include_wall=False)
