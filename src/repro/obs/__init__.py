@@ -37,12 +37,7 @@ from typing import Optional
 
 from .probes import ProbeSet
 from .profile import Profiler
-from .registry import (
-    serve_to_prometheus,
-    snapshot,
-    to_prometheus,
-    write_snapshot,
-)
+from .registry import snapshot, to_prometheus, write_snapshot
 from .stream import TelemetryStream
 from .trace import (
     Tracer,
@@ -63,7 +58,6 @@ __all__ = [
     "dump_chrome_events",
     "write_chrome_trace",
     "snapshot",
-    "serve_to_prometheus",
     "to_prometheus",
     "write_snapshot",
 ]

@@ -154,13 +154,11 @@ def _esc(label: str) -> str:
 
 
 class PromWriter:
-    """Shared text-exposition emitter: HELP/TYPE pairs + sample lines.
+    """Text-exposition emitter: HELP/TYPE pairs + sample lines.
 
-    One writer per document; both the per-run snapshot exporter
-    (:func:`to_prometheus`) and the job server's service-level series
-    (:func:`serve_to_prometheus`) render through it, so every metric the
-    project emits obeys the same format rules (and the same golden-file
-    validator in the test suite).
+    One writer per document; :func:`to_prometheus` renders every metric
+    of a snapshot through it, so each family obeys the same format rules
+    (and the golden-file validator in the test suite).
     """
 
     def __init__(self, prefix: str) -> None:
@@ -255,62 +253,3 @@ def to_prometheus(snap: dict, prefix: str = "numachine") -> str:
 
     return writer.render()
 
-
-def serve_to_prometheus(stats: dict, prefix: str = "numachine_serve") -> str:
-    """Render a :meth:`repro.serve.ServeMetrics.snapshot` dict as
-    Prometheus text — the service-level counterpart of
-    :func:`to_prometheus` (hit ratio, queue depth, in-flight jobs,
-    latency quantiles per serving class)."""
-    w = PromWriter(prefix)
-    w.metric("uptime_seconds", "seconds since server start", "gauge",
-             [((), stats.get("uptime_s", 0.0))])
-
-    req_samples = []
-    for route_status, n in sorted(stats.get("requests", {}).items()):
-        route, _, status = route_status.rpartition(" ")
-        req_samples.append(((("route", route), ("status", status)), n))
-    w.metric("requests_total", "HTTP requests by route and status",
-             "counter", req_samples)
-    w.metric("responses_5xx_total", "server-error responses", "counter",
-             [((), stats.get("responses_5xx", 0))])
-
-    cache = stats.get("cache", {})
-    w.metric("cache_requests_total",
-             "point lookups by outcome (hit / miss / coalesced)", "counter",
-             [((("result", k),), cache.get(k, 0))
-              for k in ("hits", "misses", "coalesced")])
-    w.metric("cache_hit_ratio", "hits over hits+misses since start", "gauge",
-             [((), cache.get("hit_ratio", 0.0))])
-
-    jobs = stats.get("jobs", {})
-    w.metric("jobs_total", "cold jobs by final state", "counter",
-             [((("state", k),), jobs.get(k, 0))
-              for k in ("completed", "failed", "expired", "dropped")])
-    w.metric("pool_submissions_total",
-             "batched submissions handed to the worker pool", "counter",
-             [((), jobs.get("pool_submissions", 0))])
-    w.metric("batched_points_total", "points carried by those submissions",
-             "counter", [((), jobs.get("batched_points", 0))])
-    w.metric("queue_depth", "cold points waiting for admission", "gauge",
-             [((), jobs.get("queue_depth", 0))])
-    w.metric("jobs_in_flight", "points currently executing in the pool",
-             "gauge", [((), jobs.get("in_flight", 0))])
-    w.metric("draining", "1 while the server refuses new work", "gauge",
-             [((), 1 if stats.get("draining") else 0)])
-    w.metric("stream_lines_forwarded_total",
-             "telemetry JSONL lines bridged to streaming clients", "counter",
-             [((), stats.get("stream_lines_forwarded", 0))])
-
-    quantiles, counts = [], []
-    for cls, summary in sorted(stats.get("latency_s", {}).items()):
-        for q, label in (("p50", "0.5"), ("p90", "0.9"), ("p99", "0.99")):
-            quantiles.append(
-                ((("class", cls), ("quantile", label)), summary.get(q, 0.0))
-            )
-        counts.append(((("class", cls),), summary.get("count", 0)))
-    w.metric("request_latency_seconds",
-             "request latency quantiles over the recent window", "gauge",
-             quantiles)
-    w.metric("request_latency_count", "latency samples per serving class",
-             "counter", counts)
-    return w.render()

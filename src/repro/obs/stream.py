@@ -11,8 +11,9 @@ per-CPU completion progress — to a JSONL file, flushed per line so
 ``python -m repro.obs.watch`` can tail a run while it executes.
 
 The emitter only *reads* simulator state; like the probes it adds its own
-sampling events to the event count but never changes simulated time or the
-order of the machine's own events.  A streamed run executes on the
+sampling events to the event count (one per line, bar the final line) and
+its last tick can extend quiescence time by up to one period, but it never
+delays or reorders the machine's own events.  A streamed run executes on the
 generated specialized core (see :mod:`repro.elab.backend`): the stream is
 engine-level and survives the class swap untouched, and its lines read the
 same as an interpreted run's.
@@ -50,14 +51,6 @@ class TelemetryStream:
         self._machine = None
         self._armed = False
         self.seq = 0
-        self.lines_written = 0
-        #: sampler events this stream itself ran on the engine.  The
-        #: stream never delays or reorders the machine's own events, but
-        #: its ticks do count in ``engine.events_run`` and the final tick
-        #: can extend quiescence time by up to one period — consumers
-        #: comparing an observed run to an unobserved one (e.g. the job
-        #: server's tests) reconcile event counts with this.
-        self.ticks = 0
         #: other periodic samplers on the same engine (the probe set);
         #: their armed in-flight events do not count as pending work
         self.peers: tuple = ()
@@ -75,7 +68,6 @@ class TelemetryStream:
         machine.engine.schedule(self.period_ticks, self._tick)
 
     def _tick(self) -> None:
-        self.ticks += 1
         self.emit(final=False)
         engine = self._machine.engine
         # re-arm only while the machine still has work: the emitter must
@@ -113,7 +105,6 @@ class TelemetryStream:
         # dumps, not dump: only the one-shot encode runs in C
         self._fh.write(json.dumps(snap, separators=(",", ":")) + "\n")
         self._fh.flush()
-        self.lines_written += 1
 
     def finish(self) -> None:
         """Emit the end-of-run line (``stream.final: true``); called by

@@ -18,7 +18,7 @@ or a cache file without dragging the machine along.
 
 from .record import RunRecord, collect_record
 from .cache import RunCache, config_fingerprint, point_key, CACHE_SCHEMA
-from .sweep import SweepPoint, default_jobs, run_point, run_sweep
+from .sweep import SweepPoint, default_jobs, run_sweep
 
 __all__ = [
     "RunRecord",
@@ -29,6 +29,5 @@ __all__ = [
     "CACHE_SCHEMA",
     "SweepPoint",
     "default_jobs",
-    "run_point",
     "run_sweep",
 ]

@@ -147,9 +147,9 @@ class RunCache:
         payload = {"schema": CACHE_SCHEMA, "record": record.to_json()}
         # write-to-temp + atomic rename, with a *per-writer-unique* temp
         # name: a shared `<key>.tmp` lets two concurrent writers of the
-        # same key interleave writes and publish a torn entry — with many
-        # server workers and sweep processes sharing one cache directory
-        # that race is routine, not exotic.  Readers racing LRU eviction
+        # same key interleave writes and publish a torn entry — with the
+        # sweep's worker processes sharing one cache directory that race
+        # is routine, not exotic.  Readers racing LRU eviction
         # simply see ENOENT, which `get` already treats as a miss.
         fd, tmp = tempfile.mkstemp(
             prefix=f".{key[:16]}.", suffix=".tmp", dir=self.root

@@ -12,11 +12,11 @@ Entries are append-only and host-stamped: rates from different hosts are
 not comparable (see :func:`host_fingerprint`), so any consumer should
 group by the ``host`` fingerprint before drawing trend lines.
 
-Schema 4 adds ``kind``: ``"simulation"`` for simulator benches,
-``"serving"`` for the job-server soak (``bench_serve.py`` — rps, hit
-ratio, p99), so the longitudinal trajectory covers serving as well as
-simulation and consumers can split the two without guessing from bench
-names.
+An entry is the envelope :func:`make_entry` builds (``schema``, ``ts``,
+``date``, ``bench``, ``git_sha``, ``host``, ``protocol``) around the
+bench's ``result``.  Lines written under older schemas keep their shape
+(schema 4 lines carry a ``kind`` field); readers tell them apart by
+``schema``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import List, Optional
 from ..protocol import resolve_protocol_name
 
 #: bump when the per-line layout changes incompatibly
-LEDGER_SCHEMA = 4
+LEDGER_SCHEMA = 5
 
 #: default ledger location: the repository root
 DEFAULT_PATH = Path(__file__).resolve().parents[3] / "BENCH_history.jsonl"
@@ -68,16 +68,13 @@ def git_sha(cwd: Optional[Path] = None) -> Optional[str]:
     return sha if proc.returncode == 0 and sha else None
 
 
-def make_entry(bench: str, result: dict, kind: str = "simulation") -> dict:
+def make_entry(bench: str, result: dict) -> dict:
     """One ledger line: provenance envelope around a bench's summary."""
-    if kind not in ("simulation", "serving"):
-        raise ValueError(f"unknown ledger entry kind {kind!r}")
     return {
         "schema": LEDGER_SCHEMA,
         "ts": time.time(),
         "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "bench": bench,
-        "kind": kind,
         "git_sha": git_sha(),
         "host": host_fingerprint(),
         "protocol": resolve_protocol_name(),
@@ -85,18 +82,13 @@ def make_entry(bench: str, result: dict, kind: str = "simulation") -> dict:
     }
 
 
-def append_entry(
-    bench: str,
-    result: dict,
-    path: Optional[Path] = None,
-    kind: str = "simulation",
-) -> dict:
+def append_entry(bench: str, result: dict, path: Optional[Path] = None) -> dict:
     """Append one entry for ``bench`` to the ledger; returns the entry.
 
     Never raises on I/O problems (a read-only checkout must not break a
     benchmark run); the entry is still returned for inspection.
     """
-    entry = make_entry(bench, result, kind=kind)
+    entry = make_entry(bench, result)
     target = Path(path) if path is not None else DEFAULT_PATH
     try:
         with open(target, "a") as fh:

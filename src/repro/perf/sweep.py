@@ -92,11 +92,6 @@ def _run_point(point: SweepPoint) -> dict:
     return record.to_json()
 
 
-def run_point(point: SweepPoint, cache: Optional[RunCache] = None) -> RunRecord:
-    """Run (or fetch from cache) a single sweep point."""
-    return run_sweep([point], jobs=1, cache=cache)[0]
-
-
 def run_sweep(
     points: Sequence[SweepPoint],
     jobs: Optional[int] = None,

@@ -340,32 +340,28 @@ class Machine:
         return out
 
     def ring_interface_delays(self) -> Dict[str, float]:
-        """Average delays in ring-clock cycles (paper Fig. 18)."""
+        """Average delays in ring-clock cycles (paper Fig. 18).
+
+        Reads only the accumulators that exist: a read must not create
+        empty ones that every later snapshot would then carry."""
         slot = self.config.ring_slot_ticks
 
-        def mean(accs) -> float:
+        def mean(groups, name) -> float:
+            accs = [g.accumulators[name] for g in groups if name in g.accumulators]
             total = sum(a.total for a in accs)
             count = sum(a.count for a in accs)
             return (total / count / slot) if count else 0.0
 
-        send = [st.ring_interface.stats.accumulator("send_delay") for st in self.stations]
-        d_sink = [
-            st.ring_interface.stats.accumulator("down_delay_sink") for st in self.stations
-        ]
-        d_nonsink = [
-            st.ring_interface.stats.accumulator("down_delay_nonsink")
-            for st in self.stations
-        ]
+        ris = [st.ring_interface.stats for st in self.stations]
         out = {
-            "send": mean(send),
-            "down_sinkable": mean(d_sink),
-            "down_nonsinkable": mean(d_nonsink),
+            "send": mean(ris, "send_delay"),
+            "down_sinkable": mean(ris, "down_delay_sink"),
+            "down_nonsinkable": mean(ris, "down_delay_nonsink"),
         }
         if self.net.iris:
-            out["iri_up"] = mean([iri.stats.accumulator("up_delay") for iri in self.net.iris])
-            out["iri_down"] = mean(
-                [iri.stats.accumulator("down_delay") for iri in self.net.iris]
-            )
+            iris = [iri.stats for iri in self.net.iris]
+            out["iri_up"] = mean(iris, "up_delay")
+            out["iri_down"] = mean(iris, "down_delay")
         return out
 
     # ------------------------------------------------------------------

@@ -302,6 +302,16 @@ def test_snapshot_is_deterministic_without_wall():
     assert m1.obs_snapshot(include_wall=False) == m2.obs_snapshot(include_wall=False)
 
 
+def test_canonical_surface_read_leaves_snapshot_unchanged():
+    """Reading the surface (ring-interface delay means included) must not
+    create the empty accumulators it looks up."""
+    machine = Machine(MachineConfig.prototype())
+    HotSpot(words=16, ops=40).run(machine, nprocs=4)
+    before = machine.obs_snapshot(include_wall=False)
+    canonical_surface(machine)
+    assert machine.obs_snapshot(include_wall=False) == before
+
+
 def test_prometheus_export_format():
     machine, _obs = _observed_tiny_run()
     machine.attach_monitor(Monitor())

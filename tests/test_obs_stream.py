@@ -62,6 +62,9 @@ def test_stream_with_probes_terminates_and_without_probes_too(tmp_path):
 
 
 def test_stream_does_not_perturb_canonical_stats(tmp_path):
+    """A streamed run is the plain run plus the sampler's own events: the
+    same finish time and statistics, and an event delta of exactly one
+    per sampler tick (every line but the final one is a tick)."""
     plain = Machine(tiny_config())
     region_p = plain.allocate(2048, placement="local:1")
 
@@ -71,15 +74,23 @@ def test_stream_does_not_perturb_canonical_stats(tmp_path):
                 yield Read(region.addr((i * 8) % 1024))
         return gen()
 
-    plain.run({0: prog(region_p)})
+    plain_result = plain.run({0: prog(region_p)})
 
+    path = tmp_path / "s.jsonl"
     streamed = Machine(tiny_config())
     Observability(
-        trace=False, probes=False, stream_path=tmp_path / "s.jsonl"
+        trace=False, probes=False, stream_path=path, stream_period_ns=200.0
     ).attach(streamed)
     region_s = streamed.allocate(2048, placement="local:1")
-    streamed.run({0: prog(region_s)})
+    streamed_result = streamed.run({0: prog(region_s)})
 
+    lines = read_stream(path)
+    assert len(lines) > 2
+    assert (streamed.engine.events_run - plain.engine.events_run
+            == len(lines) - 1)
+    assert streamed.parallel_time_ns(streamed_result) == plain.parallel_time_ns(
+        plain_result
+    )
     assert streamed.memory_stats() == plain.memory_stats()
     assert streamed.nc_stats() == plain.nc_stats()
 

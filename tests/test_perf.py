@@ -180,6 +180,52 @@ def test_cache_prune_cli(tmp_path):
     assert main(["--dir", str(tmp_path / "cache"), "--clear"]) == 0
 
 
+# a child that dies inside ``put`` after writing part of its payload
+_KILLED_WRITER = """
+import json, os, sys
+from repro.perf import RunCache, RunRecord
+
+def torn_dump(obj, fh):
+    fh.write(json.dumps(obj)[:40])
+    fh.flush()
+    os._exit(9)
+
+json.dump = torn_dump
+RunCache(root=sys.argv[1], enabled=True).put("k", RunRecord(workload="new", nprocs=2))
+"""
+
+
+def test_killed_writer_leaves_cache_readable(tmp_path):
+    import os
+    import subprocess
+    import sys
+    import time
+
+    import repro
+
+    root = tmp_path / "cache"
+    cache = RunCache(root=root, enabled=True)
+    old = RunRecord(workload="old", nprocs=1, events=7)
+    cache.put("k", old)
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _KILLED_WRITER, str(root)],
+                           env=env, timeout=120)
+    assert child.returncode == 9
+
+    (torn,) = root.glob(".*.tmp")   # the dead writer's temp file, only
+    assert cache.get("k") == old    # the published entry is untouched
+    cache.prune()
+    assert torn.exists()            # fresh: it may belong to a live writer
+    stale = time.time() - 61.0
+    os.utime(torn, (stale, stale))
+    cache.prune()
+    assert not torn.exists()
+    assert cache.get("k") == old
+
+
 def test_cache_schema_is_current():
     from repro.perf.cache import CACHE_SCHEMA
 

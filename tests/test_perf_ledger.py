@@ -26,7 +26,9 @@ def test_append_read_roundtrip(tmp_path):
 
 def test_entry_schema_and_provenance():
     entry = ledger.make_entry("x", {"v": 1})
-    assert entry["schema"] == ledger.LEDGER_SCHEMA
+    assert set(entry) == {"schema", "ts", "date", "bench", "git_sha", "host",
+                          "protocol", "result"}
+    assert entry["schema"] == ledger.LEDGER_SCHEMA == 5
     assert entry["bench"] == "x"
     assert entry["result"] == {"v": 1}
     assert entry["ts"] > 0
