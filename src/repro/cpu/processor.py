@@ -649,17 +649,16 @@ class Processor:
     # ------------------------------------------------------------------
     def _do_barrier(self, op: O.Barrier) -> None:
         sense = op.bid & 1
-        full = 0
-        for c in op.cpus:
-            full |= 1 << c
-        stations = sorted({c // self.config.cpus_per_station for c in op.cpus})
+        # grouped by station once per distinct cpus tuple per machine; the
+        # packet carries the groups, so each station walks only its own cpus
+        full, dest_mask, groups = self.station.barrier_plan(tuple(op.cpus))
         pkt = Packet(
             mtype=MsgType.BARRIER_WRITE,
             addr=0,
             src_station=self.station.station_id,
-            dest_mask=self.station.codec.combine(stations),
+            dest_mask=dest_mask,
             requester=self.cpu_id,
-            meta={"cpus": tuple(op.cpus), "bit": 1 << self.cpu_id, "sense": sense},
+            meta={"groups": groups, "bit": 1 << self.cpu_id, "sense": sense},
         )
         self._barrier_wait = (sense, full)
         self.stats.counter("barriers").incr()

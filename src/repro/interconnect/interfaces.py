@@ -19,9 +19,13 @@ realize the ascend / to_seq / deliver routing rules described in
 
 Both run on either backend (the generated core never re-classes them), so
 their tracer, verifier and fault-filter checks are live on every run.  The
-routing masks each interface tests are precomputed from the codec at
-construction, and the pump loops push their event tuples straight onto the
-engine queue, as :meth:`~repro.system.bus.Bus._grant` does.
+host work per packet follows the hardware's: the routing masks each
+interface tests are precomputed from the codec at construction (one AND
+decides ascend-or-stay), a packet costs one push and one pop per FIFO it
+passes (emptiness is tested on the FIFO's deque, pressure comes back from
+the push), the delay accumulators are bound on first use, and the pump
+loops push their event tuples straight onto the engine queue, as
+:meth:`~repro.system.bus.Bus._grant` does.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ class StationRingInterface:
 
     __slots__ = (
         "engine",
-        "codec",
         "station_id",
         "ring",
         "pos",
@@ -63,17 +66,26 @@ class StationRingInterface:
         "seq_ticks",
         "_mybit",
         "_f0",
+        "_ascend",
         "out_fifo",
         "in_fifo",
         "sink_q",
         "nonsink_q",
+        "_out_items",
+        "_in_items",
+        "_sink_items",
+        "_nonsink_items",
         "_pending_out",
         "_nonsink_credits",
         "_bounce_base",
         "_out_busy",
         "_handler_busy",
-        "_drain_busy",
+        "_drain_pkt",
+        "_bus_done_cb",
         "_out_done_key",
+        "_send_delay",
+        "_down_delay_sink",
+        "_down_delay_nonsink",
         "stats",
         "tracer",
         "verifier",
@@ -99,7 +111,6 @@ class StationRingInterface:
         seq_ticks: int = 0,
     ) -> None:
         self.engine = engine
-        self.codec = codec
         self.station_id = station_id
         self.ring = ring
         self.pos = pos
@@ -114,7 +125,9 @@ class StationRingInterface:
         #: this station's bit and the level-0 field mask (level 0 starts at
         #: bit 0, so the field needs no shift): the deliver-mode tests
         self._mybit = 1 << codec.geometry.station_coords(station_id)[0]
-        self._f0 = codec._field_masks[0]
+        self._f0 = codec.field_mask(0)
+        #: upper-field bits that make a packet from here ascend
+        self._ascend = codec.ascend_mask(station_id)
         #: content-key base for ring-delivery tail bounces (see ring.py)
         self._bounce_base = ring._bbase | pos << BOUNCE_FLIT_SHIFT
 
@@ -122,14 +135,27 @@ class StationRingInterface:
         self.in_fifo = Fifo(f"S{station_id}.ri.in", capacity=in_fifo_capacity)
         self.sink_q = Fifo(f"S{station_id}.ri.sink", capacity=None)
         self.nonsink_q = Fifo(f"S{station_id}.ri.nonsink", capacity=None)
+        #: the FIFOs' deques, tested for emptiness without a Fifo call
+        self._out_items = self.out_fifo._items
+        self._in_items = self.in_fifo._items
+        self._sink_items = self.sink_q._items
+        self._nonsink_items = self.nonsink_q._items
         self._pending_out: deque = deque()  # nonsinkables waiting for credit
         self._nonsink_credits = nonsink_limit
         self._out_busy = False
         self._handler_busy = False
-        self._drain_busy = False
+        #: the packet on the station bus: one drain is in flight at most,
+        #: so the bus completion needs no per-packet closure
+        self._drain_pkt: Optional[Packet] = None
+        self._bus_done_cb = self._bus_done
         #: content key of the output-port release (see repro.sim.engine)
         self._out_done_key = ~engine.alloc_uid()
         self.stats = StatGroup(f"S{station_id}.ri")
+        # delay accumulators, bound on first use: the StatGroup (and so
+        # the snapshot) holds only the accumulators a station has used
+        self._send_delay = None
+        self._down_delay_sink = None
+        self._down_delay_nonsink = None
         #: transaction tracer (repro.obs), or None when tracing is off
         self.tracer = None
         #: invariant checker (repro.verify), or None when checking is off
@@ -154,7 +180,7 @@ class StationRingInterface:
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "ri.send", now)
-        if not packet.sinkable:
+        if not packet.mtype.sinkable:
             if self._nonsink_credits == 0:
                 self._pending_out.append(packet)
                 self.stats.counter("nonsink_credit_waits").incr()
@@ -189,53 +215,60 @@ class StationRingInterface:
                 v.ri_credit(self)
 
     def _route_prep(self, packet: Packet) -> None:
-        codec = self.codec
-        top = codec.highest_level_needed(packet.dest_mask, self.station_id)
-        if top == 0:
-            # Stays on this ring: clear the upper fields so the packet is not
-            # mistaken for an ascending one.
-            packet.dest_mask = codec.clear_upper(packet.dest_mask, 1)
-            packet.route_state = TO_SEQ if packet.ordered else DELIVER
-        else:
+        # ascend-or-stay in one AND (codec.ascend_mask: the same decision
+        # as highest_level_needed(mask, station) > 0)
+        mask = packet.dest_mask
+        if mask & self._ascend:
             packet.route_state = ASCEND
+        else:
+            # Stays on this ring: clear the upper fields so the packet is not
+            # mistaken for an ascending one (clear_upper(mask, 1)).
+            packet.dest_mask = mask & self._f0
+            packet.route_state = TO_SEQ if packet.ordered else DELIVER
 
     def _enqueue_out(self, packet: Packet) -> None:
         self.out_fifo.push(packet, self.engine.now)
-        self._pump_out()
+        if not self._out_busy:
+            self._pump_out()
 
     def _pump_out(self) -> None:
-        if self._out_busy or self.out_fifo.empty:
-            return
-        self._out_busy = True
+        """Start the oldest output-FIFO packet onto the ring; the output
+        port is idle."""
         engine = self.engine
-        packet = self.out_fifo.pop(engine.now)
-        # A deliver-mode packet whose only target is this station never
-        # touches the ring (e.g. an unordered self-send); loop it back.
-        if (
-            packet.route_state == DELIVER
-            and (packet.dest_mask & self._f0) == self._mybit
-        ):
-            engine.schedule(0, self._local_loopback, packet)
-            self._out_busy = False
-            self._pump_out()
+        items = self._out_items
+        while items:
+            packet = self.out_fifo.pop(engine.now)
+            # A deliver-mode packet whose only target is this station never
+            # touches the ring (e.g. an unordered self-send); loop it back.
+            if (
+                packet.route_state == DELIVER
+                and (packet.dest_mask & self._f0) == self._mybit
+            ):
+                engine.schedule(0, self._local_loopback, packet)
+                continue
+            self._out_busy = True
+            ring = self.ring
+            start = ring.inject(self.pos, packet)
+            enq = packet.send_enq
+            packet.send_enq = -1
+            acc = self._send_delay
+            if acc is None:
+                acc = self._send_delay = self.stats.accumulator("send_delay")
+            acc.add(start - enq if enq >= 0 else 0)
+            tr = self.tracer
+            if tr is not None:
+                tr.stamp_pkt(packet, "ring.inject", start)
+            # the port release carries its content key: no counter draw
+            engine._push(
+                (start + packet.flits * ring.slot_ticks, _PRIO_NORMAL,
+                 self._out_done_key, self._out_done, None)
+            )
             return
-        ring = self.ring
-        start = ring.inject(self.pos, packet)
-        enq = packet.send_enq
-        packet.send_enq = -1
-        self.stats.accumulator("send_delay").add(start - enq if enq >= 0 else 0)
-        tr = self.tracer
-        if tr is not None:
-            tr.stamp_pkt(packet, "ring.inject", start)
-        # the port release carries its content key: no counter draw
-        engine._push(
-            (start + packet.flits * ring.slot_ticks, _PRIO_NORMAL,
-             self._out_done_key, self._out_done, None)
-        )
 
     def _out_done(self) -> None:
         self._out_busy = False
-        self._pump_out()
+        if self._out_items:
+            self._pump_out()
 
     def _local_loopback(self, packet: Packet) -> None:
         # Loopbacks are not anchored to a ring arrival, so their tail
@@ -331,19 +364,21 @@ class StationRingInterface:
         self._accept_body(packet)
 
     def _accept_body(self, packet: Packet) -> None:
-        packet.arr = self.engine.now
+        now = self.engine.now
+        packet.arr = now
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(packet, "ri.arrive", self.engine.now)
-        self.in_fifo.push(packet, self.engine.now)
-        if self.in_fifo.pressured:
-            self.ring.halt_link(self.pos, self.ring.slot_ticks * 4)
+            tr.stamp_pkt(packet, "ri.arrive", now)
+        if self.in_fifo.push(packet, now):
+            ring = self.ring
+            ring.halt_link(self.pos, ring.slot_ticks * 4)
             self.stats.counter("input_halts").incr()
-        self._pump_handler()
+        if not self._handler_busy:
+            self._pump_handler()
 
     def _pump_handler(self) -> None:
-        if self._handler_busy or self.in_fifo.empty:
-            return
+        """Start the packet handler on the oldest input-FIFO packet; the
+        handler is idle and the FIFO is not empty."""
         self._handler_busy = True
         engine = self.engine
         now = engine.now
@@ -355,52 +390,72 @@ class StationRingInterface:
         )
 
     def _handler_done(self, packet: Packet) -> None:
-        if packet.sinkable:
-            self.sink_q.push(packet, self.engine.now)
+        now = self.engine.now
+        if packet.mtype.sinkable:
+            self.sink_q.push(packet, now)
         else:
-            self.nonsink_q.push(packet, self.engine.now)
-        self._handler_busy = False
-        self._pump_handler()
-        self._pump_drain()
+            self.nonsink_q.push(packet, now)
+        if self._in_items:
+            self._pump_handler()
+        else:
+            self._handler_busy = False
+        if self._drain_pkt is None:
+            self._pump_drain()
 
     def _pump_drain(self) -> None:
-        """Move packets from the sink/nonsink queues onto the station bus,
-        sinkable first (deadlock rule: sinkables have priority)."""
-        if self._drain_busy:
-            return
-        if not self.sink_q.empty:
-            queue, kind = self.sink_q, "sink"
-        elif not self.nonsink_q.empty:
-            queue, kind = self.nonsink_q, "nonsink"
+        """Move the next packet from the sink/nonsink queues onto the
+        station bus, sinkable first (deadlock rule: sinkables have
+        priority); no drain is in flight and a queue is not empty."""
+        if self._sink_items:
+            packet = self.sink_q.pop(self.engine.now)
+            kind = "sink"
         else:
-            return
-        self._drain_busy = True
-        packet = queue.pop(self.engine.now)
+            packet = self.nonsink_q.pop(self.engine.now)
+            kind = "nonsink"
+        self._drain_pkt = packet
         v = self.verifier
         if v is not None:
             v.ri_drain(self, packet, kind)
         cycles = self.cmd_bus_ticks + (
             self.line_bus_ticks if packet.data is not None else 0
         )
-        self.bus_granter(cycles, lambda start, p=packet, k=kind: self._bus_done(p, k))
+        self.bus_granter(cycles, self._bus_done_cb)
 
-    def _bus_done(self, packet: Packet, kind: str) -> None:
+    def _bus_done(self, start: int) -> None:
+        """The drained packet crossed the station bus: hand it to the
+        station."""
+        packet = self._drain_pkt
+        now = self.engine.now
         arr = packet.arr
         packet.arr = -1
         if arr < 0:
-            arr = self.engine.now
-        self.stats.accumulator(f"down_delay_{kind}").add(self.engine.now - arr)
+            arr = now
+        sinkable = packet.mtype.sinkable
+        if sinkable:
+            acc = self._down_delay_sink
+            if acc is None:
+                acc = self._down_delay_sink = self.stats.accumulator("down_delay_sink")
+        else:
+            acc = self._down_delay_nonsink
+            if acc is None:
+                acc = self._down_delay_nonsink = self.stats.accumulator(
+                    "down_delay_nonsink"
+                )
+        acc.add(now - arr)
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(packet, "ri.deliver", self.engine.now)
-        self._drain_busy = False
-        if not packet.sinkable:
+            tr.stamp_pkt(packet, "ri.deliver", now)
+        self._drain_pkt = None
+        if not sinkable:
             credit_home = packet.credit_home
             if credit_home is not None:
                 packet.credit_home = None
                 credit_home.release_credit()
         self.deliver_cb(packet)
-        self._pump_drain()
+        # the station's dispatch cannot start a drain (drains start only
+        # from the handler and bus-completion events)
+        if self._sink_items or self._nonsink_items:
+            self._pump_drain()
 
     # ------------------------------------------------------------------
     def _blocked_reason(self) -> Optional[str]:
@@ -427,14 +482,19 @@ class InterRingInterface:
         "seq_ticks",
         "_pf_mask",
         "_p_shift",
+        "_pbit",
         "_higher_mask",
         "_keep_mask",
         "up_fifo",
         "down_fifo",
+        "_up_items",
+        "_down_items",
         "_up_busy",
         "_down_busy",
         "_up_done_key",
         "_down_done_key",
+        "_up_delay",
+        "_down_delay",
         "stats",
         "tracer",
     )
@@ -465,21 +525,28 @@ class InterRingInterface:
         # (the level fields are disjoint, so a sum of masks is their union)
         level = parent.level
         masks = codec._field_masks
-        #: the parent level's field and its shift
+        #: the parent level's field, its shift and this interface's bit in it
         self._pf_mask = masks[level]
         self._p_shift = codec._shifts[level]
+        self._pbit = 1 << parent_pos
         #: every field above the parent level (0 when the parent is the top)
         self._higher_mask = sum(masks[level + 1:])
         #: every field below the parent level: what survives switching down
         self._keep_mask = sum(masks[:level])
         self.up_fifo = Fifo(f"{name}.up", capacity=fifo_capacity)
         self.down_fifo = Fifo(f"{name}.down", capacity=fifo_capacity)
+        #: the FIFOs' deques, tested for emptiness without a Fifo call
+        self._up_items = self.up_fifo._items
+        self._down_items = self.down_fifo._items
         self._up_busy = False
         self._down_busy = False
         #: content keys of the up/down port releases (see repro.sim.engine)
         self._up_done_key = ~engine.alloc_uid()
         self._down_done_key = ~engine.alloc_uid()
         self.stats = StatGroup(name)
+        # delay accumulators, bound on first use (see StationRingInterface)
+        self._up_delay = None
+        self._down_delay = None
         #: transaction tracer (repro.obs), or None when tracing is off
         self.tracer = None
 
@@ -511,18 +578,20 @@ class InterRingInterface:
         self.child.forward(self.child_pos, packet)
 
     def _enqueue_up(self, packet: Packet) -> None:
+        now = self.engine.now
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(packet, "iri.up_enq", self.engine.now)
-        packet.up_enq = self.engine.now
-        self.up_fifo.push(packet, self.engine.now)
-        if self.up_fifo.pressured:
-            self.child.halt_link(self.child_pos, self.child.slot_ticks * 4)
-        self._pump_up()
+            tr.stamp_pkt(packet, "iri.up_enq", now)
+        packet.up_enq = now
+        if self.up_fifo.push(packet, now):
+            child = self.child
+            child.halt_link(self.child_pos, child.slot_ticks * 4)
+        if not self._up_busy:
+            self._pump_up()
 
     def _pump_up(self) -> None:
-        if self._up_busy or self.up_fifo.empty:
-            return
+        """Switch the oldest up-FIFO packet; the up port is idle and the
+        FIFO is not empty."""
         self._up_busy = True
         engine = self.engine
         now = engine.now
@@ -543,7 +612,10 @@ class InterRingInterface:
         start = parent.inject(self.parent_pos, packet)
         enq = packet.up_enq
         packet.up_enq = -1
-        self.stats.accumulator("up_delay").add(start - enq if enq >= 0 else 0)
+        acc = self._up_delay
+        if acc is None:
+            acc = self._up_delay = self.stats.accumulator("up_delay")
+        acc.add(start - enq if enq >= 0 else 0)
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "iri.up_inject", start)
@@ -554,8 +626,10 @@ class InterRingInterface:
         )
 
     def _up_done(self) -> None:
-        self._up_busy = False
-        self._pump_up()
+        if self._up_items:
+            self._pump_up()
+        else:
+            self._up_busy = False
 
     # ---- parent ring side ---------------------------------------------
     def _parent_arrival(self, packet: Packet) -> None:
@@ -584,7 +658,7 @@ class InterRingInterface:
         pf = self._pf_mask
         shift = self._p_shift
         fld = (mask & pf) >> shift
-        mybit = 1 << self.parent_pos
+        mybit = self._pbit
         if fld & mybit:
             remaining = fld & ~mybit
             packet.dest_mask = (mask & ~pf) | (remaining << shift)
@@ -601,18 +675,20 @@ class InterRingInterface:
         # Switching down clears every higher-level field (paper §2.2).
         packet.dest_mask &= self._keep_mask
         packet.route_state = DELIVER
-        packet.down_enq = self.engine.now
+        now = self.engine.now
+        packet.down_enq = now
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(packet, "iri.down_enq", self.engine.now)
-        self.down_fifo.push(packet, self.engine.now)
-        if self.down_fifo.pressured:
-            self.parent.halt_link(self.parent_pos, self.parent.slot_ticks * 4)
-        self._pump_down()
+            tr.stamp_pkt(packet, "iri.down_enq", now)
+        if self.down_fifo.push(packet, now):
+            parent = self.parent
+            parent.halt_link(self.parent_pos, parent.slot_ticks * 4)
+        if not self._down_busy:
+            self._pump_down()
 
     def _pump_down(self) -> None:
-        if self._down_busy or self.down_fifo.empty:
-            return
+        """Switch the oldest down-FIFO packet; the down port is idle and
+        the FIFO is not empty."""
         self._down_busy = True
         engine = self.engine
         now = engine.now
@@ -628,7 +704,10 @@ class InterRingInterface:
         start = child.inject(self.child_pos, packet)
         enq = packet.down_enq
         packet.down_enq = -1
-        self.stats.accumulator("down_delay").add(start - enq if enq >= 0 else 0)
+        acc = self._down_delay
+        if acc is None:
+            acc = self._down_delay = self.stats.accumulator("down_delay")
+        acc.add(start - enq if enq >= 0 else 0)
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "iri.down_inject", start)
@@ -639,5 +718,7 @@ class InterRingInterface:
         )
 
     def _down_done(self) -> None:
-        self._down_busy = False
-        self._pump_down()
+        if self._down_items:
+            self._pump_down()
+        else:
+            self._down_busy = False

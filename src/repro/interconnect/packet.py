@@ -174,20 +174,16 @@ class Packet:
 
     def copy_for_branch(self) -> "Packet":
         """Duplicate for a multicast branch (descending copies share payload
-        but are distinct packets with their own ids)."""
+        but are distinct packets with their own ids).
+
+        Built positionally, in field order (every multicast delivery makes
+        one): the pid is drawn as the default factory would draw it, and
+        the queue timestamps and one-shot flags start unset."""
         return Packet(
-            mtype=self.mtype,
-            addr=self.addr,
-            src_station=self.src_station,
-            dest_mask=self.dest_mask,
-            requester=self.requester,
-            data=self.data,
-            flits=self.flits,
-            ordered=self.ordered,
-            meta=dict(self.meta),
-            born=self.born,
-            route_state=self.route_state,
-            credit_home=self.credit_home,
+            self.mtype, self.addr, self.src_station, self.dest_mask,
+            self.requester, self.data, self.flits, self.ordered,
+            dict(self.meta), next(_packet_ids), self.born, self.route_state,
+            -1, -1, -1, -1, False, False, self.credit_home,
         )
 
     def __repr__(self) -> str:  # compact for debug traces

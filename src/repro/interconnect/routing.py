@@ -102,6 +102,10 @@ class RoutingMaskCodec:
             for coord, sh in zip(coords, self._shifts):
                 mask |= 1 << (sh + coord)
             self._station_masks.append(mask)
+        # a target differs from the source at some level above 0 exactly
+        # when the mask has an upper-field bit the source's own mask lacks
+        upper = sum(self._field_masks[1:])
+        self._ascend_masks = [upper & ~mask for mask in self._station_masks]
 
     # ------------------------------------------------------------------
     # encoding
@@ -193,6 +197,19 @@ class RoutingMaskCodec:
                 top = level
                 break
         return top
+
+    def ascend_mask(self, src_station: int) -> int:
+        """The upper-field bits that send a packet from ``src_station`` up
+        the hierarchy: ``mask & ascend_mask(s)`` is non-zero exactly when
+        ``highest_level_needed(mask, s) > 0``.  A station ring interface
+        binds its own once, so the per-send routing decision is one AND;
+        a packet that stays is cleared with ``mask & field_mask(0)``, which
+        equals ``clear_upper(mask, 1)``."""
+        return self._ascend_masks[src_station]
+
+    def field_mask(self, level: int) -> int:
+        """The bits of one hierarchy level's field, in place."""
+        return self._field_masks[level]
 
     def clear_upper(self, mask: int, level: int) -> int:
         """When a packet is switched down past ``level``, all bits in the

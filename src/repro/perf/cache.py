@@ -20,8 +20,9 @@ Environment knobs:
 * ``NUMACHINE_CACHE_MAX_MB`` — size cap for the cache directory (default
   256 MB).  When a write pushes the directory past the cap, the
   least-recently-used entries are evicted (reads refresh an entry's
-  timestamp).  ``python -m repro.perf.cache --prune`` applies the same
-  policy on demand; ``--stats`` and ``--clear`` are also available.
+  timestamp).  ``python -m repro.perf --prune`` applies the same policy
+  on demand; ``--stats`` and ``--clear`` are also available (the entry is
+  :mod:`repro.perf.__main__`, the commands are :func:`main` here).
 
 No execution strategy is in the key: every run the sweep makes executes
 the generated core (:mod:`repro.elab.backend`), and the interpreted and
@@ -226,13 +227,13 @@ class RunCache:
 
 
 # ----------------------------------------------------------------------
-# command-line maintenance: python -m repro.perf.cache --prune | --stats
+# command-line maintenance: python -m repro.perf --prune | --stats
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
     import argparse
 
     ap = argparse.ArgumentParser(
-        prog="python -m repro.perf.cache",
+        prog="python -m repro.perf",
         description="Inspect and maintain the on-disk sweep-result cache.",
     )
     ap.add_argument("--dir", default=None, help="cache directory (default: "
@@ -278,7 +279,3 @@ def main(argv=None) -> int:
                 f"{k}={v}" for k, v in sorted(by_proto.items())
             ))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

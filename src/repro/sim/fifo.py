@@ -3,9 +3,9 @@
 Every NUMAchine module moves packets through FIFOs (processor external
 agent, memory module, ring interfaces, inter-ring interfaces).  The paper's
 flow control halts an upstream ring when an interface input FIFO nears
-capacity; :class:`Fifo` exposes that via a high-water threshold
-(:attr:`Fifo.pressured`), which the ring interfaces check after each
-arrival to halt the upstream link.
+capacity; :class:`Fifo` exposes that via a high-water threshold:
+:meth:`Fifo.push` returns whether the FIFO has reached it, and the ring
+interfaces halt the upstream link when it has.
 
 Occupancy statistics follow from two running sums by Little's law: the
 time integral of a FIFO's depth equals the total time its entries spent
@@ -14,7 +14,10 @@ summed over popped entries) plus the ages of the queued entries give the
 time-weighted mean depth, the wait count and the mean wait.  The generated
 core (:mod:`repro.elab.codegen`) inlines :meth:`Fifo.push` /
 :meth:`Fifo.pop` for the memory and NC input FIFOs only, and keeps the
-same sums; every other FIFO runs these methods on both cores.
+same sums; every other FIFO runs these methods on both cores.  The ring
+interfaces bind each FIFO's ``_items`` deque once and test it for
+emptiness directly, so a packet passing through costs one push and one
+pop call, with no :attr:`Fifo.empty` / :attr:`Fifo.pressured` frames.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ class Fifo:
         Occupancy at which :attr:`pressured` becomes true (defaults to
         ``capacity - 2`` as a ring-latency safety margin, mirroring the
         hardware's early-stop threshold).
+
+    ``capacity`` and ``high_water`` are read on every push, so lowering
+    them after construction (as :mod:`repro.fault` does) takes effect at
+    once.
     """
 
     __slots__ = (
@@ -88,15 +95,21 @@ class Fifo:
     def empty(self) -> bool:
         return not self._items
 
-    def push(self, item: Any, now: int) -> None:
+    def push(self, item: Any, now: int) -> bool:
+        """Enqueue ``item`` at tick ``now``.  Returns :attr:`pressured`
+        after the push: True once occupancy has reached the high-water
+        mark, the cue to halt the upstream link."""
         items = self._items
-        if self.capacity is not None and len(items) >= self.capacity:
-            raise FifoFullError(f"{self.name} overflow (capacity={self.capacity})")
+        depth = len(items) + 1
+        capacity = self.capacity
+        if capacity is not None and depth > capacity:
+            raise FifoFullError(f"{self.name} overflow (capacity={capacity})")
         items.append((item, now))
         self.pushes += 1
-        depth = len(items)
         if depth > self.max_depth:
             self.max_depth = depth
+        high_water = self.high_water
+        return high_water is not None and depth >= high_water
 
     def peek(self) -> Any:
         return self._items[0][0]

@@ -94,8 +94,10 @@ class Machine:
             )
             ring.attach(pos, sri)
             station.ring_interface = sri
+        barrier_plans: dict = {}
         for station in self.stations:
             station._peers = self.stations
+            station.barrier_plans = barrier_plans
         self.cpus = [cpu for st in self.stations for cpu in st.cpus]
         self.memory_map = AddressMap(self.config)
         for cpu in self.cpus:

@@ -9,13 +9,20 @@ here), the network cache (for remote lines), or processor registers
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from ..cpu.processor import Processor
 from ..interconnect.packet import MsgType, Packet
 from ..interconnect.routing import RoutingMaskCodec
 from ..sim.engine import Engine, SimulationError, ns_to_ticks
 from .bus import Bus
+
+_BARRIER_WRITE = MsgType.BARRIER_WRITE
+_INTERRUPT = MsgType.INTERRUPT
+_UNCACHED_RESP = MsgType.UNCACHED_RESP
+
+#: ``(full, dest_mask, groups)``: see :meth:`Station.barrier_plan`
+BarrierPlan = Tuple[int, int, Tuple[Tuple[int, ...], ...]]
 
 
 class Station:
@@ -55,9 +62,10 @@ class Station:
         self._station_mem_bytes = config.station_mem_bytes
         self._num_stations = config.num_stations
         # dispatch constants, bound once: deliver_from_ring runs per packet
-        # and its register fan-outs iterate over whole-machine cpu lists
         self._cpus_per_station = config.cpus_per_station
-        self._gid_base = station_id * self._cpus_per_station
+        #: barrier fan-out plans by cpus tuple; the Machine shares one dict
+        #: among its stations (see barrier_plan)
+        self.barrier_plans: Dict[Tuple[int, ...], BarrierPlan] = {}
 
     def peer(self, station_id: int) -> "Station":
         return self._peers[station_id]
@@ -82,27 +90,48 @@ class Station:
             )
         return cpu
 
+    def barrier_plan(self, cpus: Tuple[int, ...]) -> BarrierPlan:
+        """How a barrier over global cpu ids ``cpus`` fans out.
+
+        ``full`` has one bit per participant, ``dest_mask`` routes the
+        BARRIER_WRITE multicast to their stations, and ``groups[s]`` holds
+        station ``s``'s local cpu indices in ``cpus`` order (empty for a
+        station the inexact mask over-selects).  A plan is computed once
+        per distinct tuple per machine: it depends on the geometry, so the
+        plan dict is the machine's, never shared between machines."""
+        plan = self.barrier_plans.get(cpus)
+        if plan is None:
+            cps = self._cpus_per_station
+            full = 0
+            local: List[List[int]] = [[] for _ in range(self._num_stations)]
+            for gid in cpus:
+                full |= 1 << gid
+                local[gid // cps].append(gid % cps)
+            dest_mask = self.codec.combine(s for s, g in enumerate(local) if g)
+            plan = (full, dest_mask, tuple(map(tuple, local)))
+            self.barrier_plans[cpus] = plan
+        return plan
+
     # ------------------------------------------------------------------
     def deliver_from_ring(self, pkt: Packet) -> None:
         """Dispatch a packet that the ring interface moved over the bus.
 
-        Barrier writes and interrupts fan out to this station's processors,
-        an uncached response completes at its requester, and every other
+        Barrier writes and interrupts fan out to this station's processors
+        (a barrier write walks only this station's group of its plan), an
+        uncached response completes at its requester, and every other
         packet goes to the line's :meth:`module_for`.  Stations are never
         re-classed, so the ring interface's bound ``deliver_cb`` stays
         valid across a backend switch."""
         mtype = pkt.mtype
-        if mtype is MsgType.BARRIER_WRITE:
-            bit = pkt.meta["bit"]
-            sense = pkt.meta["sense"]
-            base = self._gid_base
-            top = base + self._cpus_per_station
+        if mtype is _BARRIER_WRITE:
+            meta = pkt.meta
+            bit = meta["bit"]
+            sense = meta["sense"]
             cpus = self.cpus
-            for gid in pkt.meta["cpus"]:
-                if base <= gid < top:
-                    cpus[gid - base].barrier_write(bit, sense)
+            for idx in meta["groups"][self.station_id]:
+                cpus[idx].barrier_write(bit, sense)
             return
-        if mtype is MsgType.INTERRUPT:
+        if mtype is _INTERRUPT:
             cps = self._cpus_per_station
             proc_mask = pkt.meta.get("proc_mask", (1 << cps) - 1)
             bits = pkt.meta.get("bits", 1)
@@ -110,7 +139,7 @@ class Station:
                 if proc_mask & (1 << i):
                     self.cpus[i].raise_interrupt(bits)
             return
-        if mtype is MsgType.UNCACHED_RESP:
+        if mtype is _UNCACHED_RESP:
             self.cpu_by_global(pkt.requester).complete_uncached(pkt.addr, pkt.data)
             return
         self.module_for(pkt.addr).handle(pkt)

@@ -52,7 +52,7 @@ def test_max_depth_tracked():
 def test_unbounded_fifo_never_full():
     f = Fifo("t", capacity=None)
     for i in range(1000):
-        f.push(i, 0)
+        assert f.push(i, 0) is False
     assert not f.full
     assert not f.pressured
 
@@ -90,3 +90,39 @@ def test_stats_snapshot_contents():
     assert snap["wait_mean_ticks"] == 20
     # area: 1*[0,10) + 2*[10,20) = 30 -> mean 1.5
     assert snap["mean_depth"] == pytest.approx(1.5)
+
+
+# ----------------------------------------------------------------------
+# push reports pressure: the ring interfaces halt their upstream link on it
+# ----------------------------------------------------------------------
+def test_push_reports_pressure_from_high_water_up():
+    f = Fifo("t", capacity=6, high_water=3)
+    flags = []
+    for i in range(6):
+        flags.append(f.push(i, 0))
+        assert flags[-1] == f.pressured
+    assert flags == [False, False, True, True, True, True]
+    for _ in range(5):
+        f.pop(0)
+    assert f.push("x", 0) is False   # depth 2
+    assert f.push("y", 0) is True    # depth 3: the mark itself counts
+
+
+def test_push_follows_limits_lowered_after_construction():
+    f = Fifo("t", capacity=10)
+    assert f.high_water == 8
+    assert f.push("a", 0) is False
+    f.high_water = 2                 # as FaultInjector.attach lowers it
+    assert f.push("b", 0) is True
+    f.capacity = 3
+    assert f.push("c", 0) is True
+    with pytest.raises(FifoFullError):
+        f.push("d", 0)
+
+
+def test_push_at_capacity_raises_and_keeps_contents():
+    f = Fifo("t", capacity=3, high_water=1)
+    assert [f.push(i, 0) for i in range(3)] == [True, True, True]
+    with pytest.raises(FifoFullError):
+        f.push("x", 0)
+    assert len(f) == 3 and f.pushes == 3 and f.max_depth == 3

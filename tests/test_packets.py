@@ -3,7 +3,16 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.interconnect.packet import NONSINKABLE, MsgType, Packet, is_sinkable
+import dataclasses
+
+from repro.interconnect.packet import (
+    NONSINKABLE,
+    ROUTE_TO_SEQ,
+    MsgType,
+    Packet,
+    is_sinkable,
+    next_pid,
+)
 
 
 def test_requests_are_nonsinkable():
@@ -51,6 +60,28 @@ def test_copy_for_branch_is_independent():
     c.dest_mask = 1
     assert p.meta["state"] == "deliver"
     assert p.dest_mask == 7
+
+
+def test_copy_for_branch_matches_keyword_copy():
+    """The positional copy carries what a keyword-built copy carries:
+    payload, routing and credit state, a fresh meta dict; the queue
+    stamps and one-shot flags start unset; one pid is drawn."""
+    home = object()
+    p = Packet(MsgType.INVALIDATE, 64, 1, 7, requester=3, data=[1, 2], flits=3,
+               ordered=True, meta={"k": 1}, born=5, route_state=ROUTE_TO_SEQ,
+               send_enq=9, arr=9, up_enq=9, down_enq=9, tail_done=True,
+               seq_done=True, credit_home=home)
+    c = p.copy_for_branch()
+    assert next_pid() == c.pid + 1
+    ref = Packet(mtype=p.mtype, addr=p.addr, src_station=p.src_station,
+                 dest_mask=p.dest_mask, requester=p.requester, data=p.data,
+                 flits=p.flits, ordered=p.ordered, meta=dict(p.meta),
+                 pid=c.pid, born=p.born, route_state=p.route_state,
+                 credit_home=p.credit_home)
+    for f in dataclasses.fields(Packet):
+        assert getattr(c, f.name) == getattr(ref, f.name), f.name
+    assert c.data is p.data and c.credit_home is home
+    assert c.meta is not p.meta
 
 
 @given(st.sampled_from(list(MsgType)), st.integers(0, 2**20))

@@ -1,8 +1,20 @@
 """Tests for the processor model: cache fast paths, miss classification,
 write-backs, barrier registers, interrupts."""
 
-from repro import AtomicRMW, Barrier, Compute, Machine, Read, Write
+from repro import (
+    AtomicRMW,
+    Barrier,
+    Compute,
+    Machine,
+    MachineConfig,
+    MsgType,
+    Read,
+    Write,
+)
 from repro.core.states import CacheState
+from repro.cpu.processor import Processor
+from repro.interconnect.routing import Geometry
+from repro.system.station import Station
 
 from conftest import single, small_config
 
@@ -123,6 +135,75 @@ def test_consecutive_barriers_sense_alternation():
     m.run({c: prog(c) for c in range(cfg.num_cpus)})
     for cpu in m.cpus:
         assert cpu.barrier_regs == [0, 0]  # all consumed
+
+
+def _log_barrier_releases(monkeypatch):
+    """Record, per BARRIER_WRITE a station dispatches, the station id and
+    the cpus it released, in release order."""
+    log, current = [], []
+    deliver = Station.deliver_from_ring
+    barrier_write = Processor.barrier_write
+
+    def logged_deliver(self, pkt):
+        if pkt.mtype is not MsgType.BARRIER_WRITE:
+            return deliver(self, pkt)
+        current.append([])
+        log.append((self.station_id, current[-1]))
+        try:
+            deliver(self, pkt)
+        finally:
+            current.pop()
+
+    def logged_write(self, bit, sense):
+        current[-1].append(self.cpu_id)
+        barrier_write(self, bit, sense)
+
+    # patched before any machine is built: ring interfaces bind deliver_cb
+    monkeypatch.setattr(Station, "deliver_from_ring", logged_deliver)
+    monkeypatch.setattr(Processor, "barrier_write", logged_write)
+    return log
+
+
+def _run_barriers(machine, cpus):
+    def prog(cid):
+        for b in range(3):
+            yield Barrier(b, cpus)
+            yield Compute(cid + 1)
+
+    machine.run({c: prog(c) for c in cpus})
+    for c in cpus:
+        assert machine.cpus[c].barrier_regs == [0, 0]
+
+
+def _assert_releases(log, cpus, cps):
+    assert log
+    for sid, released in log:
+        assert released == [c for c in cpus if c // cps == sid], sid
+
+
+def test_barrier_fan_out_releases_local_cpus_in_tuple_order(monkeypatch):
+    log = _log_barrier_releases(monkeypatch)
+    cfg = small_config()                 # 2x2 stations, 2 cpus each
+    cpus = (6, 1, 7, 0, 2)               # stations 3, 0, 3, 0, 1
+    m = Machine(cfg)
+    _run_barriers(m, cpus)
+    _assert_releases(log, cpus, cfg.cpus_per_station)
+    # the inexact mask over-selects station 2, which releases nobody
+    assert {sid for sid, _ in log} == {0, 1, 2, 3}
+    assert all(not released for sid, released in log if sid == 2)
+
+
+def test_barrier_plans_are_per_machine(monkeypatch):
+    """One tuple, two geometries: each machine groups it by its own
+    stations (a shared plan would strand cpus 2 and 3 on one of them)."""
+    log = _log_barrier_releases(monkeypatch)
+    cpus = (3, 2, 1, 0)
+    for geometry in (Geometry((2, 2), processors_per_station=2),
+                     Geometry((2,), processors_per_station=4)):
+        log.clear()
+        m = Machine(MachineConfig(geometry=geometry))
+        _run_barriers(m, cpus)
+        _assert_releases(log, cpus, geometry.processors_per_station)
 
 
 def test_interrupt_register_or_and_clear():

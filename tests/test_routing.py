@@ -4,6 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Machine, MachineConfig
+from repro.interconnect.packet import (
+    ROUTE_ASCEND,
+    ROUTE_DELIVER,
+    ROUTE_TO_SEQ,
+    MsgType,
+    Packet,
+)
 from repro.interconnect.routing import Geometry, RoutingMaskCodec
 
 
@@ -80,6 +88,33 @@ def test_clear_upper(proto):
     cleared = proto.clear_upper(mask, 1)
     assert proto.field(cleared, 1) == 0
     assert proto.field(cleared, 0) == proto.field(mask, 0)
+
+
+@pytest.mark.parametrize("levels", [(4, 4), (2, 2, 2)])
+def test_send_routing_decision_matches_reference_exhaustively(levels):
+    """Every mask from every source station: the precomputed ascend mask
+    and the ring interface's send-side routing agree with
+    highest_level_needed and clear_upper, which stay as the reference."""
+    geometry = Geometry(levels, processors_per_station=1)
+    machine = Machine(MachineConfig(geometry=geometry))
+    codec = machine.codec
+    for station in machine.stations:
+        src = station.station_id
+        sri = station.ring_interface
+        for mask in range(1 << codec.total_bits):
+            ascends = codec.highest_level_needed(mask, src) > 0
+            assert bool(mask & codec.ascend_mask(src)) == ascends
+            assert mask & codec.field_mask(0) == codec.clear_upper(mask, 1)
+            for ordered in (False, True):
+                pkt = Packet(mtype=MsgType.DATA_RESP, addr=0, src_station=src,
+                             dest_mask=mask, ordered=ordered)
+                sri._route_prep(pkt)
+                if ascends:
+                    assert (pkt.route_state, pkt.dest_mask) == (ROUTE_ASCEND, mask)
+                else:
+                    stay = ROUTE_TO_SEQ if ordered else ROUTE_DELIVER
+                    assert pkt.route_state == stay
+                    assert pkt.dest_mask == codec.clear_upper(mask, 1)
 
 
 # ----------------------------------------------------------------------
