@@ -44,23 +44,33 @@ class NCLine:
 
 
 class NCArray:
-    """Direct-mapped slot array: slot index -> occupant."""
+    """Direct-mapped slot array, in the layout of
+    :class:`~repro.cache.base.CacheArray`.
+
+    ``probe(line_addr)`` is the tag-matching lookup: the occupant only if
+    it *is* this line, else ``None``.  It is the bound ``get`` of the
+    address-keyed ``_lines`` dict, bound once in ``__init__``, so a probe
+    costs no Python frame; ``_lines`` is never rebound.  ``_slots`` maps
+    slot index -> occupant for :meth:`occupant`, for the line
+    :meth:`insert` displaces and for :meth:`lines`, which lists occupants
+    in slot-fill order (the watchdog dump and blocked-CPU reports print
+    it).
+    """
+
+    __slots__ = ("name", "line_bytes", "num_slots", "_lines", "_slots", "probe")
 
     def __init__(self, name: str, size_bytes: int, line_bytes: int) -> None:
         self.name = name
         self.line_bytes = line_bytes
         self.num_slots = size_bytes // line_bytes
+        # line address -> occupant
+        self._lines: Dict[int, NCLine] = {}
+        # slot index -> occupant; empty slots have no key
         self._slots: Dict[int, NCLine] = {}
+        self.probe = self._lines.get
 
     def slot_index(self, line_addr: int) -> int:
         return (line_addr // self.line_bytes) % self.num_slots
-
-    def probe(self, line_addr: int) -> Optional[NCLine]:
-        """Tag-matching lookup: the occupant only if it IS this line."""
-        occupant = self._slots.get(self.slot_index(line_addr))
-        if occupant is not None and occupant.addr == line_addr:
-            return occupant
-        return None
 
     def occupant(self, line_addr: int) -> Optional[NCLine]:
         """Whatever currently sits in this line's slot (tag may differ)."""
@@ -71,17 +81,18 @@ class NCArray:
         *different* line whose ejection the caller must handle), if any."""
         idx = self.slot_index(line.addr)
         displaced = self._slots.get(idx)
-        if displaced is not None and displaced.addr == line.addr:
-            displaced = None
-        self._slots[idx] = line
+        if displaced is not None:
+            del self._lines[displaced.addr]
+            if displaced.addr == line.addr:
+                displaced = None
+        self._slots[idx] = self._lines[line.addr] = line
         return displaced
 
     def evict(self, line_addr: int) -> Optional[NCLine]:
-        idx = self.slot_index(line_addr)
-        occupant = self._slots.get(idx)
-        if occupant is not None and occupant.addr == line_addr:
-            return self._slots.pop(idx)
-        return None
+        line = self._lines.pop(line_addr, None)
+        if line is not None:
+            del self._slots[self.slot_index(line_addr)]
+        return line
 
     def occupancy(self) -> int:
         return len(self._slots)

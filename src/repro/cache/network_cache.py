@@ -95,6 +95,7 @@ class NetworkCache:
         # hot-path tick values cached once (see MemoryModule)
         self._cmd_ticks = config.cmd_bus_ticks
         self._line_ticks = config.line_bus_ticks
+        self._cpus_per_station = config.cpus_per_station
         self._line_flits = config.line_flits
         self._nc_read = ns_to_ticks(config.nc_dram_read_ns)
         self._nc_write = ns_to_ticks(config.nc_dram_write_ns)
@@ -561,7 +562,7 @@ class NetworkCache:
     # helpers
     # ==================================================================
     def _local_index(self, global_cpu: int) -> int:
-        return global_cpu % self.config.cpus_per_station
+        return global_cpu % self._cpus_per_station
 
     def _cpu_has_copy(self, global_cpu: Optional[int], line_addr: int) -> bool:
         if global_cpu is None:
@@ -600,7 +601,7 @@ class NetworkCache:
             return
         victims = [
             self.station.cpus[i]
-            for i in range(self.config.cpus_per_station)
+            for i in range(self._cpus_per_station)
             if proc_mask & (1 << i)
         ]
         v = self.verifier

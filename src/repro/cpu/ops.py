@@ -10,6 +10,13 @@ algorithms::
         v = yield Read(a.addr(i))
         yield Write(b.addr(i), v + 1)
         yield Barrier(0, ctx.all_cpus)
+
+Ops are values: the processor reads an op's fields and never mutates
+them, so one op may be yielded any number of times, by any number of
+programs.  The array views of :mod:`repro.workloads.base` rely on that:
+they hand out one shared :class:`Read` per array word.  The ops stay
+plain slotted classes, not ``frozen=True`` ones, because a frozen
+dataclass's ``__init__`` is slower and many ops are still built per use.
 """
 
 from __future__ import annotations

@@ -11,10 +11,15 @@ Cache hits are resolved synchronously in batches of ``config.cpu_batch``
 ops per scheduler event — the fast path that keeps simulation cost
 proportional to misses.  A Read or Write hit costs one iteration of the
 batch loop in :meth:`Processor._step`: two array probes, a counter and
-a tick charge.  An invalidation arriving mid-batch takes effect at
-the next batch boundary (tens of CPU cycles), far below the protocol's
-latency scale; tests that check sequential-consistency litmus outcomes run
-with ``cpu_batch=1`` where batching cannot reorder anything.
+a tick charge.  Each probe is a cache array's ``lookup``, the bound
+``get`` of its address-keyed line dict, so an L1 hit runs no Python
+frame below ``_step`` (an L2 hit adds the L1 ``install``).  Array views
+hand the loop the same ``Read`` op for the same word (see
+:mod:`repro.cpu.ops`).  An invalidation arriving mid-batch takes effect
+at the next batch boundary (tens of CPU cycles), far below the
+protocol's latency scale; tests that check sequential-consistency
+litmus outcomes run with ``cpu_batch=1`` where batching cannot reorder
+anything.
 
 The module also carries the interrupt register, the two (sense-alternating)
 barrier registers, and the phase-identifier register of §3.2/§3.3.
@@ -666,18 +671,22 @@ class Processor:
             self._cmd_ticks,
             lambda start, k=pkt: self.station.ring_interface.send(k),
         )
-        self._check_barrier()
+        # writing no bit runs the release check alone
+        self.barrier_write(0, sense)
 
     def barrier_write(self, bit: int, sense: int) -> None:
-        self.barrier_regs[sense] |= bit
-        self._check_barrier()
-
-    def _check_barrier(self) -> None:
-        if self._barrier_wait is None:
+        """A barrier-register write (one bit of a BARRIER_WRITE multicast),
+        then the release check: once every bit the waiting barrier needs is
+        set, clear them and resume.  The one copy of the release rule, and
+        one frame per write."""
+        regs = self.barrier_regs
+        regs[sense] |= bit
+        wait = self._barrier_wait
+        if wait is None:
             return
-        sense, full = self._barrier_wait
-        if self.barrier_regs[sense] & full == full:
-            self.barrier_regs[sense] &= ~full
+        sense, full = wait
+        if regs[sense] & full == full:
+            regs[sense] &= ~full
             self._barrier_wait = None
             # one cycle to notice the register (local spin, no traffic)
             self.engine.schedule(self._cpu, self._step)

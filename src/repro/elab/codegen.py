@@ -5,8 +5,9 @@ the station bus, the ordered output ports, the memory module, the network
 cache and the processor — with their hot-path methods rewritten:
 
 * every config-derived quantity (bus arbitration and command ticks, module
-  latencies, the address map, the probed tag-array geometry) appears as a
-  literal;
+  latencies, the address map) appears as a literal; the tag arrays are
+  probed through their bound ``lookup`` / ``probe`` (a C-level dict
+  ``get``, no Python frame), never through inlined set arithmetic;
 * the three hottest pump loops — bus grant / ordered-port pump, memory
   pump, NC pump — are fused: FIFO push/pop bookkeeping and
   ``Engine.schedule`` are inlined so a bus transaction costs a handful of
@@ -384,20 +385,19 @@ def generate_source(ir: MachineIR) -> str:
         if svc == "nc" and proto.name == "numachine":
             # The local-request NACK storm is the hottest protocol path in
             # contended runs: a locked line bounces every local retry.  It
-            # is transcribed here with the tag probe, the nack counter, the
-            # cpu lookup and the ordered-port send all inlined; every other
-            # local-request outcome falls back to the interpreted method
-            # (the probe is pure, so re-running it there is side-effect
-            # free).  Protocol-specific (it mirrors the NUMAchine NC's
-            # locked-line branch), so other plug-ins inherit their own
-            # _on_local_request unmodified.
+            # is transcribed here with the nack counter, the cpu lookup and
+            # the ordered-port send inlined; the tag probe is the array's
+            # bound ``probe`` (a dict ``get``, no Python frame).  Every
+            # other local-request outcome falls back to the interpreted
+            # method (the probe is pure, so re-running it there is
+            # side-effect free).  Protocol-specific (it mirrors the
+            # NUMAchine NC's locked-line branch), so other plug-ins inherit
+            # their own _on_local_request unmodified.
             w("    def _on_local_request(self, pkt):")
             w("        if self.enabled:")
             w("            addr = pkt.addr")
-            w("            line = self.array._slots.get(")
-            w("                (addr // NC_LINE_B) % NC_SLOTS")
-            w("            )")
-            w("            if line is not None and line.addr == addr and line.locked:")
+            w("            line = self.array.probe(addr)")
+            w("            if line is not None and line.locked:")
             w("                p = line.pending")
             w("                cpu = pkt.requester")
             w('                if p is not None and p.kind == "fetch" and cpu != p.cpu:')
@@ -441,10 +441,8 @@ def generate_source(ir: MachineIR) -> str:
     w("    if p is None:")
     w("        return")
     w('    la = p["la"]')
-    w("    # l2.lookup(la) inlined: one direct-mapped set probe + tag compare")
-    w("    line = self.l2._lines.get((la // L2_LINE_B) % L2_SETS)")
-    w("    if line is not None and line.addr != la:")
-    w("        line = None")
+    w("    # the L2's bound lookup: a dict get, no Python frame")
+    w("    line = self.l2.lookup(la)")
     w('    kind = p["kind"]')
     w('    if kind == "read":')
     w("        if line is not None and line.state.readable:")

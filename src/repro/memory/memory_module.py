@@ -92,6 +92,8 @@ class MemoryModule:
         # ns_to_ticks on every access, which profiles as real run time)
         self._cmd_ticks = config.cmd_bus_ticks
         self._line_ticks = config.line_bus_ticks
+        # likewise the property every per-packet cpu index divides by
+        self._cpus_per_station = config.cpus_per_station
         self._line_flits = config.line_flits
         self._line_words = config.line_words
         self._dram_read = ns_to_ticks(config.dram_read_ns)
@@ -258,7 +260,7 @@ class MemoryModule:
         entry.pending = None
 
     def _local_index(self, global_cpu: int) -> int:
-        return global_cpu % self.config.cpus_per_station
+        return global_cpu % self._cpus_per_station
 
     def _cpu_has_copy(self, global_cpu: int, line_addr: int) -> bool:
         cpu = self.station.cpu_by_global(global_cpu)
@@ -470,7 +472,7 @@ class MemoryModule:
             return
         victims = [
             self.station.cpus[i]
-            for i in range(self.config.cpus_per_station)
+            for i in range(self._cpus_per_station)
             if mask & (1 << i)
         ]
         v = self.verifier

@@ -11,6 +11,14 @@ Reads a JSON snapshot written by :func:`repro.obs.registry.write_snapshot`
     the Prometheus text exposition of the same snapshot.
 ``json``
     the snapshot itself, pretty-printed (useful after ad-hoc filtering).
+
+Given two snapshots, ``python -m repro.obs.report A.json B.json`` prints
+every leaf that differs between them instead, one line each with its
+path, A, B and B−A.  Every section is walked, probe series and trace
+summary included; only the host-time fields ``meta.wall_s`` and
+``meta.events_per_sec`` are not compared, and a leaf present on one side
+only counts as a difference.  The exit status is 1 when anything differs
+and 0 when nothing does; an unreadable file exits 2 in either form.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.engine import TICKS_PER_NS
 from .registry import to_prometheus
@@ -137,42 +145,128 @@ def render_text(snap: dict, probe_limit: int = 24) -> str:
     return "\n".join(out)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description="Render a saved observability snapshot.",
-    )
-    parser.add_argument("snapshot", help="snapshot JSON file (see Observability.write_snapshot)")
-    parser.add_argument(
-        "--format", choices=("text", "prom", "json"), default="text",
-        help="output format (default: text)",
-    )
-    args = parser.parse_args(argv)
+# ----------------------------------------------------------------------
+# two-snapshot diff
+# ----------------------------------------------------------------------
+#: host time, not model state: the only leaves a diff skips
+_WALL_LEAVES = ("meta.wall_s", "meta.events_per_sec")
+#: stands for a leaf one snapshot lacks
+_ABSENT = object()
+
+
+def snapshot_leaves(snap: dict) -> Dict[str, object]:
+    """Every leaf of ``snap`` but the host-time ones, by path (dict keys
+    joined by ``.``, list indices as ``[i]``), in snapshot order."""
+    out: Dict[str, object] = {}
+
+    def walk(node, path: str) -> None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else str(key))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{path}[{i}]")
+        elif path not in _WALL_LEAVES:
+            out[path] = node
+
+    walk(snap, "")
+    return out
+
+
+def diff_snapshots(a: dict, b: dict) -> List[Tuple[str, object, object]]:
+    """``(path, a_value, b_value)`` for every leaf that differs; a value
+    is ``_ABSENT`` on the side that lacks the leaf."""
+    la, lb = snapshot_leaves(a), snapshot_leaves(b)
+    paths = list(la) + [p for p in lb if p not in la]
+    rows = []
+    for path in paths:
+        va, vb = la.get(path, _ABSENT), lb.get(path, _ABSENT)
+        if va is _ABSENT or vb is _ABSENT or va != vb:
+            rows.append((path, va, vb))
+    return rows
+
+
+def render_diff(rows: List[Tuple[str, object, object]]) -> str:
+    """One line per differing leaf: path, A, B and B−A ("-" where a side
+    lacks the leaf or a value is not a number)."""
+
+    def fmt(v) -> str:
+        return "-" if v is _ABSENT else str(v)
+
+    def fmt_delta(va, vb) -> str:
+        if not (isinstance(va, (int, float)) and isinstance(vb, (int, float))):
+            return "-"
+        delta = vb - va
+        return f"{delta:+d}" if isinstance(delta, int) else f"{delta:+.6g}"
+
+    width = max([len(path) for path, _, _ in rows] + [4])
+    out = [f"{'path':<{width}}  {'A':>14}  {'B':>14}  {'B-A':>14}"]
+    for path, va, vb in rows:
+        out.append(
+            f"{path:<{width}}  {fmt(va):>14}  {fmt(vb):>14}  "
+            f"{fmt_delta(va, vb):>14}"
+        )
+    return "\n".join(out)
+
+
+def _load(path: str) -> Optional[dict]:
+    """The snapshot in ``path``, or ``None`` after reporting why not."""
     try:
-        with open(args.snapshot) as fh:
-            snap = json.load(fh)
+        with open(path) as fh:
+            return json.load(fh)
     except OSError as exc:
         print(
-            f"error: cannot read snapshot {args.snapshot!r}: {exc.strerror or exc}",
+            f"error: cannot read snapshot {path!r}: {exc.strerror or exc}",
             file=sys.stderr,
         )
-        return 2
     except json.JSONDecodeError as exc:
         print(
-            f"error: {args.snapshot!r} is not a JSON snapshot "
+            f"error: {path!r} is not a JSON snapshot "
             f"(line {exc.lineno}: {exc.msg}); expected a file written by "
             "Observability.write_snapshot",
             file=sys.stderr,
         )
+    return None
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs.report",
+        description="Render a saved observability snapshot, or print what "
+        "differs between two.",
+    )
+    parser.add_argument(
+        "snapshots", nargs="+", metavar="snapshot",
+        help="snapshot JSON file (see Observability.write_snapshot); give "
+        "two to print every leaf that differs",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "prom", "json"),
+        help="output format of the one-snapshot form (default: text)",
+    )
+    args = parser.parse_args(argv)
+    if len(args.snapshots) > 2:
+        parser.error("give one snapshot to render or two to diff")
+    if len(args.snapshots) == 2 and args.format is not None:
+        parser.error("--format applies to the one-snapshot form")
+    snaps = [_load(path) for path in args.snapshots]
+    if any(snap is None for snap in snaps):
         return 2
+    status = 0
     try:
-        if args.format == "prom":
-            sys.stdout.write(to_prometheus(snap))
+        if len(snaps) == 2:
+            rows = diff_snapshots(*snaps)
+            if rows:
+                status = 1
+                print(render_diff(rows))
+            print(f"leaves that differ: {len(rows)}")
+        elif args.format == "prom":
+            sys.stdout.write(to_prometheus(snaps[0]))
         elif args.format == "json":
-            json.dump(snap, sys.stdout, indent=1)
+            json.dump(snaps[0], sys.stdout, indent=1)
             sys.stdout.write("\n")
         else:
-            print(render_text(snap))
+            print(render_text(snaps[0]))
         sys.stdout.flush()
     except BrokenPipeError:
         # downstream consumer (head, grep -m) closed the pipe: not an error,
@@ -181,7 +275,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI smoke test

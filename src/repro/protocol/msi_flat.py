@@ -66,12 +66,12 @@ class MsiMemory(MemoryModule):
         return mask.bit_length() - 1
 
     def _station_of(self, global_cpu: int) -> int:
-        return global_cpu // self.config.cpus_per_station
+        return global_cpu // self._cpus_per_station
 
     def _remote_sharer_route(self, entry: DirEntry, keep: int) -> int:
         """Routing mask covering every *remote* station with a sharer other
         than ``keep`` — exact per station, derived from the full map."""
-        cps = self.config.cpus_per_station
+        cps = self._cpus_per_station
         mask = entry.proc_mask & ~(1 << keep)
         route = 0
         while mask:
@@ -87,7 +87,7 @@ class MsiMemory(MemoryModule):
     ) -> None:
         """Invalidate home-station L2 copies over the bus, clearing their
         bits from the full map (``keep`` is a *global* cpu id)."""
-        cps = self.config.cpus_per_station
+        cps = self._cpus_per_station
         base = self.station_id * cps
         local_mask = (entry.proc_mask >> base) & ((1 << cps) - 1)
         if keep is not None and base <= keep < base + cps:

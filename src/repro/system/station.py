@@ -61,7 +61,8 @@ class Station:
         # home-routing constants, bound once: module_for runs per request
         self._station_mem_bytes = config.station_mem_bytes
         self._num_stations = config.num_stations
-        # dispatch constants, bound once: deliver_from_ring runs per packet
+        # dispatch constants, bound once: deliver_from_ring and
+        # cpu_by_global run per packet
         self._cpus_per_station = config.cpus_per_station
         #: barrier fan-out plans by cpus tuple; the Machine shares one dict
         #: among its stations (see barrier_plan)
@@ -82,7 +83,7 @@ class Station:
         return self.nc
 
     def cpu_by_global(self, global_cpu: int) -> Processor:
-        idx = global_cpu % self.config.cpus_per_station
+        idx = global_cpu % self._cpus_per_station
         cpu = self.cpus[idx]
         if cpu.cpu_id != global_cpu:
             raise SimulationError(

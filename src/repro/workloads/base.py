@@ -23,26 +23,39 @@ from ..system.machine import Machine
 
 
 class SharedArray:
-    """A 1-D array of 8-byte words in simulated shared memory."""
+    """A 1-D array of 8-byte words in simulated shared memory.
+
+    :meth:`read` hands out one shared ``Read`` op per word index, built on
+    first use (ops are values, see :mod:`repro.cpu.ops`); an index not yet
+    seen goes through ``Region.addr``, so an index outside the region
+    raises ``IndexError`` on every call."""
 
     def __init__(self, machine: Machine, n: int, placement="round_robin",
                  name: Optional[str] = None) -> None:
         self.n = n
         self.word = machine.config.word_bytes
         self.region = machine.allocate(n * self.word, placement=placement, name=name)
+        self._reads: Dict[int, Read] = {}
 
     def addr(self, i: int) -> int:
         return self.region.addr(i * self.word)
 
     def read(self, i: int) -> Read:
-        return Read(self.region.addr(i * self.word))
+        op = self._reads.get(i)
+        if op is None:
+            op = self._reads[i] = Read(self.region.addr(i * self.word))
+        return op
 
     def write(self, i: int, v) -> Write:
         return Write(self.region.addr(i * self.word), v)
 
 
 class SharedMatrix:
-    """A 2-D row-major matrix of words (used by LU, Ocean, FFT)."""
+    """A 2-D row-major matrix of words (used by LU, Ocean, FFT).
+
+    :meth:`read` shares ``Read`` ops as :class:`SharedArray` does, keyed
+    by the linear index the address uses, so a column past the row end
+    names the same word (and op) as it does in :meth:`addr`."""
 
     def __init__(self, machine: Machine, rows: int, cols: int,
                  placement="round_robin", name: Optional[str] = None) -> None:
@@ -52,12 +65,17 @@ class SharedMatrix:
         self.region = machine.allocate(
             rows * cols * self.word, placement=placement, name=name
         )
+        self._reads: Dict[int, Read] = {}
 
     def addr(self, r: int, c: int) -> int:
         return self.region.addr((r * self.cols + c) * self.word)
 
     def read(self, r: int, c: int) -> Read:
-        return Read(self.region.addr((r * self.cols + c) * self.word))
+        i = r * self.cols + c
+        op = self._reads.get(i)
+        if op is None:
+            op = self._reads[i] = Read(self.region.addr(i * self.word))
+        return op
 
     def write(self, r: int, c: int, v) -> Write:
         return Write(self.region.addr((r * self.cols + c) * self.word), v)
@@ -92,12 +110,13 @@ def spinlock_acquire(addr: int):
 
     Spins with shared reads between TAS attempts (test-and-test-and-set), so
     waiting costs cache hits, not coherence storms."""
+    spin = Read(addr)
     while True:
         old = yield AtomicRMW(addr, _tas)
         if old == 0:
             return
         while True:
-            v = yield Read(addr)
+            v = yield spin
             if v == 0:
                 break
 

@@ -508,6 +508,105 @@ def test_report_cli_text_and_prom(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["schema"] >= 1
 
 
+# ----------------------------------------------------------------------
+# report CLI: two-snapshot diff
+# ----------------------------------------------------------------------
+def _write_pair(tmp_path, edit):
+    machine = Machine(MachineConfig.small())
+    machine.attach_monitor(Monitor())
+    Observability().attach(machine)
+    HotSpot(words=16, ops=20).run(machine, nprocs=4)
+    snap = machine.obs_snapshot()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(snap))
+    edited = json.loads(json.dumps(snap))
+    edit(edited)
+    b.write_text(json.dumps(edited))
+    return str(a), str(b), snap
+
+
+def test_report_diff_identical_snapshots_exit_0(tmp_path, capsys):
+    a, b, _ = _write_pair(tmp_path, lambda s: None)
+    assert report_main([a, b]) == 0
+    assert capsys.readouterr().out.strip() == "leaves that differ: 0"
+
+
+def test_report_diff_prints_bumped_counter_and_exits_1(tmp_path, capsys):
+    def bump(s):
+        s["counters"]["P0.reads"] += 3
+
+    a, b, snap = _write_pair(tmp_path, bump)
+    assert report_main([a, b]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    row = next(line.split() for line in lines
+               if line.startswith("counters.P0.reads "))
+    n = snap["counters"]["P0.reads"]
+    assert row == ["counters.P0.reads", str(n), str(n + 3), "+3"]
+    assert lines[-1] == "leaves that differ: 1"
+
+
+def test_report_diff_ignores_wall_fields(tmp_path, capsys):
+    def wall(s):
+        s["meta"]["wall_s"] += 1.0
+        s["meta"]["events_per_sec"] /= 2
+
+    a, b, _ = _write_pair(tmp_path, wall)
+    assert report_main([a, b]) == 0
+
+
+def test_report_diff_counts_one_sided_keys(tmp_path, capsys):
+    def one_sided(s):
+        del s["counters"]["P0.reads"]
+
+    a, b, _ = _write_pair(tmp_path, one_sided)
+    assert report_main([a, b]) == 1
+    assert "counters.P0.reads" in capsys.readouterr().out
+    assert report_main([b, a]) == 1
+
+
+def test_report_diff_covers_histogram_cells(tmp_path, capsys):
+    def cell(s):
+        s["histograms"]["coherence"]["cells"][0][2] += 1
+
+    a, b, _ = _write_pair(tmp_path, cell)
+    assert report_main([a, b]) == 1
+    assert "histograms.coherence.cells[0][2] " in capsys.readouterr().out
+
+
+def test_report_diff_covers_probe_samples_and_trace_counts(tmp_path, capsys):
+    """Every section is compared, not a list of them: a probe sample or
+    a trace count that differs is a difference."""
+    def probe(s):
+        name = next(iter(s["probes"]))
+        s["probes"][name]["v"][-1] += 0.5
+
+    a, b, snap = _write_pair(tmp_path, probe)
+    assert report_main([a, b]) == 1
+    name = next(iter(snap["probes"]))
+    last = len(snap["probes"][name]["v"]) - 1
+    assert f"probes.{name}.v[{last}] " in capsys.readouterr().out
+
+    def trace(s):
+        s["trace"]["finished"] += 1
+
+    a, b, snap = _write_pair(tmp_path, trace)
+    assert report_main([a, b]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    n = snap["trace"]["finished"]
+    assert ["trace.finished", str(n), str(n + 1), "+1"] in [
+        line.split() for line in lines]
+    assert lines[-1] == "leaves that differ: 1"
+
+
+def test_report_diff_unreadable_file_exits_2(tmp_path, capsys):
+    a, _, _ = _write_pair(tmp_path, lambda s: None)
+    assert report_main([a, str(tmp_path / "nope.json")]) == 2
+    assert "error: cannot read snapshot" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert report_main([str(bad), a]) == 2
+
+
 def test_sparkline_shapes():
     assert sparkline([]) == ""
     assert len(sparkline([0.0] * 10)) == 10

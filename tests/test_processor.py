@@ -155,7 +155,8 @@ def _log_barrier_releases(monkeypatch):
             current.pop()
 
     def logged_write(self, bit, sense):
-        current[-1].append(self.cpu_id)
+        if bit:  # bit 0 is an arriving cpu's own release check
+            current[-1].append(self.cpu_id)
         barrier_write(self, bit, sense)
 
     # patched before any machine is built: ring interfaces bind deliver_cb
