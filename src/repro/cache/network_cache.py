@@ -144,7 +144,7 @@ class NetworkCache:
         extra = self._dispatch(pkt)
         v = self.verifier
         if v is not None:
-            v.nc_event(self, pkt)
+            v.observe(self, pkt.addr, pkt)
         # The done event carries this module's content key: unique (the
         # _busy flag serializes services) and sorting below any counter key
         # at its tick.
@@ -160,7 +160,7 @@ class NetworkCache:
 
     def _dispatch(self, pkt: Packet) -> int:
         if self.monitor is not None:
-            self.monitor.record_nc_txn(self.station_id, pkt, self.array.probe(pkt.addr))
+            self.monitor.record_txn("nc", self.station_id, pkt, self.array.probe(pkt.addr))
         mtype = pkt.mtype
         if pkt.meta.get("local"):
             if mtype is MsgType.WRITE_BACK:
@@ -419,7 +419,7 @@ class NetworkCache:
             self._answer_intervention(pkt, list(data), p.exclusive, line)
         v = self.verifier
         if v is not None:
-            v.nc_settled(self, addr)
+            v.observe(self, addr)
 
     # ==================================================================
     # bypass mode (NC ablation)

@@ -69,6 +69,9 @@ class Directory:
         self.default_state = default_state
         self.exact_sharers = exact_sharers
         self._entries: Dict[int, DirEntry] = {}
+        #: look without creating: the bound ``get`` of ``_entries`` (never
+        #: rebound), so the checker's per-transaction peek costs no frame
+        self.peek = self._entries.get
 
     def entry(self, line_addr: int) -> DirEntry:
         e = self._entries.get(line_addr)
@@ -78,10 +81,6 @@ class Directory:
                 e.exact_stations = set()
             self._entries[line_addr] = e
         return e
-
-    def peek(self, line_addr: int) -> Optional[DirEntry]:
-        """Look without creating (tests / monitoring)."""
-        return self._entries.get(line_addr)
 
     def drop(self, line_addr: int) -> None:
         self._entries.pop(line_addr, None)

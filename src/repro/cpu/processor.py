@@ -371,7 +371,6 @@ class Processor:
             "addr": addr,
             "la": la,
             "payload": payload,
-            "tries": 0,
             "exclusive_only": bool(attrs is not None and attrs.exclusive_only),
         }
         self._request_start = self.engine.now
@@ -562,7 +561,7 @@ class Processor:
             self.engine.schedule(self._cpu, self._step)
             return
         self._pending = {"kind": "ucread", "addr": addr, "la": None,
-                         "payload": None, "tries": 0}
+                         "payload": None}
         self._request_start = self.engine.now
         pkt = Packet(
             mtype=MsgType.READ_UNCACHED, addr=addr,
@@ -599,7 +598,6 @@ class Processor:
         p = self._pending
         if p is None or p["la"] != la:
             return
-        p["tries"] += 1
         self.stats.counter("retries").incr()
         tr = self.tracer
         if tr is not None:

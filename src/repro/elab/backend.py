@@ -37,8 +37,14 @@ nothing is written to disk.  The source is registered with
 :mod:`linecache`, so tracebacks through generated code show its lines.
 
 The elaborated core is applied by *re-classing* the already-wired component
-instances (``obj.__class__ = Generated``) — no state is copied, moved, or
-rebuilt, which is what keeps the switch exact.  The switch is one-way and
+instances (``obj.__class__ = Generated``) — no state is moved or rebuilt,
+which is what keeps the switch exact.  Each re-classed component that keeps
+its attributes in a ``__dict__`` (memory module, NC, CPU) then gets a plain
+copy of that dict: CPython 3.11 stores up to 30 attributes inline, laid out
+by the *old* class, and after the swap the generated class's attribute
+loads on such an instance keep falling back to the generic path (the
+memory module's 25 attributes hit this; a copied dict restores
+``LOAD_ATTR_WITH_HINT``).  The switch is one-way and
 never happens under in-flight events: pending events hold bound methods
 captured under the old classes, so :func:`sync` is a no-op while the
 event queue is non-empty.  :meth:`Machine.run` calls it on entry, and
@@ -114,6 +120,9 @@ def sync(machine) -> None:
         st.nc.out_port.__class__ = mod.ElabPort
         for cpu in st.cpus:
             cpu.__class__ = mod.ElabCPU
+        # a plain dict, not the old class's inline layout (see above)
+        for obj in (st.memory, st.nc, *st.cpus):
+            obj.__dict__ = dict(obj.__dict__)
         # a bound method pins the function of the class at capture time,
         # so the ring interface's bus grant is re-captured after the swap
         st.ring_interface.bus_granter = st.bus.request

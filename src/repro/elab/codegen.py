@@ -352,8 +352,8 @@ def generate_source(ir: MachineIR) -> str:
         if svc == "nc":
             w("        monitor = self.monitor")
             w("        if monitor is not None:")
-            w("            monitor.record_nc_txn(")
-            w("                self.station_id, pkt, self.array.probe(pkt.addr)")
+            w("            monitor.record_txn(")
+            w('                "nc", self.station_id, pkt, self.array.probe(pkt.addr)')
             w("            )")
             w("        mtype = pkt.mtype")
             w('        if pkt.meta.get("local"):')
@@ -365,20 +365,20 @@ def generate_source(ir: MachineIR) -> str:
             w("            extra = _NC_H[mtype._value_](self, pkt)")
             w("        verifier = self.verifier")
             w("        if verifier is not None:")
-            w("            verifier.nc_event(self, pkt)")
+            w("            verifier.observe(self, pkt.addr, pkt)")
             w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
                           "self._done_key", done_fn, "self").rstrip())
         else:
             w("        entry = self.directory.entry(pkt.addr & LINE_MASK)")
             w("        monitor = self.monitor")
             w("        if monitor is not None:")
-            w("            monitor.record_memory_txn(self.station_id, pkt, entry)")
+            w('            monitor.record_txn("mem", self.station_id, pkt, entry)')
             w("        extra = _MEM_H[pkt.mtype._value_](")
             w('            self, pkt, entry, bool(pkt.meta.get("local"))')
             w("        )")
             w("        verifier = self.verifier")
             w("        if verifier is not None:")
-            w("            verifier.mem_event(self, pkt)")
+            w("            verifier.observe(self, pkt.addr, pkt)")
             w(_push_keyed(i2, "engine.now + (extra or 0)", 1,
                           "self._done_key", done_fn, "self").rstrip())
         w("")
@@ -500,7 +500,6 @@ def generate_source(ir: MachineIR) -> str:
     w("        p = self._pending")
     w('        if p is None or p["la"] != la:')
     w("            return")
-    w('        p["tries"] += 1')
     w('        self.stats.counter("retries").incr()')
     w("        engine = self.engine")
     w("        tr = self.tracer")

@@ -17,7 +17,7 @@ operations on plain ints so they are cheap enough to use on every packet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,11 @@ class RoutingMaskCodec:
         # when the mask has an upper-field bit the source's own mask lacks
         upper = sum(self._field_masks[1:])
         self._ascend_masks = [upper & ~mask for mask in self._station_masks]
+        # per-mask memos of the two decodes home memory runs on its
+        # directory masks (pure functions of the mask; a geometry has at
+        # most 2**total_bits masks)
+        self._stations: Dict[int, Tuple[int, ...]] = {}
+        self._single: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # encoding
@@ -130,25 +135,16 @@ class RoutingMaskCodec:
 
     def stations(self, mask: int) -> List[int]:
         """All stations selected by ``mask`` (the overspecified set: the
-        cartesian product of the per-level fields)."""
-        per_level: List[List[int]] = []
-        for level, width in enumerate(self.geometry.levels):
-            fld = self.field(mask, level)
-            positions = [i for i in range(width) if fld & (1 << i)]
-            if not positions:
-                return []
-            per_level.append(positions)
-        out: List[int] = []
-
-        def rec(level: int, coords: List[int]) -> None:
-            if level == len(per_level):
-                out.append(self.geometry.station_id(coords))
-                return
-            for pos in per_level[level]:
-                rec(level + 1, coords + [pos])
-
-        rec(0, [])
-        return sorted(out)
+        cartesian product of the per-level fields), ascending, as a fresh
+        list the caller may keep or change.  The expansion is memoized per
+        mask: a station is in the product exactly when ``mask`` selects it."""
+        sel = self._stations.get(mask)
+        if sel is None:
+            masks = self._station_masks
+            sel = self._stations[mask] = tuple(
+                s for s, smask in enumerate(masks) if mask & smask == smask
+            )
+        return list(sel)
 
     def selects(self, mask: int, station_id: int) -> bool:
         """Does ``mask`` select ``station_id``?  (O(levels), no expansion.)
@@ -167,13 +163,17 @@ class RoutingMaskCodec:
         return True
 
     def single_station(self, mask: int) -> int:
-        """Decode a point-to-point mask to its station id."""
-        if not self.is_single_station(mask):
-            raise ValueError(f"mask {mask:#x} is not a single station")
-        coords = []
-        for level in range(self.geometry.num_levels):
-            coords.append(self.field(mask, level).bit_length() - 1)
-        return self.geometry.station_id(coords)
+        """Decode a point-to-point mask to its station id (memoized per
+        mask; a mask that is not a single station raises every time)."""
+        sid = self._single.get(mask)
+        if sid is None:
+            if not self.is_single_station(mask):
+                raise ValueError(f"mask {mask:#x} is not a single station")
+            coords = []
+            for level in range(self.geometry.num_levels):
+                coords.append(self.field(mask, level).bit_length() - 1)
+            sid = self._single[mask] = self.geometry.station_id(coords)
+        return sid
 
     # ------------------------------------------------------------------
     # routing decisions (paper §2.2 ascend/descend rules)

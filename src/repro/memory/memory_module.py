@@ -146,7 +146,7 @@ class MemoryModule:
         extra = self._dispatch(pkt)
         v = self.verifier
         if v is not None:
-            v.mem_event(self, pkt)
+            v.observe(self, pkt.addr, pkt)
         # Content-keyed done event (see NetworkCache._service).
         engine = self.engine
         engine.schedule_keyed_at(
@@ -164,7 +164,7 @@ class MemoryModule:
     def _dispatch(self, pkt: Packet) -> int:
         entry = self.directory.entry(self.config.line_addr(pkt.addr))
         if self.monitor is not None:
-            self.monitor.record_memory_txn(self.station_id, pkt, entry)
+            self.monitor.record_txn("mem", self.station_id, pkt, entry)
         local = bool(pkt.meta.get("local"))
         handlers = self._handlers
         if handlers is None:
@@ -293,8 +293,7 @@ class MemoryModule:
         if mask == 0:
             return 0
         stations = self.codec.stations(mask)
-        remote = [s for s in stations if s != self.station_id]
-        if not remote:
+        if not stations or stations == [self.station_id]:
             return 0
         return mask
 
@@ -459,7 +458,7 @@ class MemoryModule:
                 self._send_data(fake, list(data), exclusive=False)
         v = self.verifier
         if v is not None:
-            v.mem_settled(self, addr)
+            v.observe(self, addr)
 
     def _invalidate_local(self, addr: int, entry: DirEntry, keep: Optional[int]) -> None:
         """Invalidate local secondary-cache copies over the bus (one

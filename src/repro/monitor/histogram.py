@@ -41,8 +41,8 @@ class HistogramTable:
     def record(self, row: Hashable, col: Hashable, n: int = 1) -> None:
         half = self._halves[self.active]
         key = (row, col)
-        half[key] = half.get(key, 0) + n
-        if half[key] >= self.overflow_limit:
+        count = half[key] = half.get(key, 0) + n
+        if count >= self.overflow_limit:
             self._swap()
 
     def _swap(self) -> None:

@@ -19,19 +19,25 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
+from ..core.states import LineState
 from ..interconnect.packet import Packet
 from .histogram import HistogramTable
 
+#: the §3.3.3 histogram row of a line state, unlocked and locked: ``[state][locked]``
+_ROWS = {s: (s._value_, s._value_ + "*") for s in LineState}
+
 
 class TraceMemory:
-    """Bounded history of transactions (the monitor's trace DRAM)."""
+    """Bounded history of transactions (the monitor's trace DRAM).
+
+    ``record(entry)`` is the bound ``append`` of the bounded ``_entries``
+    deque (never rebound), so logging a transaction costs no Python frame.
+    """
 
     def __init__(self, capacity: int = 4096) -> None:
         self.capacity = capacity
         self._entries: Deque[Tuple] = deque(maxlen=capacity)
-
-    def record(self, entry: Tuple) -> None:
-        self._entries.append(entry)
+        self.record = self._entries.append
 
     def recent(self, n: int = 50):
         return list(self._entries)[-n:]
@@ -68,36 +74,43 @@ class Monitor:
                 return False
         return True
 
-    # Both recorders read the enum members' ``_name_`` / ``_value_`` slots:
-    # ``.name`` / ``.value`` are property calls, paid on every transaction.
-    def record_memory_txn(self, station_id: int, pkt: Packet, entry) -> None:
-        if not self._in_scope(pkt):
-            return
-        txn = pkt.mtype._name_
-        lock = "*" if entry.locked else ""
-        self.coherence_histogram.record(entry.state._value_ + lock, txn)
-        self.originator_table.record(txn, pkt.requester)
-        phase = pkt.meta.get("phase")
-        if phase is not None:
-            self.phase_table.record(txn, phase)
-        self.trace.record(("mem", station_id, txn, pkt.addr, pkt.requester))
+    def record_txn(self, kind: str, station_id: int, pkt: Packet, rec) -> None:
+        """Count one memory (``kind`` ``"mem"``, ``rec`` the directory
+        entry) or network-cache (``"nc"``, ``rec`` the NC line or ``None``)
+        transaction in scope: its line state against its type, its
+        originator and phase, and an entry in the trace memory.  The
+        monitoring PLDs watch the NC's bus port with the same originator
+        and phase tables as the memory's.
 
-    def record_nc_txn(self, station_id: int, pkt: Packet, line) -> None:
-        if not self._in_scope(pkt):
+        Each table count is :meth:`HistogramTable.record` written out in
+        place, so a transaction costs no Python frame per table."""
+        if (self.address_range is not None or self.phase_filter is not None) \
+                and not self._in_scope(pkt):
             return
+        # ``_name_`` is the enum member's slot: ``.name`` is a property call
         txn = pkt.mtype._name_
-        if line is None:
-            state = "NotIn"
-        else:
-            state = line.state._value_ + ("*" if line.locked else "")
-        self.nc_histogram.record(state, txn)
-        # same originator / phase attribution as memory transactions: the
-        # monitoring PLDs watch the NC's bus port with identical tables
-        self.originator_table.record(txn, pkt.requester)
+        requester = pkt.requester
+        table = self.coherence_histogram if kind == "mem" else self.nc_histogram
+        key = ("NotIn" if rec is None else _ROWS[rec.state][rec.locked], txn)
+        half = table._halves[table.active]
+        n = half[key] = half.get(key, 0) + 1
+        if n >= table.overflow_limit:
+            table._swap()
+        table = self.originator_table
+        key = (txn, requester)
+        half = table._halves[table.active]
+        n = half[key] = half.get(key, 0) + 1
+        if n >= table.overflow_limit:
+            table._swap()
         phase = pkt.meta.get("phase")
         if phase is not None:
-            self.phase_table.record(txn, phase)
-        self.trace.record(("nc", station_id, txn, pkt.addr, pkt.requester))
+            table = self.phase_table
+            key = (txn, phase)
+            half = table._halves[table.active]
+            n = half[key] = half.get(key, 0) + 1
+            if n >= table.overflow_limit:
+                table._swap()
+        self.trace.record((kind, station_id, txn, pkt.addr, requester))
 
     # ------------------------------------------------------------------
     def report(self) -> str:

@@ -15,6 +15,7 @@ boundary.
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -81,15 +82,22 @@ def _run_point(point: SweepPoint) -> dict:
         result = workload.run(machine, cpus=list(point.cpus))
     else:
         result = workload.run(machine, nprocs=point.nprocs)
-    record = collect_record(
+    payload = collect_record(
         machine,
         workload=point.workload,
         nprocs=point.nprocs,
         parallel_time_ns=result.parallel_time_ns,
         cpus=point.cpus,
         variant=point.variant,
-    )
-    return record.to_json()
+    ).to_json()
+    # A machine's object graph is cyclic (components point back at their
+    # station and engine), so only the cycle collector frees it.  Collect
+    # it now: a sweep then holds one machine at a time, not however many
+    # the collector's allocation thresholds let pile up, so its peak
+    # memory does not swing with how much a run allocates.
+    del machine, workload, result
+    gc.collect()
+    return payload
 
 
 def run_sweep(

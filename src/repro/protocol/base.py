@@ -68,8 +68,13 @@ class CoherenceProtocol:
 
         ``checker`` is the attached
         :class:`~repro.verify.checker.CoherenceChecker`; implementations
-        use its ``_count`` / ``_violate`` helpers and its in-flight
-        invalidation shadow sets, and must never mutate simulation state.
+        count each check in its ``checks`` dict in place
+        (``checks[name] = checks.get(name, 0) + 1``, no call), raise
+        through its ``_violate`` (formatting the message only on a
+        violation) and read its in-flight invalidation shadow maps
+        (``_pending_inval`` and ``_inval_inflight``: one dict per station
+        id, keyed by line address).  They run on every unlocked memory or
+        NC transaction, and must never mutate simulation state.
         """
 
     def check_nc_masks(self, checker, nc, la, line, pkt) -> None:

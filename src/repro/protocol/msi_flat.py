@@ -34,6 +34,9 @@ from ..memory.memory_module import MemoryModule, Pending
 from ..sim.engine import SimulationError
 from .base import CoherenceProtocol
 
+# read by the checker policy per transaction (see numachine._GV)
+_GI = LineState.GI
+
 
 class MsiMemory(MemoryModule):
     """Home directory of the flat MSI protocol (full-map, exact)."""
@@ -451,7 +454,7 @@ class MsiMemory(MemoryModule):
                 self._send_data(fake, list(data), exclusive=False)
         v = self.verifier
         if v is not None:
-            v.mem_settled(self, addr)
+            v.observe(self, addr)
 
 
 class MsiNC(NetworkCache):
@@ -541,13 +544,13 @@ class MsiFlatProtocol(CoherenceProtocol):
 
     # ------------------------------------------------------------------
     def check_mem_masks(self, checker, mem, la: int, entry, pkt: Optional[Packet]) -> None:
-        state = entry.state
-        where = f"mem@S{mem.station_id}"
         mask = entry.proc_mask
-        if state is not LineState.GI:
+        checks = checker.checks
+        if entry.state is not _GI:
             # LV/GV: the full map must cover every readable L2 copy in the
             # whole machine (modulo invalidations still on a bus or ring)
-            checker._count("full-map-coverage")
+            checks["full-map-coverage"] = checks.get("full-map-coverage", 0) + 1
+            pending, inflight = checker._pending_inval, checker._inval_inflight
             for cpu in checker.machine.cpus:
                 line = cpu.l2.lookup(la)
                 if line is None or not line.state.readable:
@@ -555,25 +558,25 @@ class MsiFlatProtocol(CoherenceProtocol):
                 if (mask >> cpu.cpu_id) & 1:
                     continue
                 sid = cpu.station.station_id
-                pend = checker._pending_inval.get((sid, la))
+                pend = pending[sid].get(la)
                 if pend is not None and cpu.cpu_id in pend:
                     continue
-                if checker._inval_inflight.get((sid, la)):
+                if inflight[sid].get(la):
                     continue
                 checker._violate(
                     "full-map-coverage",
                     f"P{cpu.cpu_id} holds {line.state.value} but the full "
                     f"map {mask:#x} does not cover it",
-                    la=la, where=where, pkt=pkt,
+                    la=la, where=f"mem@S{mem.station_id}", pkt=pkt,
                 )
         else:
-            checker._count("single-owner")
+            checks["single-owner"] = checks.get("single-owner", 0) + 1
             if mask == 0 or (mask & (mask - 1)):
                 checker._violate(
                     "single-owner",
                     f"modified line with owner map {mask:#x} "
                     "(expected exactly one bit)",
-                    la=la, where=where, pkt=pkt,
+                    la=la, where=f"mem@S{mem.station_id}", pkt=pkt,
                 )
 
     def check_nc_masks(self, checker, nc, la: int, line, pkt: Optional[Packet]) -> None:

@@ -35,6 +35,11 @@ from ..memory.memory_module import MemoryModule, Pending
 from ..sim.engine import SimulationError
 from .base import CoherenceProtocol
 
+# the checker policy reads these per transaction: a module alias is far
+# cheaper than a member read through the enum class
+_GV = LineState.GV
+_GI = LineState.GI
+
 
 class NumachineMemory(MemoryModule):
     """Home memory directory: the memory side of the two-level protocol."""
@@ -753,10 +758,10 @@ class NumachineProtocol(CoherenceProtocol):
     # ------------------------------------------------------------------
     def check_mem_masks(self, checker, mem, la: int, entry, pkt: Optional[Packet]) -> None:
         state = entry.state
-        where = f"mem@S{mem.station_id}"
+        checks = checker.checks
         if state in self.valid_nc_states:  # LV or GV: memory's copy is valid
-            checker._count("proc-mask-coverage")
-            pend = checker._pending_inval.get((mem.station_id, la))
+            checks["proc-mask-coverage"] = checks.get("proc-mask-coverage", 0) + 1
+            pend = checker._pending_inval[mem.station_id].get(la)
             mask = entry.proc_mask
             for i, cpu in enumerate(mem.station.cpus):
                 line = cpu.l2.lookup(la)
@@ -770,10 +775,11 @@ class NumachineProtocol(CoherenceProtocol):
                     "proc-mask-coverage",
                     f"P{cpu.cpu_id} holds {line.state.value} but proc_mask "
                     f"{mask:#b} does not cover it",
-                    la=la, where=where, pkt=pkt,
+                    la=la, where=f"mem@S{mem.station_id}", pkt=pkt,
                 )
-        if state is LineState.GV:
-            checker._count("routing-mask-coverage")
+        if state is _GV:
+            checks["routing-mask-coverage"] = checks.get("routing-mask-coverage", 0) + 1
+            inflight = checker._inval_inflight
             for st in checker.machine.stations:
                 if st.station_id == mem.station_id or not st.nc.enabled:
                     continue
@@ -784,28 +790,29 @@ class NumachineProtocol(CoherenceProtocol):
                     continue
                 if mem.directory.may_have_copy(entry, st.station_id):
                     continue
-                if checker._inval_inflight.get((st.station_id, la)):
+                if inflight[st.station_id].get(la):
                     continue  # stale copy with its invalidation in flight
                 checker._violate(
                     "routing-mask-coverage",
                     f"S{st.station_id} NC holds {nline.state.value} but the "
                     f"routing mask would not deliver an invalidation there",
-                    la=la, where=where, pkt=pkt,
+                    la=la, where=f"mem@S{mem.station_id}", pkt=pkt,
                 )
-        elif state is LineState.GI:
-            checker._count("routing-mask-coverage")
+        elif state is _GI:
+            checks["routing-mask-coverage"] = checks.get("routing-mask-coverage", 0) + 1
             if mem.directory.sharer_mask(entry) == 0:
                 checker._violate(
                     "routing-mask-coverage",
                     "GI line with an empty owner mask",
-                    la=la, where=where, pkt=pkt,
+                    la=la, where=f"mem@S{mem.station_id}", pkt=pkt,
                 )
 
     def check_nc_masks(self, checker, nc, la: int, line, pkt: Optional[Packet]) -> None:
         if line.state not in self.valid_nc_states:
             return
-        checker._count("proc-mask-coverage")
-        pend = checker._pending_inval.get((nc.station_id, la))
+        checks = checker.checks
+        checks["proc-mask-coverage"] = checks.get("proc-mask-coverage", 0) + 1
+        pend = checker._pending_inval[nc.station_id].get(la)
         mask = line.proc_mask
         for i, cpu in enumerate(nc.station.cpus):
             l2 = cpu.l2.lookup(la)

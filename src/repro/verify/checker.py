@@ -16,15 +16,24 @@ Design constraints, in order:
 3. **Cheap.**  Checks touch only the line the current event is about plus
    the small per-station cache arrays; nothing scans the whole machine
    except the single-writer check at exclusive installs (misses only).
+   The budget per memory or NC transaction is one Python frame
+   (:meth:`CoherenceChecker.observe`, plus the plug-in's mask check when
+   the line is unlocked) and a few dict operations: line state lives in
+   per-module maps keyed by line address, counts are bumped in place, and
+   violation messages are formatted only when a check fails.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.states import CacheState, LineState
 from ..interconnect.packet import MsgType, Packet
 from ..sim.engine import SimulationError
+
+_INVALIDATE = MsgType.INVALIDATE
+_DIRTY = CacheState.DIRTY
 
 
 class InvariantViolation(SimulationError):
@@ -72,6 +81,33 @@ def _default_policy():
     return get_protocol("numachine")
 
 
+class _LineLog:
+    """What the checker knows of one module's lines (a home directory or a
+    network cache).
+
+    ``lookup(la)`` is the module's record of a line (the directory's
+    ``peek``, the NC array's ``probe``: bound dict ``get`` methods), or
+    ``None`` for a network cache in bypass mode, which holds no lines.
+    ``last`` maps each observed line to its last observed state.
+    ``since`` maps each line whose last observation found it locked to
+    the tick of the first observation of that locked dwell, so a line was
+    locked when last seen exactly when it has a ``since`` entry.
+    ``illegal`` is the plug-in's unlocked-transition blacklist for this
+    kind of module, ``where`` names the module in violation messages and
+    ``check`` is the plug-in's mask check for an unlocked line.
+    """
+
+    __slots__ = ("lookup", "last", "since", "illegal", "where", "check")
+
+    def __init__(self, lookup, illegal, where: str, check) -> None:
+        self.lookup = lookup
+        self.last: Dict[int, LineState] = {}
+        self.since: Dict[int, int] = {}
+        self.illegal = illegal
+        self.where = where
+        self.check = check
+
+
 class CoherenceChecker:
     """Runtime invariant checker attached across a whole machine."""
 
@@ -90,17 +126,20 @@ class CoherenceChecker:
         self._policy = None
         #: per-invariant count of checks performed (not violations)
         self.checks: Dict[str, int] = {}
-        # last observed (state, locked) per (kind, station, line)
-        self._last: Dict[Tuple[str, int, int], Tuple[LineState, bool]] = {}
-        # tick of the first observation of each continuously-locked line
-        self._locked_since: Dict[Tuple[str, int, int], int] = {}
-        # cpu ids with a bus invalidation delivered after the mask cleared
-        self._pending_inval: Dict[Tuple[int, int], Set[int]] = {}
-        # in-flight ordered-multicast invalidations per (station, line)
-        self._inval_inflight: Dict[Tuple[int, int], int] = {}
+        #: memory module / network cache -> its line log (set at attach)
+        self._logs: Dict[object, _LineLog] = {}
+        #: per station id, line -> cpu ids with a bus invalidation
+        #: delivered after the mask cleared
+        self._pending_inval: List[Dict[int, Set[int]]] = []
+        #: per station id, line -> ordered-multicast invalidations in flight
+        self._inval_inflight: List[Dict[int, int]] = []
         # outstanding miss per cpu: cpu_id -> (line, issue_tick)
         self._cpu_out: Dict[int, Tuple[int, int]] = {}
         self._last_complete: Dict[int, int] = {}
+        self._engine = None
+        self._line_mask = 0
+        #: every CPU's ``l2.lookup``, in ``machine.cpus`` order
+        self._l2_lookups: List = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -108,14 +147,27 @@ class CoherenceChecker:
     def attach(self, machine) -> "CoherenceChecker":
         """Install the checker on every hook point of ``machine``."""
         self.machine = machine
-        self._policy = getattr(machine, "protocol", None) or _default_policy()
+        self._engine = machine.engine
+        self._line_mask = ~(machine.config.line_bytes - 1)
+        policy = self._policy = getattr(machine, "protocol", None) or _default_policy()
         machine.verifier = self
         for cpu in machine.cpus:
             cpu.verifier = self
+        self._l2_lookups = [cpu.l2.lookup for cpu in machine.cpus]
+        self._logs = {}
         for st in machine.stations:
-            st.memory.verifier = self
-            st.nc.verifier = self
-            st.ring_interface.verifier = self
+            sid, mem, nc = st.station_id, st.memory, st.nc
+            self._logs[mem] = _LineLog(
+                mem.directory.peek, policy.illegal_mem, f"mem@S{sid}",
+                policy.check_mem_masks,
+            )
+            self._logs[nc] = _LineLog(
+                nc.array.probe if nc.enabled else None, policy.illegal_nc,
+                f"nc@S{sid}", policy.check_nc_masks,
+            )
+            mem.verifier = nc.verifier = st.ring_interface.verifier = self
+        self._pending_inval = [{} for _ in machine.stations]
+        self._inval_inflight = [{} for _ in machine.stations]
         return self
 
     def detach(self) -> None:
@@ -138,9 +190,6 @@ class CoherenceChecker:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def _count(self, invariant: str) -> None:
-        self.checks[invariant] = self.checks.get(invariant, 0) + 1
-
     def _violate(
         self,
         invariant: str,
@@ -163,133 +212,85 @@ class CoherenceChecker:
         )
 
     # ------------------------------------------------------------------
-    # shared transition / lock bookkeeping
+    # memory module and network cache hook
     # ------------------------------------------------------------------
-    def _observe(
-        self,
-        kind: str,
-        station_id: int,
-        la: int,
-        state: Optional[LineState],
-        locked: bool,
-        pkt: Optional[Packet],
-    ) -> None:
-        key = (kind, station_id, la)
-        if state is None:
-            # line evicted / never present: epoch reset
-            self._last.pop(key, None)
-            self._locked_since.pop(key, None)
+    def observe(self, module, addr: int, pkt: Optional[Packet] = None) -> None:
+        """``module`` (a memory module or a network cache) dispatched
+        ``pkt`` for ``addr``, or changed that line outside a dispatch
+        (``pkt`` None: a bus intervention answer landed).
+
+        Checks the line's transition and lock dwell against the last
+        observation, then, on an unlocked line, the plug-in's masks."""
+        la = addr & self._line_mask
+        log = self._logs[module]
+        if pkt is not None and pkt.mtype is _INVALIDATE:
+            self._inval_delivered(module.station_id, la)
+        lookup = log.lookup
+        if lookup is None:
             return
-        prev = self._last.get(key)
-        self._count("legal-transition")
-        if prev is not None:
-            pstate, plocked = prev
-            if plocked and locked and pstate is not state:
-                self._violate(
-                    "legal-transition",
-                    f"locked line changed state {pstate.value}->{state.value}",
-                    la=la, where=f"{kind}@S{station_id}", pkt=pkt,
-                )
-            policy = self._policy
-            illegal = policy.illegal_mem if kind == "mem" else policy.illegal_nc
-            if not plocked and (pstate, state) in illegal:
-                self._violate(
-                    "legal-transition",
-                    f"illegal transition {pstate.value}->{state.value}",
-                    la=la, where=f"{kind}@S{station_id}", pkt=pkt,
-                )
-        self._last[key] = (state, locked)
-        now = self.machine.engine.now
-        self._count("locked-liveness")
+        rec = lookup(la)
+        last = log.last
+        if rec is None:
+            # line evicted / never present: epoch reset
+            if last.pop(la, None) is not None:
+                log.since.pop(la, None)
+            return
+        state = rec.state
+        locked = rec.locked
+        since = log.since
+        checks = self.checks
+        checks["legal-transition"] = checks.get("legal-transition", 0) + 1
+        pstate = last.get(la)
+        if pstate is not state:
+            # only a change of state can be an illegal transition
+            if pstate is not None:
+                if la in since:
+                    if locked:
+                        self._violate(
+                            "legal-transition",
+                            f"locked line changed state {pstate.value}->{state.value}",
+                            la=la, where=log.where, pkt=pkt,
+                        )
+                elif (pstate, state) in log.illegal:
+                    self._violate(
+                        "legal-transition",
+                        f"illegal transition {pstate.value}->{state.value}",
+                        la=la, where=log.where, pkt=pkt,
+                    )
+            last[la] = state
+        checks["locked-liveness"] = checks.get("locked-liveness", 0) + 1
         if locked:
-            since = self._locked_since.setdefault(key, now)
-            if now - since > self.max_locked_ticks:
+            now = self._engine.now
+            first = since.setdefault(la, now)
+            if now - first > self.max_locked_ticks:
                 self._violate(
                     "locked-liveness",
-                    f"line locked for {now - since} ticks "
+                    f"line locked for {now - first} ticks "
                     f"(bound {self.max_locked_ticks})",
-                    la=la, where=f"{kind}@S{station_id}", pkt=pkt,
+                    la=la, where=log.where, pkt=pkt,
                 )
         else:
-            self._locked_since.pop(key, None)
-
-    # ------------------------------------------------------------------
-    # memory module hooks
-    # ------------------------------------------------------------------
-    def mem_event(self, mem, pkt: Packet) -> None:
-        """After the memory module dispatched ``pkt``."""
-        la = mem.config.line_addr(pkt.addr)
-        if pkt.mtype is MsgType.INVALIDATE:
-            self._inval_delivered(mem.station_id, la)
-        entry = mem.directory.peek(la)
-        if entry is None:
-            return
-        self._observe("mem", mem.station_id, la, entry.state, entry.locked, pkt)
-        if not entry.locked:
-            self._check_mem_masks(mem, la, entry, pkt)
-
-    def mem_settled(self, mem, addr: int) -> None:
-        """After an out-of-dispatch directory mutation (bus intervention
-        answers land via :meth:`MemoryModule._local_intervention_done`)."""
-        la = mem.config.line_addr(addr)
-        entry = mem.directory.peek(la)
-        if entry is None:
-            return
-        self._observe("mem", mem.station_id, la, entry.state, entry.locked, None)
-        if not entry.locked:
-            self._check_mem_masks(mem, la, entry, None)
-
-    def _check_mem_masks(self, mem, la: int, entry, pkt: Optional[Packet]) -> None:
-        # what a valid mask *is* depends on the protocol (hierarchical
-        # routing masks vs a flat full map): the plug-in owns the rule
-        self._policy.check_mem_masks(self, mem, la, entry, pkt)
+            since.pop(la, None)
+            # what a valid mask *is* depends on the protocol (hierarchical
+            # routing masks vs a flat full map): the plug-in owns the rule
+            log.check(self, module, la, rec, pkt)
 
     def note_invalidate_sent(self, mem, inv: Packet) -> None:
         """Home memory launched an ordered-multicast invalidation."""
-        la = mem.config.line_addr(inv.addr)
+        la = inv.addr & self._line_mask
+        inflight = self._inval_inflight
         for s in mem.codec.stations(inv.dest_mask):
-            key = (s, la)
-            self._inval_inflight[key] = self._inval_inflight.get(key, 0) + 1
+            counts = inflight[s]
+            counts[la] = counts.get(la, 0) + 1
 
     def _inval_delivered(self, station_id: int, la: int) -> None:
-        key = (station_id, la)
-        n = self._inval_inflight.get(key)
+        counts = self._inval_inflight[station_id]
+        n = counts.get(la)
         if n is not None:
             if n <= 1:
-                del self._inval_inflight[key]
+                del counts[la]
             else:
-                self._inval_inflight[key] = n - 1
-
-    # ------------------------------------------------------------------
-    # network cache hooks
-    # ------------------------------------------------------------------
-    def nc_event(self, nc, pkt: Packet) -> None:
-        """After the network cache dispatched ``pkt``."""
-        la = nc.config.line_addr(pkt.addr)
-        if pkt.mtype is MsgType.INVALIDATE:
-            self._inval_delivered(nc.station_id, la)
-        if not nc.enabled:
-            return
-        line = nc.array.probe(la)
-        if line is None:
-            self._observe("nc", nc.station_id, la, None, False, pkt)
-            return
-        self._observe("nc", nc.station_id, la, line.state, line.locked, pkt)
-        if not line.locked:
-            self._check_nc_masks(nc, la, line, pkt)
-
-    def nc_settled(self, nc, addr: int) -> None:
-        la = nc.config.line_addr(addr)
-        line = nc.array.probe(la)
-        if line is None:
-            self._observe("nc", nc.station_id, la, None, False, None)
-            return
-        self._observe("nc", nc.station_id, la, line.state, line.locked, None)
-        if not line.locked:
-            self._check_nc_masks(nc, la, line, None)
-
-    def _check_nc_masks(self, nc, la: int, line, pkt: Optional[Packet]) -> None:
-        self._policy.check_nc_masks(self, nc, la, line, pkt)
+                counts[la] = n - 1
 
     # ------------------------------------------------------------------
     # local bus invalidation shadow
@@ -297,46 +298,48 @@ class CoherenceChecker:
     def note_local_inval(self, station_id: int, addr: int, cpu_ids) -> None:
         """A module cleared mask bits and put an invalidation on the bus;
         until each victim processes it, its copy is legitimately uncovered."""
-        la = self.machine.config.line_addr(addr)
-        key = (station_id, la)
-        pend = self._pending_inval.get(key)
+        la = addr & self._line_mask
+        pending = self._pending_inval[station_id]
+        pend = pending.get(la)
         if pend is None:
-            pend = self._pending_inval[key] = set()
+            pend = pending[la] = set()
         pend.update(cpu_ids)
 
     def cpu_invalidated(self, cpu, la: int) -> None:
         """A bus invalidation reached ``cpu`` (whatever its outcome)."""
-        key = (cpu.station.station_id, la)
-        pend = self._pending_inval.get(key)
+        pending = self._pending_inval[cpu.station.station_id]
+        pend = pending.get(la)
         if pend is not None:
             pend.discard(cpu.cpu_id)
             if not pend:
-                del self._pending_inval[key]
+                del pending[la]
 
     # ------------------------------------------------------------------
     # processor hooks (sc-blocking + single-writer)
     # ------------------------------------------------------------------
     def cpu_issue(self, cpu, la: int) -> None:
-        self._count("sc-blocking")
-        now = self.machine.engine.now
-        out = self._cpu_out.get(cpu.cpu_id)
+        checks = self.checks
+        checks["sc-blocking"] = checks.get("sc-blocking", 0) + 1
+        cpu_id = cpu.cpu_id
+        out = self._cpu_out.get(cpu_id)
         if out is not None:
             self._violate(
                 "sc-blocking",
-                f"P{cpu.cpu_id} issued a miss for {la:#x} while "
+                f"P{cpu_id} issued a miss for {la:#x} while "
                 f"{out[0]:#x} (issued at {out[1]}) is still outstanding",
-                la=la, where=f"P{cpu.cpu_id}",
+                la=la, where=f"P{cpu_id}",
             )
-        self._cpu_out[cpu.cpu_id] = (la, now)
+        self._cpu_out[cpu_id] = (la, self._engine.now)
 
     def cpu_local_complete(self, cpu) -> None:
         self._cpu_out.pop(cpu.cpu_id, None)
 
     def cpu_fill(self, cpu, la: int, exclusive: bool, consumed: bool) -> None:
-        now = self.machine.engine.now
+        checks = self.checks
         if consumed:
-            self._count("sc-blocking")
+            checks["sc-blocking"] = checks.get("sc-blocking", 0) + 1
             self._cpu_out.pop(cpu.cpu_id, None)
+            now = self._engine.now
             last = self._last_complete.get(cpu.cpu_id)
             if last is not None and now < last:
                 self._violate(
@@ -346,16 +349,17 @@ class CoherenceChecker:
                     la=la, where=f"P{cpu.cpu_id}",
                 )
             self._last_complete[cpu.cpu_id] = now
-        self._count("single-writer")
+        checks["single-writer"] = checks.get("single-writer", 0) + 1
         station = cpu.station
         if exclusive:
-            for other in self.machine.cpus:
+            # only the CPUs whose L2 holds the line, in machine order (each
+            # L2's ``lookup`` is a bound dict get, so a probe is one call)
+            found = [lookup(la) for lookup in self._l2_lookups]
+            for other in compress(self.machine.cpus, found):
                 if other is cpu:
                     continue
                 line = other.l2.lookup(la)
-                if line is None:
-                    continue
-                if line.state is CacheState.DIRTY:
+                if line.state is _DIRTY:
                     self._violate(
                         "single-writer",
                         f"P{cpu.cpu_id} installed DIRTY while P{other.cpu_id} "
@@ -363,7 +367,7 @@ class CoherenceChecker:
                         la=la, where=f"P{cpu.cpu_id}",
                     )
                 if other.station is station and line.state.readable:
-                    self._count("writer-reader-exclusion")
+                    checks["writer-reader-exclusion"] = checks.get("writer-reader-exclusion", 0) + 1
                     self._violate(
                         "writer-reader-exclusion",
                         f"P{cpu.cpu_id} installed DIRTY while same-station "
@@ -381,12 +385,12 @@ class CoherenceChecker:
                         la=la, where=f"P{cpu.cpu_id}",
                     )
         else:
-            self._count("writer-reader-exclusion")
+            checks["writer-reader-exclusion"] = checks.get("writer-reader-exclusion", 0) + 1
             for other in station.cpus:
                 if other is cpu:
                     continue
                 line = other.l2.lookup(la)
-                if line is not None and line.state is CacheState.DIRTY:
+                if line is not None and line.state is _DIRTY:
                     self._violate(
                         "writer-reader-exclusion",
                         f"P{cpu.cpu_id} installed a readable copy while "
@@ -398,7 +402,8 @@ class CoherenceChecker:
     # ring interface hooks (deadlock-avoidance rules)
     # ------------------------------------------------------------------
     def ri_credit(self, ri) -> None:
-        self._count("nonsink-priority")
+        checks = self.checks
+        checks["nonsink-priority"] = checks.get("nonsink-priority", 0) + 1
         credits = ri._nonsink_credits
         if credits < 0 or credits > ri.nonsink_limit:
             self._violate(
@@ -409,8 +414,9 @@ class CoherenceChecker:
             )
 
     def ri_drain(self, ri, packet: Packet, kind: str) -> None:
-        self._count("nonsink-priority")
-        if kind == "nonsink" and not ri.sink_q.empty:
+        checks = self.checks
+        checks["nonsink-priority"] = checks.get("nonsink-priority", 0) + 1
+        if kind == "nonsink" and ri._sink_items:
             self._violate(
                 "nonsink-priority",
                 f"S{ri.station_id} drained a nonsinkable message while "
@@ -426,7 +432,8 @@ class CoherenceChecker:
         machine = self.machine
         if machine is None:
             return
-        self._count("locked-liveness")
+        checks = self.checks
+        checks["locked-liveness"] = checks.get("locked-liveness", 0) + 1
         for st in machine.stations:
             for la, entry in st.memory.directory.lines():
                 if entry.locked:

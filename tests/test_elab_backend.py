@@ -14,7 +14,10 @@ the in-memory compile of generated cores.
 
 from __future__ import annotations
 
+import dis
+import sys
 import traceback
+import types
 import warnings
 
 import pytest
@@ -347,3 +350,41 @@ def test_generated_code_tracebacks_show_source_lines():
     text = "".join(traceback.format_exception(info.value))
     assert "in _bus_complete" in text
     assert "bus, start, on_complete = arg" in text
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython"
+    or sys.version_info[:2] not in ((3, 11), (3, 12)),
+    reason="inspects the CPython 3.11/3.12 specializing interpreter",
+)
+def test_reclassed_components_keep_specialized_attribute_loads():
+    """After ``sync`` re-classes a component, an attribute load on it must
+    stay specialized.  An instance whose attributes still sit in the old
+    class's inline layout deopts on every load and keeps dropping back to
+    the adaptive form, so the opcode is sampled across a long warm-up."""
+    m = Machine(MachineConfig.prototype())
+    elab_backend.sync(m)
+    st = m.stations[0]
+    generic = {"LOAD_ATTR", "LOAD_ATTR_ADAPTIVE"}
+    for comp in (st.bus, st.memory, st.memory.out_port, st.nc, st.cpus[0]):
+        loader = _engine_loader()
+        seen = set()
+        for i in range(2000):
+            loader(comp)
+            if i % 50 == 49:
+                seen.update(
+                    ins.opname
+                    for ins in dis.get_instructions(loader, adaptive=True)
+                    if ins.opname.startswith("LOAD_ATTR")
+                )
+        assert seen and not seen & generic, (type(comp).__name__, seen)
+
+
+def _load_engine(obj):
+    return obj.engine
+
+
+def _engine_loader():
+    """A copy of ``_load_engine`` with its own code object, so its inline
+    caches start cold."""
+    return types.FunctionType(_load_engine.__code__.replace(), {})

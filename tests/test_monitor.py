@@ -2,6 +2,7 @@
 
 from repro import Machine, Phase, Read, Write
 from repro.monitor import HistogramTable, Monitor, TraceMemory
+from repro.workloads.synthetic import HotSpot
 
 from conftest import small_config
 
@@ -148,3 +149,84 @@ def test_monitor_locked_states_distinguished():
     m.run({c: prog(c) for c in range(n)})
     rows = {row for row, _ in mon.coherence_histogram.cells()}
     assert any(row.endswith("*") for row in rows), rows
+
+
+def test_monitor_phase_filter():
+    """``phase_filter=k`` counts exactly the memory and NC transactions
+    whose requester had set phase ``k``: in the state tables, the
+    originator and phase tables and the trace memory alike."""
+    def run(monitor):
+        m = Machine(small_config())
+        m.attach_monitor(monitor)
+        local = m.allocate(8192, placement="local:0")
+        remote = m.allocate(8192, placement="local:1")
+
+        def prog():
+            yield Phase(1)
+            yield Write(local.addr(0), 1)
+            yield Read(remote.addr(0))
+            yield Phase(2)
+            yield Write(local.addr(4096), 2)
+            yield Read(remote.addr(4096))
+
+        m.run({0: prog()})
+        return monitor, {1: {local.addr(0), remote.addr(0)},
+                         2: {local.addr(4096), remote.addr(4096)}}
+
+    everything, _ = run(Monitor())
+    for k in (1, 2):
+        mon, lines = run(Monitor(phase_filter=k))
+        # both kinds of transaction pass the filter: the remote read goes
+        # through the local NC and the home memory
+        assert mon.coherence_histogram.total() >= 2
+        assert mon.nc_histogram.total() >= 1
+        # each recorded transaction carried phase k, and every one that
+        # did (by type, in the unfiltered run) was recorded
+        want = everything.phase_table.cells()
+        assert mon.phase_table.cells() == {c: n for c, n in want.items() if c[1] == k}
+        n = mon.coherence_histogram.total() + mon.nc_histogram.total()
+        assert n == mon.phase_table.total() == mon.originator_table.total()
+        assert n == len(mon.trace)
+        assert {addr for _k, _s, _t, addr, _r in mon.trace.recent(n)} <= lines[k]
+
+
+class _TableRecordMonitor(Monitor):
+    """Counts each transaction through :meth:`HistogramTable.record`."""
+
+    def record_txn(self, kind, station_id, pkt, rec):
+        if not self._in_scope(pkt):
+            return
+        txn = pkt.mtype.name
+        row = "NotIn" if rec is None else rec.state.value + ("*" if rec.locked else "")
+        states = self.coherence_histogram if kind == "mem" else self.nc_histogram
+        states.record(row, txn)
+        self.originator_table.record(txn, pkt.requester)
+        phase = pkt.meta.get("phase")
+        if phase is not None:
+            self.phase_table.record(txn, phase)
+        self.trace.record((kind, station_id, txn, pkt.addr, pkt.requester))
+
+
+def test_monitor_swaps_halves_on_the_transaction_that_overflows():
+    """``record_txn`` writes its table counts out in place, yet every
+    half swap and overflow interrupt lands on the same transaction as with
+    :meth:`HistogramTable.record`, with the same tables afterwards."""
+    def run(monitor):
+        m = Machine(small_config())
+        fired = []
+        for table in (monitor.coherence_histogram, monitor.nc_histogram,
+                      monitor.originator_table, monitor.phase_table):
+            table.overflow_limit = 7
+            table.on_overflow = lambda t: fired.append(
+                (t.name, m.engine.events_run, len(monitor.trace)))
+        m.attach_monitor(monitor)
+        HotSpot(words=8, ops=20).run(m, nprocs=8)
+        return fired, [
+            (t.cells(), t.active, t.overflows, t._halves, t._drained)
+            for t in (monitor.coherence_histogram, monitor.nc_histogram,
+                      monitor.originator_table, monitor.phase_table)
+        ], monitor.trace.recent(len(monitor.trace))
+
+    fired, tables, trace = run(Monitor())
+    assert len(fired) >= 50
+    assert (fired, tables, trace) == run(_TableRecordMonitor())

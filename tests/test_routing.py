@@ -1,5 +1,7 @@
 """Tests for hierarchical routing masks (paper §2.2, Fig. 3)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,37 @@ def test_send_routing_decision_matches_reference_exhaustively(levels):
                     stay = ROUTE_TO_SEQ if ordered else ROUTE_DELIVER
                     assert pkt.route_state == stay
                     assert pkt.dest_mask == codec.clear_upper(mask, 1)
+
+
+def _expand(geometry, mask):
+    """The overspecified set without the codec: the cartesian product of
+    the per-level fields, ascending."""
+    per_level, shift = [], 0
+    for width in geometry.levels:
+        fld = (mask >> shift) & ((1 << width) - 1)
+        per_level.append([i for i in range(width) if fld >> i & 1])
+        shift += width
+    return sorted(geometry.station_id(c) for c in itertools.product(*per_level))
+
+
+@pytest.mark.parametrize("levels", [(4, 4), (4, 2, 2)])
+def test_memoized_decodes_match_the_uncached_expansion(levels):
+    """``stations`` and ``single_station`` are memoized per mask: on every
+    mask, cold and warm, they agree with the product of the fields, and
+    ``stations`` hands out a fresh list each call."""
+    geometry = Geometry(levels)
+    codec = RoutingMaskCodec(geometry)
+    for _pass in ("cold", "warm"):
+        for mask in range(1 << codec.total_bits):
+            want = _expand(geometry, mask)
+            got = codec.stations(mask)
+            assert got == want
+            got.append(-1)  # the caller's to change: the memo must not see it
+            if len(want) == 1:
+                assert codec.single_station(mask) == want[0]
+            else:
+                with pytest.raises(ValueError):
+                    codec.single_station(mask)
 
 
 # ----------------------------------------------------------------------

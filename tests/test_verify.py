@@ -102,7 +102,7 @@ def test_proc_mask_coverage_fires(checked_machine):
     entry.proc_mask = 0  # ...but a local L2 holds a readable copy
     machine.stations[0].cpus[1].l2.install(la, CacheState.SHARED, [0])
     with expect_violation("proc-mask-coverage"):
-        checker.mem_settled(mem, la)
+        checker.observe(mem, la)
 
 
 def test_routing_mask_coverage_fires_on_empty_gi_mask(checked_machine):
@@ -112,7 +112,7 @@ def test_routing_mask_coverage_fires_on_empty_gi_mask(checked_machine):
     entry.state = LineState.GI  # a remote owner exists...
     mem.directory.clear_stations(entry)  # ...but the mask names nobody
     with expect_violation("routing-mask-coverage"):
-        checker.mem_settled(mem, la)
+        checker.observe(mem, la)
 
 
 def test_routing_mask_coverage_fires_on_uncovered_nc_copy(checked_machine):
@@ -124,7 +124,7 @@ def test_routing_mask_coverage_fires_on_uncovered_nc_copy(checked_machine):
     # ...yet a remote NC holds the line valid, with no invalidation in flight
     machine.stations[1].nc.array.insert(NCLine(addr=la, state=LineState.GV))
     with expect_violation("routing-mask-coverage"):
-        checker.mem_settled(mem, la)
+        checker.observe(mem, la)
 
 
 def test_legal_transition_fires_on_gv_to_lv(checked_machine):
@@ -132,10 +132,10 @@ def test_legal_transition_fires_on_gv_to_lv(checked_machine):
     la, mem = _local_line(machine)
     entry = mem.directory.entry(la)
     entry.state = LineState.GV
-    checker.mem_settled(mem, la)  # observe GV, unlocked
+    checker.observe(mem, la)  # observe GV, unlocked
     entry.state = LineState.LV  # GV -> LV without a locked round: illegal
     with expect_violation("legal-transition"):
-        checker.mem_settled(mem, la)
+        checker.observe(mem, la)
 
 
 def test_legal_transition_fires_on_locked_state_change(checked_machine):
@@ -144,10 +144,10 @@ def test_legal_transition_fires_on_locked_state_change(checked_machine):
     entry = mem.directory.entry(la)
     entry.state = LineState.LV
     entry.locked = True
-    checker.mem_settled(mem, la)
+    checker.observe(mem, la)
     entry.state = LineState.GI  # state must be frozen while locked
     with expect_violation("legal-transition"):
-        checker.mem_settled(mem, la)
+        checker.observe(mem, la)
 
 
 def test_locked_liveness_fires_at_quiescence(checked_machine):
@@ -167,7 +167,7 @@ def test_locked_liveness_fires_on_stuck_lock(checked_machine):
     entry.state = LineState.LV
     entry.locked = True
     with expect_violation("locked-liveness"):
-        checker.mem_settled(mem, la)
+        checker.observe(mem, la)
 
 
 def test_sc_blocking_fires_on_double_issue(checked_machine):
