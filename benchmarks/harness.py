@@ -175,10 +175,11 @@ def run_observed(
 ):
     """Run one suite workload in-process with the observability layer on.
 
-    Returns ``(machine, obs, parallel_time_ns)``; never cached (tracing adds
-    probe events, so observed runs must not share cache entries with plain
-    ones).  ``obs_kwargs`` forward to :class:`repro.obs.Observability` —
-    e.g. ``trace_capacity=`` or ``probe_period_ns=``."""
+    Returns ``(machine, obs, parallel_time_ns)``; never cached (the cache
+    keeps a run's results, not its traces and probe series).  The
+    observed run's time and statistics equal the plain run's.
+    ``obs_kwargs`` forward to :class:`repro.obs.Observability` — e.g.
+    ``trace_capacity=`` or ``probe_period_ns=``."""
     from repro.obs import Observability
 
     cfg = config or bench_config()

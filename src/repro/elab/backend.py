@@ -26,8 +26,8 @@ services or from inherited code; the fault injector acts only on code both
 cores share (the packet filter and the FIFO and credit squeezes on the
 ring interfaces, link stalls on the rings, service spikes on the
 ``_dram_*`` / ``_nc_*`` attributes the inherited handlers read); and the
-engine-level samplers (probes, the telemetry stream, a watchdog, the
-profiler) read only state the generated core maintains.
+engine-level hooks (the probe sampler, a watchdog, the profiler) read only
+state the generated core maintains.
 
 Each process generates a config's core in memory and compiles it once:
 :func:`load` maps the generated source text to its executed module, so a

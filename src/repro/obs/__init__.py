@@ -9,8 +9,6 @@ perturbing them; this package is the simulator's equivalent.  It bundles:
   bus/ring utilization and NC occupancy into bounded time series;
 * :mod:`~repro.obs.registry` — the unified metrics snapshot with JSON and
   Prometheus-text exporters;
-* :class:`~repro.obs.stream.TelemetryStream` — periodic slim-snapshot JSONL
-  emission during a run, tailed live by ``python -m repro.obs.watch``;
 * :class:`~repro.obs.profile.Profiler` — the simulator *self*-profiler,
   attributing event-loop wall time to pump sites on either backend;
 * ``python -m repro.obs.report`` — a CLI renderer for saved snapshots.
@@ -24,10 +22,13 @@ perturbing them; this package is the simulator's equivalent.  It bundles:
     obs.write_snapshot("obs.json")         # python -m repro.obs.report obs.json
 
 Every instrumentation hook in the simulator defaults to ``None`` and costs
-one attribute load plus an ``is not None`` test when disabled.  Every piece
-runs on the generated specialized core: its memory, NC and CPU methods
-stamp the tracer where the interpreted ones do, and it keeps every
-statistic the probes, the telemetry stream and the snapshot read (see
+one attribute load plus an ``is not None`` test when disabled.  No piece
+schedules an event: the tracer stamps transactions as they pass, and the
+probes sample on the engine's run loop between events, so an observed run
+equals the unobserved one in simulated time, event count and every
+statistic.  Every piece runs on the generated specialized core: its
+memory, NC and CPU methods stamp the tracer where the interpreted ones
+do, and it keeps every statistic the probes and the snapshot read (see
 :mod:`repro.elab.backend`).
 """
 
@@ -38,7 +39,6 @@ from typing import Optional
 from .probes import ProbeSet
 from .profile import Profiler
 from .registry import snapshot, to_prometheus, write_snapshot
-from .stream import TelemetryStream
 from .trace import (
     Tracer,
     TxnTrace,
@@ -51,7 +51,6 @@ __all__ = [
     "Observability",
     "ProbeSet",
     "Profiler",
-    "TelemetryStream",
     "Tracer",
     "TxnTrace",
     "chrome_trace",
@@ -76,10 +75,6 @@ class Observability:
         Enable periodic time-series sampling.
     probe_period_ns / probe_capacity:
         Sampling period and per-series ring-buffer length.
-    stream_path / stream_period_ns:
-        When ``stream_path`` is given, a :class:`TelemetryStream` appends a
-        slim snapshot line to that JSONL file every ``stream_period_ns`` of
-        simulated time (tail it with ``python -m repro.obs.watch``).
     """
 
     def __init__(
@@ -89,22 +84,15 @@ class Observability:
         probes: bool = True,
         probe_period_ns: float = 2000.0,
         probe_capacity: int = 4096,
-        stream_path=None,
-        stream_period_ns: float = 20000.0,
     ) -> None:
         self.tracer = Tracer(trace_capacity) if trace else None
         self.probes = ProbeSet(probe_period_ns, probe_capacity) if probes else None
-        self.stream = (
-            TelemetryStream(stream_path, stream_period_ns)
-            if stream_path is not None
-            else None
-        )
         self.machine = None
 
     # ------------------------------------------------------------------
     def attach(self, machine) -> "Observability":
-        """Wire the tracer into every component and register the default
-        probe set.  Returns ``self`` for chaining."""
+        """Wire the tracer into every component and put the default probe
+        set on the machine's engine.  Returns ``self`` for chaining."""
         self.machine = machine
         machine.obs = self
         tr = self.tracer
@@ -119,6 +107,7 @@ class Observability:
                 iri.tracer = tr
         if self.probes is not None:
             self._default_probes(machine)
+            self.probes.attach(machine.engine)
         return self
 
     def _default_probes(self, machine) -> None:
@@ -145,28 +134,6 @@ class Observability:
             ps.add_gauge(f"{iri.name}.up.depth", lambda f=iri.up_fifo: len(f), "pkts")
             ps.add_gauge(f"{iri.name}.down.depth",
                          lambda f=iri.down_fifo: len(f), "pkts")
-
-    # ------------------------------------------------------------------
-    def arm(self) -> None:
-        """Start probe sampling and telemetry streaming (called by
-        :meth:`Machine.run`)."""
-        if self.machine is None:
-            return
-        if self.probes is not None and self.stream is not None:
-            # let each periodic sampler see through the other's pending
-            # event when deciding whether real work remains
-            self.probes.peers = (self.stream,)
-            self.stream.peers = (self.probes,)
-        if self.probes is not None:
-            self.probes.arm(self.machine.engine)
-        if self.stream is not None:
-            self.stream.arm(self.machine)
-
-    def finish_run(self) -> None:
-        """End-of-run hook from :meth:`Machine.run`: flush the final
-        telemetry-stream line (no-op without a stream)."""
-        if self.stream is not None:
-            self.stream.finish()
 
     # ------------------------------------------------------------------
     # exports

@@ -8,13 +8,13 @@ per interval = utilization) on a configurable tick period into bounded
 ring buffers, so *when* a queue filled up is visible, not just how deep it
 ever got.
 
-Sampling rides the event engine: the probe tick is an ordinary scheduled
-event that re-arms itself only while other events remain queued, so a run
-still terminates when the machine goes quiescent and an un-probed machine
-schedules nothing at all.  Probe callbacks read simulator state but never
-mutate it, which keeps probed runs bit-identical to unprobed ones in
-simulated time and event *order* (only the sampling events themselves are
-added to the event count).
+Sampling is not an event.  :meth:`ProbeSet.attach` puts the set in the
+engine's ``sampler`` slot, and :meth:`Engine.run` calls
+:meth:`ProbeSet.sample` between events: at each period boundary the model
+reaches, and once more when the queue drains, at the time of the last
+event.  Probe callbacks read simulator state but never mutate it, so a
+probed run equals an unprobed one in simulated time, event count and
+event order.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ class _Rate:
     def sample(self, dt: int) -> float:
         cur = self.fn()
         prev, self._prev = self._prev, cur
-        if dt <= 0:
-            return 0.0
         return (cur - prev) / (dt * self.scale)
 
 
@@ -77,15 +75,10 @@ class ProbeSet:
         self.capacity = capacity
         self.probes: List = []
         self._series: Dict[str, deque] = {}
-        self._engine = None
-        self._armed = False
         self._last = 0
+        #: the next period boundary, read by the engine's run loop
+        self.next_tick = self.period_ticks
         self.samples = 0
-        #: other periodic samplers on the same engine (e.g. the telemetry
-        #: stream): their armed in-flight events are discounted when
-        #: deciding whether real work remains, otherwise two samplers
-        #: would keep re-arming each other forever
-        self.peers: tuple = ()
 
     # ------------------------------------------------------------------
     # registration
@@ -108,36 +101,27 @@ class ProbeSet:
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
-    def arm(self, engine) -> None:
-        """Start (or restart) periodic sampling on ``engine``.
-
-        Called by :meth:`Machine.run` each time a run begins; idempotent
-        while a sampling chain is already in flight.
-        """
-        self._engine = engine
-        if self._armed or not self.probes:
-            return
-        self._armed = True
+    def attach(self, engine) -> None:
+        """Sample on ``engine``'s run loop every period from its current
+        time on."""
         self._last = engine.now
+        self.next_tick = engine.now + self.period_ticks
         for probe in self.probes:
             probe.prime()
-        engine.schedule(self.period_ticks, self._tick)
+        engine.sampler = self
 
-    def _tick(self) -> None:
-        engine = self._engine
-        now = engine.now
+    def sample(self, now: int) -> None:
+        """Record one point per series at ``now``; the engine calls this at
+        each period boundary and when its queue drains."""
+        if now >= self.next_tick:
+            self.next_tick = now + self.period_ticks
         dt = now - self._last
+        if dt <= 0:
+            return  # drained where the last sample was taken
         self._last = now
         for probe in self.probes:
             self._series[probe.name].append((now, probe.sample(dt)))
         self.samples += 1
-        # Re-arm only while the machine still has work: the sampler must
-        # not keep an otherwise-drained event queue alive forever.  Events
-        # belonging to armed peer samplers are not work.
-        if engine.pending > sum(1 for p in self.peers if p._armed):
-            engine.schedule(self.period_ticks, self._tick)
-        else:
-            self._armed = False
 
     # ------------------------------------------------------------------
     # results

@@ -104,6 +104,7 @@ class Engine:
         "blocked_watchers",
         "wall_time_s",
         "watchdog",
+        "sampler",
     )
 
     #: Priorities (lower runs first at equal time).
@@ -127,6 +128,8 @@ class Engine:
         self.wall_time_s: float = 0.0
         #: liveness watchdog (repro.fault.Watchdog), or None when disabled
         self.watchdog = None
+        #: periodic sampler (repro.obs.ProbeSet), or None when disabled
+        self.sampler = None
 
     def alloc_uid(self) -> int:
         """Allocate a small identity integer for a component that schedules
@@ -192,32 +195,54 @@ class Engine:
 
         Returns the number of events processed in this call.
 
-        With a watchdog attached the loop runs in chunks of
-        ``watchdog.interval`` events, giving the watchdog a chance to bound
-        runaway time/event growth between chunks; without one this is a
-        single uninterrupted :meth:`_run_core` call (the hot path pays only
-        this attribute load).
+        Without a watchdog or a sampler this is a single uninterrupted
+        :meth:`_run_core` call (the hot path pays only these two attribute
+        loads).  With either, the same events run in chunks.  A chunk ends
+        at the watchdog's next check (every ``watchdog.interval`` events of
+        this call), at the sampler's next tick, or at the caller's
+        ``until``/``max_events``.  Neither hook is an event: the watchdog
+        checks at the same event counts as it would alone, and the sampler
+        is called at each period boundary the model reaches and once more
+        when the queue drains, at the time of the last event.  So ``now``,
+        ``pending`` and ``events_run`` are those of an unhooked run.
         """
         wd = self.watchdog
-        if wd is None:
+        sampler = self.sampler
+        if wd is None and sampler is None:
             return self._run_core(until, max_events)
-        if max_events is not None:
-            max_events = max(1, max_events)
+        queue = self._queue
+        limit = None if max_events is None else max(1, max_events)
+        next_check = None if wd is None else wd.interval
         processed = 0
-        interval = wd.interval
+        tick = None
         while True:
-            step = interval
-            if max_events is not None:
-                remaining = max_events - processed
-                if remaining <= 0:
-                    break
-                if remaining < step:
-                    step = remaining
-            n = self._run_core(until, step)
-            processed += n
-            wd.check(self, processed)
-            if n < step:
+            step = None if limit is None else limit - processed
+            if next_check is not None:
+                to_check = next_check - processed
+                if step is None or to_check < step:
+                    step = to_check
+            stop = until
+            if sampler is not None:
+                tick = sampler.next_tick
+                if stop is None or tick < stop:
+                    stop = tick
+            processed += self._run_core(stop, step)
+            # a boundary is reached once every event at or before it has run
+            if self.now == tick and (not queue or queue[0][0] > tick):
+                sampler.sample(tick)
+            if processed == next_check:
+                wd.check(self, processed)
+                next_check += wd.interval
+            if not queue:
+                if sampler is not None:
+                    sampler.sample(self.now)
                 break
+            if processed == limit:
+                break
+            if self.now == until and queue[0][0] > until:
+                break
+        if wd is not None:
+            wd.check(self, processed)
         return processed
 
     def _run_core(

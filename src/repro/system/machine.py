@@ -137,12 +137,13 @@ class Machine:
 
     def attach_observability(self, obs) -> None:
         """Install a :class:`repro.obs.Observability` layer (transaction
-        tracer + time-series probes + optional telemetry stream) across all
-        components.
+        tracer + time-series probes) across all components.
 
         The tracer runs on either core: the generated memory, NC and CPU
-        methods stamp it where the interpreted ones do.  Probes and the
-        telemetry stream are engine-level samplers (see repro.elab.backend).
+        methods stamp it where the interpreted ones do.  The probes are the
+        engine's sampler, called between events (see repro.elab.backend),
+        so an observed run equals the unobserved one in simulated time and
+        event count.
         """
         obs.attach(self)
 
@@ -225,19 +226,9 @@ class Machine:
         _backend.sync(self)
         for cpu_id, program in programs.items():
             self.cpus[cpu_id].set_program(program)
-        if self.obs is not None:
-            self.obs.arm()
         until = ns_to_ticks(until_ns) if until_ns is not None else None
         start_events = self.engine.events_run
-        while True:
-            self.engine.run(until=until, max_events=max_events)
-            if self.engine.pending == 0:
-                break
-            if until is not None or max_events is not None:
-                break
-        if self.obs is not None:
-            # flush the final telemetry-stream line (no-op without a stream)
-            self.obs.finish_run()
+        self.engine.run(until=until, max_events=max_events)
         try:
             self.engine.check_quiescent()
         except DeadlockError as exc:

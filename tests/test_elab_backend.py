@@ -84,15 +84,14 @@ def test_backends_bit_identical(workload, config, nprocs):
     assert interp == elab
 
 
-def test_every_hook_runs_on_the_generated_core(tmp_path):
+def test_every_hook_runs_on_the_generated_core():
     machines = {
         hook: Machine(_small_2ring())
-        for hook in ("tracer", "samplers", "checker", "monitor", "watchdog",
+        for hook in ("tracer", "probes", "checker", "monitor", "watchdog",
                      "profiler", "fault")
     }
     Observability(probes=False).attach(machines["tracer"])
-    sampler = Observability(trace=False, stream_path=tmp_path / "s.jsonl")
-    sampler.attach(machines["samplers"])
+    Observability(trace=False).attach(machines["probes"])
     machines["checker"].attach_verifier()
     machines["monitor"].attach_monitor(Monitor())
     machines["watchdog"].attach_watchdog(max_events=10_000_000)
@@ -100,7 +99,6 @@ def test_every_hook_runs_on_the_generated_core(tmp_path):
     machines["fault"].attach_fault(FaultPlan(seed=3, events=[]))
     for m in machines.values():
         HotSpot(words=16, ops=10).run(m, nprocs=4)
-    sampler.stream.close()
     profiler.uninstall()
     assert {hook: m.backend for hook, m in machines.items()} == {
         hook: "elab" for hook in machines

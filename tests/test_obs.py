@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from repro import Machine, MachineConfig, Observability, Read, Write
+from repro.fault import WatchdogError
 from repro.monitor import Monitor
 from repro.obs import chrome_trace, dump_chrome_events, snapshot, to_prometheus
 from repro.obs.report import main as report_main, sparkline
-from repro.obs.stream import read_stream
 from repro.obs.trace import _TICKS_PER_US
 from repro.protocol import canonical_surface
-from repro.workloads.synthetic import HotSpot
+from repro.workloads.synthetic import HotSpot, ProducerConsumer
 
 from conftest import small_config, tiny_config
 
@@ -187,10 +187,9 @@ def test_probes_see_traffic_and_preserve_simulated_time():
     remote_o = observed.allocate(2048, placement="local:1")
     observed.run({0: prog(remote_o)})
 
-    # non-intrusive: sampling adds its own tick events (so `now` may land on
-    # the next period boundary) but never perturbs the coherence traffic or
-    # the workload's own timing
-    assert observed.engine.now >= plain.engine.now
+    # non-intrusive: sampling is not an event, so the run ends at the same
+    # tick and the coherence traffic and the workload's timing are untouched
+    assert observed.engine.now == plain.engine.now
     for cpu_o, cpu_p in zip(observed.cpus, plain.cpus):
         assert cpu_o.stats.accumulators.keys() == cpu_p.stats.accumulators.keys()
         for name, acc in cpu_p.stats.accumulators.items():
@@ -266,34 +265,21 @@ def test_snapshot_reads_the_same_on_both_cores(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("nprocs", [16, 64])
-def test_probes_and_stream_ride_the_elab_core(tmp_path, nprocs):
+def test_probes_ride_the_elab_core(nprocs):
     def run(backend):
         machine = Machine(MachineConfig.prototype(), backend=backend)
-        path = tmp_path / f"{backend}.jsonl"
-        obs = Observability(
-            trace=False, stream_path=path, stream_period_ns=4000.0
-        ).attach(machine)
+        obs = Observability(trace=False, probe_period_ns=4000.0).attach(machine)
         HotSpot(words=16, ops=20).run(machine, nprocs=nprocs)
-        obs.stream.close()
-        return machine, obs, read_stream(path)
+        return machine, obs
 
-    def without_wall(line):
-        for section, key in (("meta", "wall_s"), ("meta", "events_per_sec"),
-                             ("stream", "wall_ts")):
-            del line[section][key]
-        return line
-
-    (elab, obs_e, lines_e), (interp, obs_i, lines_i) = run(None), run("interp")
+    (elab, obs_e), (interp, obs_i) = run(None), run("interp")
     assert (elab.backend, interp.backend) == ("elab", "interp")
     assert canonical_surface(elab) == canonical_surface(interp)
     assert elab.obs_snapshot(include_wall=False) == interp.obs_snapshot(
         include_wall=False
     )
+    assert obs_e.probes.samples == obs_i.probes.samples > 1
     assert obs_e.probes.series() == obs_i.probes.series()
-    assert len(lines_e) == len(lines_i) > 1
-    assert [without_wall(line) for line in lines_e] == [
-        without_wall(line) for line in lines_i
-    ]
 
 
 def test_snapshot_is_deterministic_without_wall():
@@ -636,8 +622,7 @@ def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time(
 
     def traced_run(backend):
         machine = Machine(config(), backend=backend)
-        # tracer only: no extra events
-        Observability(probes=False).attach(machine)
+        Observability().attach(machine)
         HotSpot(words=16, ops=ops).run(machine, nprocs=nprocs)
         return machine
 
@@ -645,15 +630,131 @@ def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time(
     assert (plain.backend, traced.backend, reference.backend) == (
         "elab", "elab", "interp"
     )
-    # the generated core stamps every transaction as the interpreter does
+    # the generated core stamps every transaction as the interpreter does,
+    # and its probe counter tracks read the same
     assert traced.obs_snapshot(include_wall=False) == reference.obs_snapshot(
         include_wall=False
     )
     assert traced.obs.chrome_trace() == reference.obs.chrome_trace()
-    # tracing records but never reschedules: identical event stream
+    # tracing and probing record but never reschedule: identical event stream
     assert canonical_surface(traced) == canonical_surface(plain)
     assert traced.obs.tracer.finished
     snap = traced.obs_snapshot(include_wall=False)
     assert snap.pop("trace")["finished"] == len(traced.obs.tracer.finished)
+    assert snap.pop("probes")
     assert snap == plain.obs_snapshot(include_wall=False)
 
+
+# ----------------------------------------------------------------------
+# observers never move the model: the probes sample on the engine's run
+# loop, between events, and are never events themselves
+# ----------------------------------------------------------------------
+_WORKLOADS = {
+    "hotspot": lambda: HotSpot(words=16, ops=40),
+    "prodcons": lambda: ProducerConsumer(rounds=10),
+}
+
+
+def _prototype(protocol):
+    config = MachineConfig.prototype()
+    config.protocol = protocol
+    return config
+
+
+def _start(machine, workload, nprocs):
+    """Build ``workload`` on ``nprocs`` CPUs; returns its programs."""
+    cpus = list(range(nprocs))
+    workload.build(machine, cpus)
+    return {cpu: workload.thread_program(tid, cpus)
+            for tid, cpu in enumerate(cpus)}
+
+
+def _result(result):
+    return result.time_ticks, result.events, result.cpu_finish_ns
+
+
+@pytest.mark.parametrize("nprocs", [16, 64])
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+@pytest.mark.parametrize("protocol", ["numachine", "msi"])
+def test_observers_never_move_the_model(protocol, workload, nprocs):
+    def run(observed):
+        machine = Machine(_prototype(protocol))
+        if observed:
+            Observability().attach(machine)
+        programs = _start(machine, _WORKLOADS[workload](), nprocs)
+        return machine, machine.run(programs)
+
+    (plain, plain_result), (observed, observed_result) = run(False), run(True)
+    assert _result(observed_result) == _result(plain_result)
+    assert canonical_surface(observed) == canonical_surface(plain)
+    snap = observed.obs_snapshot(include_wall=False)
+    assert snap.pop("probes") and snap.pop("trace")["finished"]
+    assert snap == plain.obs_snapshot(include_wall=False)
+    # the last sample is taken at the last model event
+    for series in observed.obs.probes.series().values():
+        assert series["t"][-1] == observed.engine.now
+
+
+def _limited_runs(limit):
+    """A plain and a probed machine, each run once under ``limit``
+    (``Machine.run`` keyword arguments) and then to completion."""
+    runs = []
+    for observed in (False, True):
+        machine = Machine(_prototype("numachine"))
+        if observed:
+            Observability(trace=False).attach(machine)
+        programs = _start(machine, HotSpot(words=16, ops=40), 16)
+        first = machine.run(programs, **limit)
+        stopped = (machine.engine.now, machine.engine.events_run,
+                   machine.engine.pending)
+        machine.run({})
+        runs.append((machine, first, stopped))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [
+        pytest.param({"until_ns": 30_000.0}, id="until-on-boundary"),
+        pytest.param({"until_ns": 30_500.0}, id="until-between"),
+        pytest.param({"max_events": 3_333}, id="max-events"),
+    ],
+)
+def test_run_limits_hold_with_the_sampler(limit):
+    (plain, plain_first, plain_stop), (probed, probed_first, probed_stop) = (
+        _limited_runs(limit)
+    )
+    assert probed_stop == plain_stop and plain_stop[2] > 0
+    assert _result(probed_first) == _result(plain_first)
+    if "max_events" in limit:
+        assert plain_stop[1] == limit["max_events"]
+    # the probes crossed several period boundaries before the limit hit
+    assert probed.obs.probes.period_ticks * 4 < plain_stop[0]
+    # the second run finishes the first exactly as one uninterrupted run
+    whole = Machine(_prototype("numachine"))
+    whole.run(_start(whole, HotSpot(words=16, ops=40), 16))
+    assert canonical_surface(probed) == canonical_surface(plain)
+    assert canonical_surface(plain) == canonical_surface(whole)
+    for series in probed.obs.probes.series().values():
+        assert series["t"][-1] == probed.engine.now
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        pytest.param({"max_events": 4_000, "interval": 777}, id="events"),
+        pytest.param({"max_ticks": 200_000, "interval": 500}, id="ticks"),
+    ],
+)
+def test_watchdog_trips_at_the_same_event_with_probes(bound):
+    def tripped(observed):
+        machine = Machine(_prototype("numachine"))
+        if observed:
+            Observability(trace=False).attach(machine)
+        machine.attach_watchdog(**bound)
+        programs = _start(machine, HotSpot(words=16, ops=40), 16)
+        with pytest.raises(WatchdogError):
+            machine.run(programs)
+        return machine.engine.now, machine.engine.events_run
+
+    assert tripped(True) == tripped(False)
