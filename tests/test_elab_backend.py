@@ -5,11 +5,14 @@ bit-identical to the interpreted classes on the whole metrics snapshot
 (``Machine.obs_snapshot(include_wall=False)``: event count, simulated time,
 every counter, accumulator and FIFO statistic, utilizations) for every
 machine shape, workload and processor count, and on every trace, checker
-count, monitor table and triggered fault.  These tests pin that contract,
-the one selection rule (every hook runs on the generated core; only
-``backend="interp"`` or a failed elaboration keeps the interpreted
-classes), the dispatch tables against the interpreted handler maps, and
-the in-memory compile of generated cores.
+count, monitor table and triggered fault.  What the interpreted classes
+produce is pinned in ``tests/data/core_references.json`` (see
+``tests/core_references.py``), so each case runs once and is compared
+with its reference.  These tests also pin the one selection rule (every
+hook runs on the generated core; only ``backend="interp"`` or a failed
+elaboration keeps the interpreted classes), the dispatch tables against
+the interpreted handler maps, and the in-memory compile of generated
+cores.
 """
 
 from __future__ import annotations
@@ -22,66 +25,35 @@ import warnings
 
 import pytest
 
-from repro.cpu.ops import Read, Write
 from repro.elab import backend as elab_backend
 from repro.elab import codegen
 from repro.elab.ir import MachineIR
-from repro.fault import FaultEvent, FaultPlan
-from repro.interconnect.routing import Geometry
+from repro.fault import FaultPlan
 from repro.monitor import Monitor
 from repro.obs import Observability, Profiler
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
-from repro.workloads.lu import LUContiguous
-from repro.workloads.synthetic import HotSpot, ProducerConsumer
+from repro.workloads.synthetic import HotSpot
+
+import core_references
 
 
 def _fingerprint(machine: Machine) -> dict:
     return machine.obs_snapshot(include_wall=False)
 
 
-_WORKLOADS = {
-    "hotspot": lambda: HotSpot(words=16, ops=40),
-    "lu": lambda: LUContiguous(n=16, block=4),
-}
-
-
 def _small_2ring() -> MachineConfig:
     return MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
 
 
-def _small_3level() -> MachineConfig:
-    cfg = MachineConfig.small()
-    cfg.geometry = Geometry((2, 2, 2), processors_per_station=2)
-    return cfg
-
-
-def _run(backend: str, config, workload: str, nprocs: int) -> tuple:
-    machine = Machine(config(), backend=backend)
-    _WORKLOADS[workload]().run(machine, nprocs=nprocs)
-    return _fingerprint(machine), machine.backend
-
-
 # ----------------------------------------------------------------------
-# cross-backend bit-identity: {interp, elab} x machine x P x wl
+# bit-identity with the interpreted core's pinned references:
+# machine x P x workload
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "config, nprocs",
-    [
-        pytest.param(MachineConfig.prototype, 4, id="4"),
-        pytest.param(MachineConfig.prototype, 16, id="16"),
-        pytest.param(MachineConfig.prototype, 64, id="64"),
-        pytest.param(_small_2ring, 8, id="2ring-8"),
-        pytest.param(_small_3level, 16, id="3level-16"),
-    ],
-)
-@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-def test_backends_bit_identical(workload, config, nprocs):
-    interp, active_i = _run("interp", config, workload, nprocs)
-    elab, active_e = _run("elab", config, workload, nprocs)
-    assert active_i == "interp"
-    assert active_e == "elab"
-    assert interp == elab
+@pytest.mark.parametrize("shape", sorted(core_references.SHAPES))
+@pytest.mark.parametrize("workload", sorted(core_references.WORKLOADS))
+def test_backends_bit_identical(workload, shape):
+    core_references.check(f"bit_identical/{workload}-{shape}")
 
 
 def test_every_hook_runs_on_the_generated_core():
@@ -150,101 +122,33 @@ def test_attach_after_elab_run_keeps_the_core():
 
 
 # ----------------------------------------------------------------------
-# the checker, the monitor and fault plans run on the generated core
+# the checker, the monitor and fault plans against the pinned references
 # ----------------------------------------------------------------------
-_CHECKED = {
-    "prodcons": lambda: ProducerConsumer(rounds=10),
-    "hotspot": lambda: HotSpot(words=16, ops=40),
-}
-
-
 @pytest.mark.parametrize(
     "workload, nprocs", [("prodcons", 16), ("hotspot", 64)]
 )
 def test_checked_and_monitored_run_matches_interp(workload, nprocs):
-    runs = {}
-    for backend in (None, "interp"):
-        machine = Machine(MachineConfig.prototype(), backend=backend)
-        checker = machine.attach_verifier()
-        monitor = Monitor()
-        machine.attach_monitor(monitor)
-        _CHECKED[workload]().run(machine, nprocs=nprocs)
-        runs[backend] = (
-            machine.backend,
-            _fingerprint(machine),
-            dict(checker.checks),
-            monitor.report(),
-            monitor.trace.recent(len(monitor.trace)),
-        )
-    assert runs[None][0] == "elab"
-    assert runs["interp"][0] == "interp"
-    assert sum(runs[None][2].values()) > 0 and runs[None][4]
-    assert runs[None][1:] == runs["interp"][1:]
-
-
-def _every_fault_plan() -> FaultPlan:
-    """Every fault kind, plus the FIFO and nonsinkable-credit squeezes;
-    the run completes under both protocols."""
-    return FaultPlan(
-        seed=4,
-        events=[
-            FaultEvent("link_stall", 2_000.0,
-                       {"ring": "central", "pos": 1, "duration_ns": 3_000.0}),
-            FaultEvent("link_stall", 1_000.0,
-                       {"ring": "local:0", "pos": 2, "duration_ns": 2_000.0}),
-            FaultEvent("service_spike", 1_500.0,
-                       {"target": "mem", "station": 0, "duration_ns": 5_000.0,
-                        "factor": 4}),
-            FaultEvent("service_spike", 500.0,
-                       {"target": "nc", "station": 1, "duration_ns": 5_000.0,
-                        "factor": 3}),
-            FaultEvent("packet_delay", 0.0,
-                       {"station": 1, "duration_ns": 8_000.0, "prob": 0.3,
-                        "delay_ns": 800.0}),
-            FaultEvent("packet_dup", 0.0,
-                       {"station": 2, "duration_ns": 8_000.0, "prob": 0.2}),
-        ],
-        in_fifo_capacity=8,
-        nonsink_limit=2,
+    checker, trace = core_references.check(
+        f"checked_monitored/{workload}-{nprocs}"
     )
+    assert sum(checker.checks.values()) > 0 and trace
 
 
 @pytest.mark.parametrize("nprocs", [16, 64])
 def test_faulted_run_matches_interp(nprocs):
-    runs = {}
-    for backend in (None, "interp"):
-        machine = Machine(MachineConfig.prototype(), backend=backend)
-        checker = machine.attach_verifier()
-        fault = machine.attach_fault(_every_fault_plan())
-        HotSpot(words=16, ops=40).run(machine, nprocs=nprocs)
-        runs[backend] = (
-            machine.backend,
-            _fingerprint(machine),
-            dict(fault.triggered),
-            dict(checker.checks),
-        )
-    assert runs[None][0] == "elab"
-    assert runs["interp"][0] == "interp"
-    assert all(runs[None][2].values()), runs[None][2]
-    assert runs[None][1:] == runs["interp"][1:]
+    fault = core_references.check(f"faulted/{nprocs}")
+    assert all(fault.triggered.values()), fault.triggered
 
 
 def test_plain_iterator_program_on_both_cores():
     # a program without ``send`` gets next(): its hits resolve in the
     # batch loop just like a generator's
-    snapshots = []
-    for backend in ("elab", "interp"):
-        machine = Machine(_small_2ring(), backend=backend)
-        a = machine.allocate(64, placement="local:0").addr(0)
-        machine.run({0: iter([Write(a, 1), Read(a), Read(a), Write(a, 2)])})
-        cpu = machine.cpus[0]
-        assert machine.backend == backend
-        assert cpu.stats.counter("write_misses").value == 1
-        assert cpu.stats.counter("reads").value == 2
-        assert cpu.stats.counter("writes").value == 1
-        assert machine.read_word(a) == 2
-        snapshots.append(_fingerprint(machine))
-    assert snapshots[0] == snapshots[1]
+    machine, a = core_references.check("plain_iterator")
+    cpu = machine.cpus[0]
+    assert cpu.stats.counter("write_misses").value == 1
+    assert cpu.stats.counter("reads").value == 2
+    assert cpu.stats.counter("writes").value == 1
+    assert machine.read_word(a) == 2
 
 
 # ----------------------------------------------------------------------

