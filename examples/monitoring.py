@@ -71,7 +71,7 @@ def main(argv=None) -> None:
         yield Barrier(1, cpus)
 
     result = machine.run({cpu: worker(tid) for tid, cpu in enumerate(cpus)})
-    print(f"ran in {result.time_ns / 1000:.1f} us (backend={machine.backend})\n")
+    print(f"ran in {result.time_ns / 1000:.1f} us\n")
 
     print("memory coherence histogram (state x transaction type):")
     print(monitor.coherence_histogram.render())

@@ -28,11 +28,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.states import LineState
-from ..interconnect.packet import MsgType, Packet
+from ..interconnect.packet import MsgType, Packet, dispatch_table
 from ..sim.engine import Engine, SimulationError, ns_to_ticks
 from ..sim.fifo import Fifo
 from ..sim.stats import StatGroup
 from .nc_array import NCArray, NCLine
+
+_WRITE_BACK = MsgType.WRITE_BACK
 
 
 @dataclass(slots=True)
@@ -66,8 +68,15 @@ class NetworkCache:
     """
 
     #: (MsgType name, handler method name) pairs — the protocol subclass's
-    #: transition table, consumed by ``_dispatch`` and the elaborator
+    #: transition table for ring-side traffic
     DISPATCH: tuple = ()
+    #: ``DISPATCH`` as handler functions indexed by ``MsgType._value_``,
+    #: built once per class; unlisted types go to ``_on_other``
+    HANDLERS: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.HANDLERS = dispatch_table(cls, "_on_other")
 
     def __init__(self, engine: Engine, config, station) -> None:
         self.engine = engine
@@ -91,7 +100,6 @@ class NetworkCache:
         #: invariant checker (repro.verify), or None when checking is off
         self.verifier = None
         self._tag_ticks = ns_to_ticks(config.nc_tag_ns)
-        self._handlers = None  # mtype -> bound handler, built on first dispatch
         # hot-path tick values cached once (see MemoryModule)
         self._cmd_ticks = config.cmd_bus_ticks
         self._line_ticks = config.line_bus_ticks
@@ -119,66 +127,62 @@ class NetworkCache:
     # serialization plumbing (mirrors the memory module)
     # ==================================================================
     def handle(self, pkt: Packet) -> None:
+        """Entry for both bus-side and ring-side traffic; an idle NC's
+        packet passes straight through its input FIFO (see
+        MemoryModule.handle)."""
+        engine = self.engine
+        now = engine.now
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(pkt, "nc.in", self.engine.now)
-        self.in_fifo.push(pkt, self.engine.now)
-        self._pump()
-
-    def _pump(self) -> None:
-        if self._busy or self.in_fifo.empty:
+            tr.stamp_pkt(pkt, "nc.in", now)
+        f = self.in_fifo
+        f.pushes += 1
+        if self._busy:
+            # Fifo.push inlined (the input FIFO is unbounded)
+            items = f._items
+            items.append((pkt, now))
+            if len(items) > f.max_depth:
+                f.max_depth = len(items)
             return
+        if not f.max_depth:
+            f.max_depth = 1
         self._busy = True
-        # Engine.schedule inlined (_tag_ticks is a non-negative constant):
-        # every packet entering the NC passes through here
-        engine = self.engine
-        pkt = self.in_fifo.pop(engine.now)
+        # Engine.schedule inlined (_tag_ticks is a non-negative constant)
         seq = engine._seq + 1
         engine._seq = seq
-        engine._push((engine.now + self._tag_ticks, 1, seq, self._service, pkt))
+        engine._push((now + self._tag_ticks, 1, seq, self._service, pkt))
 
     def _service(self, pkt: Packet) -> None:
+        engine = self.engine
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(pkt, "nc.svc", self.engine.now)
-        extra = self._dispatch(pkt)
+            tr.stamp_pkt(pkt, "nc.svc", engine.now)
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.record_txn("nc", self.station_id, pkt, self.array.probe(pkt.addr))
+        mtype = pkt.mtype
+        if pkt.meta.get("local"):
+            if mtype is _WRITE_BACK:
+                extra = self._on_local_writeback(pkt)
+            else:
+                extra = self._on_local_request(pkt)
+        else:
+            extra = self.HANDLERS[mtype._value_](self, pkt)
         v = self.verifier
         if v is not None:
             v.observe(self, pkt.addr, pkt)
         # The done event carries this module's content key: unique (the
         # _busy flag serializes services) and sorting below any counter key
         # at its tick.
-        engine = self.engine
-        engine.schedule_keyed_at(
-            engine.now + (extra or 0), self._done_key, self._service_done,
-            priority=1,
+        engine._push(
+            (engine.now + (extra or 0), 1, self._done_key, _nc_service_done, self)
         )
 
-    def _service_done(self) -> None:
-        self._busy = False
-        self._pump()
+    def _on_other(self, pkt: Packet) -> int:
+        # imported on first use: only soft-control traffic reaches here
+        from ..softctl import ops as softops
 
-    def _dispatch(self, pkt: Packet) -> int:
-        if self.monitor is not None:
-            self.monitor.record_txn("nc", self.station_id, pkt, self.array.probe(pkt.addr))
-        mtype = pkt.mtype
-        if pkt.meta.get("local"):
-            if mtype is MsgType.WRITE_BACK:
-                return self._on_local_writeback(pkt)
-            return self._on_local_request(pkt)
-        handlers = self._handlers
-        if handlers is None:
-            # built lazily once per instance from the protocol subclass's
-            # DISPATCH declaration (see MemoryModule._dispatch)
-            handlers = self._handlers = {
-                MsgType[name]: getattr(self, fn) for name, fn in type(self).DISPATCH
-            }
-        handler = handlers.get(mtype)
-        if handler is None:
-            from ..softctl import ops as softops
-
-            return softops.nc_dispatch(self, pkt)
-        return handler(pkt)
+        return softops.nc_dispatch(self, pkt)
 
     # ==================================================================
     # request accounting (hit/miss/migration/caching counters)
@@ -572,11 +576,9 @@ class NetworkCache:
         return line is not None and line.state.readable
 
     def _nack_cpu(self, cpu: int, addr: int) -> None:
+        # delivered as a data tuple (see repro.system.bus._bus_complete)
         c = self.station.cpu_by_global(cpu)
-        self.out_port.send(
-            0, self._cmd_ticks,
-            lambda start, cc=c, a=addr: cc.nack_from_module(a),
-        )
+        self.out_port.send(0, self._cmd_ticks, (c, addr, None))
 
     def _grant_cpu(
         self, cpu: int, addr: int, data: Optional[List], exclusive: bool,
@@ -696,3 +698,23 @@ class NetworkCache:
                 "outstanding fetches"
             )
         return None
+
+
+NetworkCache.HANDLERS = dispatch_table(NetworkCache, "_on_other")
+
+
+def _nc_service_done(nc: NetworkCache) -> None:
+    """The service-done event: start the next queued packet, if any."""
+    f = nc.in_fifo
+    items = f._items
+    if not items:
+        nc._busy = False
+        return
+    engine = nc.engine
+    now = engine.now
+    # Fifo.pop inlined
+    pkt, enq = items.popleft()
+    f.wait_total += now - enq
+    seq = engine._seq + 1
+    engine._seq = seq
+    engine._push((now + nc._tag_ticks, 1, seq, nc._service, pkt))

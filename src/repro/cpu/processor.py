@@ -37,6 +37,73 @@ from ..sim.stats import StatGroup
 from . import ops as O
 
 
+_READ = MsgType.READ
+_READ_EX = MsgType.READ_EX
+_UPGRADE = MsgType.UPGRADE
+_SHARED = CacheState.SHARED
+
+
+def _cpu_send_request(cpu: "Processor") -> None:
+    """Send ``cpu``'s pending miss to its station's memory module or NC.
+
+    The request type is re-evaluated first: the line may have arrived or
+    changed while the request waited.  Bound as ``Processor._send_request``;
+    the NACK retry schedules it with the CPU as the event argument, so a
+    retry allocates no bound method.
+    """
+    p = cpu._pending
+    if p is None:
+        return
+    la = p["la"]
+    line = cpu.l2.lookup(la)
+    if p["kind"] == "read":
+        if line is not None and line.state.readable:
+            cpu._complete_locally()
+            return
+        # exclusive-only pages (§3.2 software-managed caching) never
+        # take shared copies: a single cache owns the line at a time
+        mtype = _READ_EX if p.get("exclusive_only") else _READ
+    else:
+        # a write or an atomic read-modify-write
+        if line is not None and line.state.writable:
+            cpu._complete_locally()
+            return
+        mtype = _UPGRADE if line is not None and line.state is _SHARED else _READ_EX
+    st = cpu.station
+    pkt = p.get("pkt")
+    if pkt is None:
+        pkt = Packet(
+            mtype=mtype,
+            addr=la,
+            src_station=st.station_id,
+            dest_mask=0,
+            requester=cpu.cpu_id,
+            meta={"local": True, "retry": False, "phase": cpu.phase},
+        )
+        p["pkt"] = pkt
+    else:
+        # NACKed and re-issued: the module dropped the previous attempt
+        # synchronously (locked lines are never queued), so the same
+        # packet object is safe to resend.  A fresh pid keeps every
+        # network attempt distinguishable.
+        pkt.mtype = mtype
+        pkt.pid = next_pid()
+        pkt.meta["retry"] = True
+    # Station.module_for inlined
+    home = la // cpu._station_mem_bytes
+    if home == st.station_id:
+        target = st.memory
+    elif home < cpu._num_stations:
+        target = st.nc
+    else:
+        raise ValueError(f"address {la:#x} beyond physical memory")
+    tr = cpu.tracer
+    if tr is not None:
+        tr.stamp(cpu.cpu_id, "cpu.send", cpu.engine.now)
+    # the delivery is a data tuple (see repro.system.bus._bus_complete)
+    st.bus.request(cpu._cmd_ticks, (target, pkt))
+
+
 class Processor:
     """One CPU + L1 + L2 + external agent."""
 
@@ -81,6 +148,9 @@ class Processor:
         self._retry = config.nack_retry_cpu_cycles * self._cpu
         self._cmd_ticks = config.cmd_bus_ticks
         self._line_ticks = config.line_bus_ticks
+        # home routing of a request (Station.module_for)
+        self._station_mem_bytes = config.station_mem_bytes
+        self._num_stations = config.num_stations
         # hit-path address helpers and counters, bound once: these run for
         # every batched cache hit, not just for misses
         self._line_mask = config.line_bytes - 1
@@ -386,55 +456,8 @@ class Processor:
             v.cpu_issue(self, la)
         self.engine.schedule(self._miss_detect, self._send_request)
 
-    def _send_request(self) -> None:
-        p = self._pending
-        if p is None:
-            return
-        la = p["la"]
-        line = self.l2.lookup(la)
-        kind = p["kind"]
-        # the line may have arrived or changed while we waited; re-evaluate
-        if kind == "read" and line is not None and line.state.readable:
-            self._complete_locally()
-            return
-        if kind in ("write", "rmw") and line is not None and line.state.writable:
-            self._complete_locally()
-            return
-        if kind == "read":
-            # exclusive-only pages (§3.2 software-managed caching) never
-            # take shared copies: a single cache owns the line at a time
-            mtype = MsgType.READ_EX if p.get("exclusive_only") else MsgType.READ
-        elif line is not None and line.state is CacheState.SHARED:
-            mtype = MsgType.UPGRADE
-        else:
-            mtype = MsgType.READ_EX
-        pkt = p.get("pkt")
-        if pkt is None:
-            pkt = Packet(
-                mtype=mtype,
-                addr=la,
-                src_station=self.station.station_id,
-                dest_mask=0,
-                requester=self.cpu_id,
-                meta={"local": True, "retry": False, "phase": self.phase},
-            )
-            p["pkt"] = pkt
-        else:
-            # NACKed and re-issued: the module dropped the previous attempt
-            # synchronously (locked lines are never queued), so the same
-            # packet object is safe to resend.  A fresh pid keeps every
-            # network attempt distinguishable; the request type is
-            # re-evaluated because the line may have turned SHARED meanwhile.
-            pkt.mtype = mtype
-            pkt.pid = next_pid()
-            pkt.meta["retry"] = True
-        target = self.station.module_for(la)
-        tr = self.tracer
-        if tr is not None:
-            tr.stamp(self.cpu_id, "cpu.send", self.engine.now)
-        self.station.bus.request(
-            self._cmd_ticks, lambda start, t=target, k=pkt: t.handle(k)
-        )
+    #: send the pending miss (see :func:`_cpu_send_request`)
+    _send_request = _cpu_send_request
 
     def _complete_locally(self) -> None:
         """The miss resolved while queued (e.g. a fill raced ahead)."""
@@ -599,10 +622,14 @@ class Processor:
         if p is None or p["la"] != la:
             return
         self.stats.counter("retries").incr()
+        engine = self.engine
         tr = self.tracer
         if tr is not None:
-            tr.retry(self.cpu_id, self.engine.now)
-        self.engine.schedule(self._retry, self._send_request)
+            tr.retry(self.cpu_id, engine.now)
+        # Engine.schedule inlined, with the CPU as the event argument
+        seq = engine._seq + 1
+        engine._seq = seq
+        engine._push((engine.now + self._retry, 1, seq, _cpu_send_request, self))
 
     # ------------------------------------------------------------------
     # coherence actions against this CPU's caches

@@ -17,15 +17,14 @@ Both implement the :class:`~repro.interconnect.ring.RingMember` protocol and
 realize the ascend / to_seq / deliver routing rules described in
 :mod:`repro.interconnect.ring`.
 
-Both run on either backend (the generated core never re-classes them), so
-their tracer, verifier and fault-filter checks are live on every run.  The
-host work per packet follows the hardware's: the routing masks each
+Their tracer, verifier and fault-filter checks are live on every run.
+The host work per packet follows the hardware's: the routing masks each
 interface tests are precomputed from the codec at construction (one AND
 decides ascend-or-stay), a packet costs one push and one pop per FIFO it
 passes (emptiness is tested on the FIFO's deque, pressure comes back from
 the push), the delay accumulators are bound on first use, and the pump
-loops push their event tuples straight onto the engine queue, as
-:meth:`~repro.system.bus.Bus._grant` does.
+loops push their event tuples straight onto the engine queue, as the
+station bus's grants do (:mod:`repro.system.bus`).
 """
 
 from __future__ import annotations
@@ -193,7 +192,7 @@ class StationRingInterface:
         self._route_prep(packet)
         packet.send_enq = now
         # packet generator formatting latency, then the output FIFO
-        # (Engine.schedule inlined, as in Bus._grant)
+        # (Engine.schedule inlined, as in the bus grants)
         seq = engine._seq + 1
         engine._seq = seq
         engine._push(

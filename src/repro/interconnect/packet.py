@@ -100,6 +100,17 @@ for _mt in MsgType:
     _mt.sinkable = _mt not in NONSINKABLE
 
 
+def dispatch_table(cls, default: str) -> tuple:
+    """A coherence engine class's ``DISPATCH`` as a dense tuple indexed by
+    ``MsgType._value_``.  Each listed type maps to ``cls``'s handler
+    function, a subclass's override included; every other type maps to
+    the method named ``default``."""
+    table = [getattr(cls, default)] * (max(m._value_ for m in MsgType) + 1)
+    for name, fn in cls.DISPATCH:
+        table[MsgType[name]._value_] = getattr(cls, fn)
+    return tuple(table)
+
+
 def is_sinkable(mtype: MsgType) -> bool:
     return mtype.sinkable
 

@@ -35,9 +35,6 @@ ring's ``uid`` and the position (see :mod:`repro.sim.engine`), not the
 engine's global counter.  Those keys define the same-tick tie-break order
 that the pinned protocol fingerprints and the benchmark's surface hashes
 depend on, so they must stay content-derived.
-
-Rings and their interfaces run this hand-written code on both backends:
-the generated core (:mod:`repro.elab`) specializes only the station side.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core.directory import DirEntry, Directory
 from ..core.states import LineState
-from ..interconnect.packet import MsgType, Packet
+from ..interconnect.packet import MsgType, Packet, dispatch_table
 from ..sim.engine import Engine, SimulationError, ns_to_ticks
 from ..sim.fifo import Fifo
 from ..sim.stats import StatGroup
@@ -58,8 +58,15 @@ class MemoryModule:
     """
 
     #: (MsgType name, handler method name) pairs — the protocol subclass's
-    #: transition table, consumed by ``_dispatch`` and the elaborator
+    #: transition table
     DISPATCH: tuple = ()
+    #: ``DISPATCH`` as handler functions indexed by ``MsgType._value_``,
+    #: built once per class; unlisted types go to ``_on_other``
+    HANDLERS: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.HANDLERS = dispatch_table(cls, "_on_other")
 
     def __init__(self, engine: Engine, config, station) -> None:
         self.engine = engine
@@ -87,7 +94,7 @@ class MemoryModule:
         #: invariant checker (repro.verify), or None when checking is off
         self.verifier = None
         self._lookup_ticks = ns_to_ticks(config.dir_sram_ns)
-        self._handlers = None  # mtype -> bound handler, built on first dispatch
+        self._line_mask = ~(config.line_bytes - 1)
         # hot-path tick values cached once (config properties recompute
         # ns_to_ticks on every access, which profiles as real run time)
         self._cmd_ticks = config.cmd_bus_ticks
@@ -120,64 +127,53 @@ class MemoryModule:
     # request entry points
     # ==================================================================
     def handle(self, pkt: Packet) -> None:
-        """Entry for both bus-side and ring-side traffic."""
+        """Entry for both bus-side and ring-side traffic.
+
+        The master controller serves one packet at a time; an idle module
+        has an empty input FIFO, so a packet passes straight through it
+        (its push is counted, and it waits no ticks)."""
+        engine = self.engine
+        now = engine.now
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(pkt, "mem.in", self.engine.now)
-        self.in_fifo.push(pkt, self.engine.now)
-        self._pump()
-
-    def _pump(self) -> None:
-        if self._busy or self.in_fifo.empty:
+            tr.stamp_pkt(pkt, "mem.in", now)
+        f = self.in_fifo
+        f.pushes += 1
+        if self._busy:
+            # Fifo.push inlined (the input FIFO is unbounded)
+            items = f._items
+            items.append((pkt, now))
+            if len(items) > f.max_depth:
+                f.max_depth = len(items)
             return
+        if not f.max_depth:
+            f.max_depth = 1
         self._busy = True
-        # Engine.schedule inlined (_lookup_ticks is a non-negative constant):
-        # every packet entering the memory module passes through here
-        engine = self.engine
-        pkt = self.in_fifo.pop(engine.now)
+        # Engine.schedule inlined (_lookup_ticks is a non-negative constant)
         seq = engine._seq + 1
         engine._seq = seq
-        engine._push((engine.now + self._lookup_ticks, 1, seq, self._service, pkt))
+        engine._push((now + self._lookup_ticks, 1, seq, self._service, pkt))
 
     def _service(self, pkt: Packet) -> None:
+        engine = self.engine
         tr = self.tracer
         if tr is not None:
-            tr.stamp_pkt(pkt, "mem.svc", self.engine.now)
-        extra = self._dispatch(pkt)
+            tr.stamp_pkt(pkt, "mem.svc", engine.now)
+        entry = self.directory.entry(pkt.addr & self._line_mask)
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.record_txn("mem", self.station_id, pkt, entry)
+        extra = self.HANDLERS[pkt.mtype._value_](
+            self, pkt, entry, bool(pkt.meta.get("local"))
+        )
         v = self.verifier
         if v is not None:
             v.observe(self, pkt.addr, pkt)
-        # Content-keyed done event (see NetworkCache._service).
-        engine = self.engine
-        engine.schedule_keyed_at(
-            engine.now + (extra or 0), self._done_key, self._service_done,
-            priority=1,
+        # the done event carries this module's content key (see
+        # NetworkCache._service)
+        engine._push(
+            (engine.now + (extra or 0), 1, self._done_key, _mem_service_done, self)
         )
-
-    def _service_done(self) -> None:
-        self._busy = False
-        self._pump()
-
-    # ==================================================================
-    # dispatch
-    # ==================================================================
-    def _dispatch(self, pkt: Packet) -> int:
-        entry = self.directory.entry(self.config.line_addr(pkt.addr))
-        if self.monitor is not None:
-            self.monitor.record_txn("mem", self.station_id, pkt, entry)
-        local = bool(pkt.meta.get("local"))
-        handlers = self._handlers
-        if handlers is None:
-            # built lazily once per instance from the protocol subclass's
-            # DISPATCH declaration; rebuilding this dict (and hashing every
-            # MsgType) per packet is measurable in profiles
-            handlers = self._handlers = {
-                MsgType[name]: getattr(self, fn) for name, fn in type(self).DISPATCH
-            }
-        handler = handlers.get(pkt.mtype)
-        if handler is None:
-            handler = self._on_other
-        return handler(pkt, entry, local)
 
     def _txn_matches(self, pkt: Packet, entry: DirEntry) -> bool:
         """Does this intervention answer belong to the current lock round?"""
@@ -232,11 +228,9 @@ class MemoryModule:
     def _nack(self, pkt: Packet, local: bool) -> int:
         self.stats.counter("nacks").incr()
         if local:
+            # delivered as a data tuple (see repro.system.bus._bus_complete)
             cpu = self.station.cpu_by_global(pkt.requester)
-            self.out_port.send(
-                0, self._cmd_ticks,
-                lambda start, c=cpu, a=pkt.addr: c.nack_from_module(a),
-            )
+            self.out_port.send(0, self._cmd_ticks, (cpu, pkt.addr, None))
         else:
             nack = Packet(
                 mtype=MsgType.NACK, addr=pkt.addr,
@@ -489,3 +483,23 @@ class MemoryModule:
 
     def _dram_write_ticks(self) -> int:
         return self._dram_write
+
+
+MemoryModule.HANDLERS = dispatch_table(MemoryModule, "_on_other")
+
+
+def _mem_service_done(mem: MemoryModule) -> None:
+    """The service-done event: start the next queued packet, if any."""
+    f = mem.in_fifo
+    items = f._items
+    if not items:
+        mem._busy = False
+        return
+    engine = mem.engine
+    now = engine.now
+    # Fifo.pop inlined
+    pkt, enq = items.popleft()
+    f.wait_total += now - enq
+    seq = engine._seq + 1
+    engine._seq = seq
+    engine._push((now + mem._lookup_ticks, 1, seq, mem._service, pkt))

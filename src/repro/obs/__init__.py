@@ -10,7 +10,7 @@ perturbing them; this package is the simulator's equivalent.  It bundles:
 * :mod:`~repro.obs.registry` — the unified metrics snapshot with JSON and
   Prometheus-text exporters;
 * :class:`~repro.obs.profile.Profiler` — the simulator *self*-profiler,
-  attributing event-loop wall time to pump sites on either backend;
+  attributing event-loop wall time to pump sites;
 * ``python -m repro.obs.report`` — a CLI renderer for saved snapshots.
 
 :class:`Observability` is the front door::
@@ -26,10 +26,7 @@ one attribute load plus an ``is not None`` test when disabled.  No piece
 schedules an event: the tracer stamps transactions as they pass, and the
 probes sample on the engine's run loop between events, so an observed run
 equals the unobserved one in simulated time, event count and every
-statistic.  Every piece runs on the generated specialized core: its
-memory, NC and CPU methods stamp the tracer where the interpreted ones
-do, and it keeps every statistic the probes and the snapshot read (see
-:mod:`repro.elab.backend`).
+statistic.
 """
 
 from __future__ import annotations

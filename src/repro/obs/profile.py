@@ -2,14 +2,12 @@
 
 The paper instruments the *machine*; this module instruments the
 *simulator*.  A :class:`Profiler` re-classes the machine's
-:class:`~repro.sim.engine.Engine` into a profiled subclass (the same
-``obj.__class__`` swap the elab backend uses on components — no state is
-copied, so install/uninstall are exact) whose event loop attributes wall
-time to *pump sites*: the handler each event dispatches to, keyed by
-qualified name (``MemoryModule._service``, or ``_ring_arrive`` for a
-module-level callback; under the elab backend the generated names —
-``ElabMem._service`` — show through, which is exactly what you want when
-profiling that backend).
+:class:`~repro.sim.engine.Engine` into a profiled subclass (an
+``obj.__class__`` swap — no state is copied, so install/uninstall are
+exact) whose event loop attributes wall time to *pump sites*: the handler
+each event dispatches to, keyed by qualified name
+(``MemoryModule._service``, or ``_bus_complete`` / ``_ring_arrive`` for a
+module-level callback that carries its component in the event argument).
 
 Two measurements per site:
 
@@ -21,7 +19,7 @@ Two measurements per site:
 
 The profiler never schedules events and never touches simulated state, so
 a profiled run is bit-identical to an unprofiled one in ``(events_run,
-now)`` on either backend.  Export is a JSON summary plus a
+now)``.  Export is a JSON summary plus a
 Perfetto-loadable Chrome trace-event file: one track of handler slices and
 one of component slices, widths proportional to estimated wall time — a
 one-level flamegraph of the event loop.

@@ -11,9 +11,7 @@ exposition format, so a run's metrics drop straight into standard tooling.
 
 The snapshot is deterministic for a deterministic run when taken with
 ``include_wall=False`` (the wall-clock throughput meter is the only
-host-dependent field).  It reads the same whichever core ran: the
-generated elab core keeps every counter and FIFO statistic the interpreted
-classes keep.
+host-dependent field).
 """
 
 from __future__ import annotations

@@ -24,10 +24,8 @@ Environment knobs:
   on demand; ``--stats`` and ``--clear`` are also available (the entry is
   :mod:`repro.perf.__main__`, the commands are :func:`main` here).
 
-No execution strategy is in the key: every run the sweep makes executes
-the generated core (:mod:`repro.elab.backend`), and the interpreted and
-elaborated cores are bit-identical on the whole metrics snapshot (pinned
-by ``tests/test_elab_backend.py``).
+No execution strategy is in the key: every run executes the one set of
+station classes.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The machine resolves a :class:`~repro.protocol.base.CoherenceProtocol`
 plug-in once at construction (see :func:`resolve_protocol`) and the whole
-stack — stations, invariant checker, elaborator, perf cache, fuzzer,
-observability — reads it from ``machine.protocol`` / ``machine.protocol_name``.
+stack — stations, invariant checker, perf cache, fuzzer, observability —
+reads it from ``machine.protocol`` / ``machine.protocol_name``.
 
 Selection precedence: ``MachineConfig.protocol`` (when non-empty) over the
 ``NUMACHINE_PROTOCOL`` environment variable, default ``"numachine"``.

@@ -10,10 +10,10 @@ needs to know about one coherence scheme:
   the coherence state machines themselves;
 * **transition tables** — each engine class declares a ``DISPATCH`` class
   attribute, a tuple of ``(MsgType name, handler name)`` pairs.  It is the
-  single source of truth for dispatch: the interpreted ``_dispatch`` builds
-  its handler dict from it, and the build-time elaborator
-  (:mod:`repro.elab.codegen`) compiles it into a dense
-  ``MsgType.value``-indexed tuple;
+  single source of truth for dispatch: each engine class compiles it once,
+  at class creation, into a dense ``MsgType.value``-indexed ``HANDLERS``
+  tuple (:func:`repro.interconnect.packet.dispatch_table`), so a subclass
+  that overrides a handler gets its override;
 * **directory/mask policy** — what the per-line ``proc_mask`` and routing
   mask *mean* is protocol-specific (NUMAchine: inexact hierarchical masks;
   flat MSI: an exact global full map), so the invariant checker
@@ -25,7 +25,7 @@ needs to know about one coherence scheme:
 Selection is per-machine: ``MachineConfig.protocol`` wins over the
 ``NUMACHINE_PROTOCOL`` environment variable, default ``numachine``; the
 :class:`~repro.system.machine.Machine` resolves the plug-in once at
-construction and every layer (stations, checker, elaborator, perf cache,
+construction and every layer (stations, checker, perf cache,
 observability) reads it from there.
 """
 

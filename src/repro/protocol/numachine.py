@@ -44,8 +44,8 @@ _GI = LineState.GI
 class NumachineMemory(MemoryModule):
     """Home memory directory: the memory side of the two-level protocol."""
 
-    #: (MsgType name, handler name) — the single source of truth for both
-    #: the interpreted dispatch dict and the elaborator's dense table
+    #: (MsgType name, handler name) — the single source of truth for the
+    #: class's dense ``HANDLERS`` tuple
     DISPATCH = (
         ("READ", "_on_read"),
         ("READ_EX", "_on_read_ex"),

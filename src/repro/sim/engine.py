@@ -135,7 +135,7 @@ class Engine:
         """Allocate a small identity integer for a component that schedules
         content-keyed events (see the module docstring).  Deterministic by
         construction order, which is itself fixed by the machine topology —
-        so the same component gets the same uid in every run and backend."""
+        so the same component gets the same uid in every run."""
         uid = self._uid
         self._uid = uid + 1
         return uid
@@ -157,35 +157,6 @@ class Engine:
         seq = self._seq + 1
         self._seq = seq
         self._push((self.now + delay, priority, seq, callback, arg))
-
-    def schedule_at(
-        self,
-        when: int,
-        callback: Callable[..., None],
-        arg: Any = None,
-        priority: int = PRIO_NORMAL,
-    ) -> None:
-        """Run ``callback`` at absolute tick ``when`` (>= now)."""
-        if when < self.now:
-            raise SimulationError(f"schedule_at in the past: {when} < {self.now}")
-        seq = self._seq + 1
-        self._seq = seq
-        self._push((when, priority, seq, callback, arg))
-
-    def schedule_keyed_at(
-        self,
-        when: int,
-        key: int,
-        callback: Callable[..., None],
-        arg: Any = None,
-        priority: int = PRIO_ARRIVAL,
-    ) -> None:
-        """Schedule with a *content-derived* seq key instead of the global
-        counter (see the module docstring).  The caller guarantees ``key``
-        is unique among events pending at ``(when, priority)``."""
-        if when < self.now:
-            raise SimulationError(f"schedule_at in the past: {when} < {self.now}")
-        self._push((when, priority, key, callback, arg))
 
     # ------------------------------------------------------------------
     # execution

@@ -11,13 +11,14 @@ Occupancy statistics follow from two running sums by Little's law: the
 time integral of a FIFO's depth equals the total time its entries spent
 queued, so ``pushes`` and ``wait_total`` (pop tick minus enqueue tick,
 summed over popped entries) plus the ages of the queued entries give the
-time-weighted mean depth, the wait count and the mean wait.  The generated
-core (:mod:`repro.elab.codegen`) inlines :meth:`Fifo.push` /
-:meth:`Fifo.pop` for the memory and NC input FIFOs only, and keeps the
-same sums; every other FIFO runs these methods on both cores.  The ring
-interfaces bind each FIFO's ``_items`` deque once and test it for
-emptiness directly, so a packet passing through costs one push and one
-pop call, with no :attr:`Fifo.empty` / :attr:`Fifo.pressured` frames.
+time-weighted mean depth, the wait count and the mean wait.  The memory
+module and the network cache inline :meth:`Fifo.push` / :meth:`Fifo.pop`
+on their unbounded input FIFOs and keep the same sums; a packet that
+reaches an idle module passes straight through (one push, no wait).
+Every other FIFO runs these methods.  The ring interfaces bind each
+FIFO's ``_items`` deque once and test it for emptiness directly, so a
+packet passing through costs one push and one pop call, with no
+:attr:`Fifo.pressured` frame.
 """
 
 from __future__ import annotations
@@ -90,10 +91,6 @@ class Fifo:
     def pressured(self) -> bool:
         """True once occupancy reaches the high-water mark."""
         return self.high_water is not None and len(self._items) >= self.high_water
-
-    @property
-    def empty(self) -> bool:
-        return not self._items
 
     def push(self, item: Any, now: int) -> bool:
         """Enqueue ``item`` at tick ``now``.  Returns :attr:`pressured`

@@ -16,7 +16,7 @@ to the memory module" rides one transaction).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Tuple
+from typing import Deque, Tuple
 
 from ..sim.engine import Engine
 from ..sim.stats import BusyTracker, Counter
@@ -24,13 +24,83 @@ from ..sim.stats import BusyTracker, Counter
 _PRIO_NORMAL = Engine.PRIO_NORMAL
 
 
+# The event callbacks below are module-level functions that carry their
+# component in the event argument, so pushing an event allocates one tuple
+# and never a bound method.  Each one grants the next transfer inline
+# (Engine.schedule inlined: the arbitration and transfer ticks are
+# non-negative), which makes them the busiest scheduling sites of a run.
+def _bus_complete(arg) -> None:
+    """A transfer finished: run its completion, then grant the next one.
+
+    A completion is a callable ``on_complete(start_tick)`` or, for the two
+    hottest transfers, a data tuple: ``(target, pkt)`` delivers
+    ``target.handle(pkt)`` (a processor's request), and ``(cpu, addr,
+    None)`` calls ``cpu.nack_from_module(addr)`` (a NACK to a processor).
+    """
+    bus, start, on_complete = arg
+    if type(on_complete) is tuple:
+        if len(on_complete) == 2:
+            target, pkt = on_complete
+            target.handle(pkt)
+        else:
+            on_complete[0].nack_from_module(on_complete[1])
+    else:
+        on_complete(start)
+    queue = bus._queue
+    if not queue:
+        bus._busy = False
+        return
+    duration, on_complete = queue.popleft()
+    bus.busy.busy += duration
+    bus.transactions.value += 1
+    engine = bus.engine
+    start = engine.now + bus.arb_ticks
+    seq = engine._seq + 1
+    engine._seq = seq
+    engine._push((start + duration, _PRIO_NORMAL, seq, _bus_complete,
+                  (bus, start, on_complete)))
+
+
+def _port_issue(arg) -> None:
+    """An ordered port's head transaction is ready: hand it to the bus,
+    then release the port's next transaction.  The bus queue is itself
+    FIFO, so the next one may follow as soon as this one has entered it."""
+    port, duration, on_complete = arg
+    bus = port.bus
+    engine = port.engine
+    if bus._busy:
+        bus._queue.append((duration, on_complete))
+    else:
+        bus._busy = True
+        bus.busy.busy += duration
+        bus.transactions.value += 1
+        start = engine.now + bus.arb_ticks
+        seq = engine._seq + 1
+        engine._seq = seq
+        engine._push((start + duration, _PRIO_NORMAL, seq, _bus_complete,
+                      (bus, start, on_complete)))
+    queue = port._queue
+    if not queue:
+        port._busy = False
+        return
+    ready, duration, on_complete = queue.popleft()
+    now = engine.now
+    if ready < now:
+        ready = now
+    seq = engine._seq + 1
+    engine._seq = seq
+    engine._push((ready, _PRIO_NORMAL, seq, _port_issue, (port, duration, on_complete)))
+
+
 class Bus:
     """A single arbitrated station bus.
 
     :meth:`request` queues a transaction of ``duration`` ticks; when the
-    transfer *completes*, ``on_complete(start_tick)`` is invoked.  A fixed
-    arbitration cost is charged per transaction (it does not occupy the data
-    path and so is not counted as busy time when overlapped).
+    transfer *completes*, ``on_complete(start_tick)`` is invoked (or the
+    data tuple is delivered, see :func:`_bus_complete`).  A fixed
+    arbitration cost is charged per transaction (it does not occupy the
+    data path and so is not counted as busy time when overlapped).  An
+    idle bus has an empty queue: a request to it is granted at once.
     """
 
     __slots__ = ("engine", "name", "arb_ticks", "_queue", "_busy", "busy", "transactions")
@@ -39,41 +109,25 @@ class Bus:
         self.engine = engine
         self.name = name
         self.arb_ticks = arb_ticks
-        self._queue: Deque[Tuple[int, Callable[[int], None]]] = deque()
+        self._queue: Deque[Tuple[int, object]] = deque()
         self._busy = False
         self.busy = BusyTracker(f"{name}.busy")
         self.transactions = Counter(f"{name}.transactions")
 
-    def request(self, duration: int, on_complete: Callable[[int], None]) -> None:
+    def request(self, duration: int, on_complete) -> None:
         """Queue a transaction occupying the bus for ``duration`` ticks."""
-        self._queue.append((duration, on_complete))
-        if not self._busy:
-            self._grant()
-
-    def _grant(self) -> None:
-        if not self._queue:
-            self._busy = False
+        if self._busy:
+            self._queue.append((duration, on_complete))
             return
         self._busy = True
-        duration, on_complete = self._queue.popleft()
-        arb = self.arb_ticks
-        engine = self.engine
         self.busy.busy += duration
         self.transactions.value += 1
-        # Engine.schedule inlined (arb and duration are non-negative): a
-        # grant per transaction makes this the busiest scheduling site
-        now = engine.now
+        engine = self.engine
+        start = engine.now + self.arb_ticks
         seq = engine._seq + 1
         engine._seq = seq
-        engine._push(
-            (now + arb + duration, _PRIO_NORMAL, seq, self._complete,
-             (now + arb, on_complete))
-        )
-
-    def _complete(self, arg) -> None:
-        start, on_complete = arg
-        on_complete(start)
-        self._grant()
+        engine._push((start + duration, _PRIO_NORMAL, seq, _bus_complete,
+                      (self, start, on_complete)))
 
     def utilization(self, now: int) -> float:
         return self.busy.utilization(now)
@@ -91,7 +145,8 @@ class OrderedPort:
     e.g. a data grant being prepared must not be overtaken by a later
     intervention for the same line.  Actions enter this FIFO when issued
     and are handed to the bus arbiter in order, each no earlier than its
-    ready time.
+    ready time.  An idle port has an empty queue: a send to it pushes its
+    issue event at once.
     """
 
     __slots__ = ("engine", "bus", "_queue", "_busy")
@@ -99,37 +154,20 @@ class OrderedPort:
     def __init__(self, engine: Engine, bus: Bus) -> None:
         self.engine = engine
         self.bus = bus
-        self._queue: Deque[Tuple[int, int, Callable[[int], None]]] = deque()
+        self._queue: Deque[Tuple[int, int, object]] = deque()
         self._busy = False
 
-    def send(self, delay: int, duration: int, on_complete: Callable[[int], None]) -> None:
+    def send(self, delay: int, duration: int, on_complete) -> None:
         """Issue a bus transaction of ``duration`` ticks that becomes ready
-        ``delay`` ticks from now; ``on_complete(start)`` fires when the bus
-        transfer finishes."""
-        self._queue.append((self.engine.now + delay, duration, on_complete))
-        self._pump()
-
-    def _pump(self) -> None:
-        if self._busy or not self._queue:
-            return
-        self._busy = True
-        ready, duration, cb = self._queue.popleft()
-        # Engine.schedule_at inlined; when >= now by construction
+        ``delay`` ticks from now; ``on_complete(start)`` fires (or the data
+        tuple is delivered) when the bus transfer finishes."""
         engine = self.engine
         now = engine.now
-        if ready < now:
-            ready = now
+        if self._busy:
+            self._queue.append((now + delay, duration, on_complete))
+            return
+        self._busy = True
+        ready = now + delay if delay > 0 else now
         seq = engine._seq + 1
         engine._seq = seq
-        engine._push((ready, _PRIO_NORMAL, seq, self._issue, (duration, cb)))
-
-    def _issue(self, arg) -> None:
-        # Bus.request inlined — one issue per bus transaction
-        bus = self.bus
-        bus._queue.append(arg)
-        if not bus._busy:
-            bus._grant()
-        # the bus queue itself is FIFO, so the next item may be released as
-        # soon as this one has entered it
-        self._busy = False
-        self._pump()
+        engine._push((ready, _PRIO_NORMAL, seq, _port_issue, (self, duration, on_complete)))

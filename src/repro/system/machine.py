@@ -51,21 +51,19 @@ class Machine:
     ) -> None:
         self.config = config or MachineConfig()
         self.config.validate()
-        # the generated core runs unless "interp" pins the reference core
-        # (see repro.elab.backend); None and "elab" mean the same
+        # ``backend`` is a label, not a choice: every machine runs the same
+        # station classes (see the ``backend`` property)
         if backend not in (None, "elab", "interp"):
             raise ValueError(
                 f"unknown backend {backend!r}: expected None, 'elab' or 'interp'"
             )
-        self._backend_pref = backend
+        self._backend_label = "interp" if backend == "interp" else "elab"
         # coherence protocol plug-in (NUMACHINE_PROTOCOL / config.protocol):
         # resolved once here so every layer agrees for the machine's lifetime
         from ..protocol import resolve_protocol
 
         self.protocol = resolve_protocol(self.config)
         self.protocol_name = self.protocol.name
-        # True once the generated elab core is in place
-        self._elab_active = False
         self.engine = Engine()
         self.net: Interconnect = build_interconnect(self.engine, self.config)
         self.codec = self.net.codec
@@ -124,12 +122,8 @@ class Machine:
     # monitoring
     # ------------------------------------------------------------------
     def attach_monitor(self, monitor) -> None:
-        """Install a :class:`repro.monitor.Monitor` across all modules.
-
-        The monitor records on either core: the generated memory and NC
-        services call it where the interpreted ones do (see
-        repro.elab.backend).
-        """
+        """Install a :class:`repro.monitor.Monitor` across all modules:
+        the memory and NC services record every transaction they serve."""
         self.monitor = monitor
         for st in self.stations:
             st.memory.monitor = monitor
@@ -139,20 +133,17 @@ class Machine:
         """Install a :class:`repro.obs.Observability` layer (transaction
         tracer + time-series probes) across all components.
 
-        The tracer runs on either core: the generated memory, NC and CPU
-        methods stamp it where the interpreted ones do.  The probes are the
-        engine's sampler, called between events (see repro.elab.backend),
-        so an observed run equals the unobserved one in simulated time and
-        event count.
+        The memory, NC and CPU stamp the tracer as transactions pass.  The
+        probes are the engine's sampler, called between events, so an
+        observed run equals the unobserved one in simulated time and event
+        count.
         """
         obs.attach(self)
 
     def attach_verifier(self, verifier=None):
         """Install a :class:`repro.verify.CoherenceChecker` across all
         components (null-object pattern: zero cost when not attached, and
-        bit-identical event streams when attached).  The checker runs on
-        either core, so it checks the code that actually runs (see
-        repro.elab.backend)."""
+        bit-identical event streams when attached)."""
         if verifier is None:
             from ..verify import CoherenceChecker
 
@@ -173,33 +164,26 @@ class Machine:
     def attach_fault(self, plan):
         """Apply a :class:`repro.fault.FaultPlan` via a
         :class:`repro.fault.FaultInjector`; must be called before
-        :meth:`run`.
-
-        The generated core is put in place first: the injector schedules
-        its fault windows here, and the core is never swapped while events
-        are pending.  Every fault mechanism acts on code both cores share
-        (see repro.elab.backend).
-        """
-        from ..elab import backend as _backend
+        :meth:`run`."""
         from ..fault import FaultInjector
 
-        _backend.sync(self)
         self.fault = FaultInjector(plan).attach(self)
         return self.fault
 
-    # ------------------------------------------------------------------
-    # backend (interpreted vs elaborated core)
-    # ------------------------------------------------------------------
     @property
     def backend(self) -> str:
-        """The backend currently in place: ``"elab"`` when the generated
-        specialized core is active, else ``"interp"``."""
-        return "elab" if self._elab_active else "interp"
+        """The ``backend=`` label this machine was built with: ``"interp"``
+        when pinned so, else ``"elab"``.  It changes nothing about the run.
+
+        The label and the validation of ``backend=`` stay only for the
+        numabench harness, whose probes build ``Machine(backend=...)`` and
+        check this property; both go with the benchmark change that
+        ROADMAP item 5 lists."""
+        return self._backend_label
 
     def obs_snapshot(self, include_wall: bool = True) -> dict:
         """The unified metrics snapshot (see :mod:`repro.obs.registry`);
-        works with or without an attached observability layer, and reads
-        the same on either core."""
+        works with or without an attached observability layer."""
         from ..obs.registry import snapshot
 
         return snapshot(self, include_wall=include_wall)
@@ -219,11 +203,6 @@ class Machine:
         :class:`DeadlockError` if the event queue drains while any program
         is still blocked (a protocol bug or a genuinely deadlocked workload).
         """
-        # put the generated core in place (unless pinned to "interp"); a
-        # no-op while events are in flight
-        from ..elab import backend as _backend
-
-        _backend.sync(self)
         for cpu_id, program in programs.items():
             self.cpus[cpu_id].set_program(program)
         until = ns_to_ticks(until_ns) if until_ns is not None else None

@@ -58,7 +58,8 @@ class Station:
         self.io = IOModule(engine, config, self)
         self.ring_interface = None   # wired by the Machine
         self._peers = None           # all stations; wired by the Machine
-        # home-routing constants, bound once: module_for runs per request
+        # home-routing constants, bound once: module_for runs per ring
+        # delivery (a processor request inlines it, see repro.cpu.processor)
         self._station_mem_bytes = config.station_mem_bytes
         self._num_stations = config.num_stations
         # dispatch constants, bound once: deliver_from_ring and
@@ -120,9 +121,7 @@ class Station:
         Barrier writes and interrupts fan out to this station's processors
         (a barrier write walks only this station's group of its plan), an
         uncached response completes at its requester, and every other
-        packet goes to the line's :meth:`module_for`.  Stations are never
-        re-classed, so the ring interface's bound ``deliver_cb`` stays
-        valid across a backend switch."""
+        packet goes to the line's :meth:`module_for`."""
         mtype = pkt.mtype
         if mtype is _BARRIER_WRITE:
             meta = pkt.meta

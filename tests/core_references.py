@@ -1,12 +1,13 @@
 """Station-core runs pinned as data, and the one command that re-pins them.
 
 Each case below is a run that a test used to repeat on the interpreted
-core (``Machine(backend="interp")``) as its reference.  What that side
-produced is pinned, per coherence protocol, in
-``tests/data/core_references.json``: sha256 digests of the metrics
-snapshot (``Machine.obs_snapshot(include_wall=False)``), of the canonical
-surface, of the Chrome trace, of probe series and FIFO dumps, plus the
-checker counts and triggered faults in the clear.  The tests run each
+core (``Machine(backend="interp")``) as its reference, while a generated
+station core ran by default.  What the interpreted core produced is
+pinned, per coherence protocol, in ``tests/data/core_references.json``:
+sha256 digests of the metrics snapshot
+(``Machine.obs_snapshot(include_wall=False)``), of the canonical surface,
+of the Chrome trace, of probe series and FIFO dumps, plus the checker
+counts and triggered faults in the clear.  The tests run each
 case once and compare its record with the pinned one:
 
 * ``bit_identical/<workload>-<shape>`` -- ``HotSpot`` and ``LU`` on the
@@ -50,18 +51,11 @@ from repro.workloads.synthetic import HotSpot, ProducerConsumer
 
 FIXTURE = Path(__file__).parent / "data" / "core_references.json"
 
-#: the backend that records the references; None runs the default core
-_BACKEND: Optional[str] = None
-
 
 def sha(obj: Any) -> str:
     """sha256 of ``obj``'s canonical JSON text."""
     text = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _machine(config: MachineConfig) -> Machine:
-    return Machine(config, backend=_BACKEND)
 
 
 def _snapshot(machine: Machine) -> dict:
@@ -138,13 +132,13 @@ def every_fault_plan() -> FaultPlan:
 # ----------------------------------------------------------------------
 def _bit_identical(workload: str, shape: str):
     config, nprocs = SHAPES[shape]
-    machine = _machine(config())
+    machine = Machine(config())
     WORKLOADS[workload]().run(machine, nprocs=nprocs)
     return {**_head(machine), "snapshot_sha256": sha(_snapshot(machine))}, machine
 
 
 def _checked_monitored(workload: str, nprocs: int):
-    machine = _machine(MachineConfig.prototype())
+    machine = Machine(MachineConfig.prototype())
     checker = machine.attach_verifier()
     monitor = Monitor()
     machine.attach_monitor(monitor)
@@ -162,7 +156,7 @@ def _checked_monitored(workload: str, nprocs: int):
 
 
 def _faulted(nprocs: int):
-    machine = _machine(MachineConfig.prototype())
+    machine = Machine(MachineConfig.prototype())
     checker = machine.attach_verifier()
     fault = machine.attach_fault(every_fault_plan())
     HotSpot(words=16, ops=40).run(machine, nprocs=nprocs)
@@ -186,7 +180,7 @@ TRACED = {
 
 def _traced(shape: str):
     config, nprocs, ops = TRACED[shape]
-    machine = _machine(config())
+    machine = Machine(config())
     Observability().attach(machine)
     HotSpot(words=16, ops=ops).run(machine, nprocs=nprocs)
     snap = _snapshot(machine)
@@ -201,7 +195,7 @@ def _traced(shape: str):
 
 
 def _probes(nprocs: int):
-    machine = _machine(MachineConfig.prototype())
+    machine = Machine(MachineConfig.prototype())
     obs = Observability(trace=False, probe_period_ns=4000.0).attach(machine)
     HotSpot(words=16, ops=20).run(machine, nprocs=nprocs)
     record = {
@@ -215,14 +209,14 @@ def _probes(nprocs: int):
 
 
 def _snapshot_small():
-    machine = _machine(MachineConfig.small())
+    machine = Machine(MachineConfig.small())
     HotSpot(words=16, ops=50).run(machine, nprocs=4)
     snap = _snapshot(machine)
     return {**_head(machine), "snapshot_sha256": sha(snap)}, snap
 
 
 def _dump_fifos():
-    machine = _machine(MachineConfig.small())
+    machine = Machine(MachineConfig.small())
     machine.attach_watchdog(max_events=800, interval=100)
     try:
         HotSpot(words=16, ops=50).run(machine, nprocs=4)
@@ -236,7 +230,7 @@ def _dump_fifos():
 def _backpressure_storm():
     cfg = MachineConfig.prototype()
     cfg.ring_in_fifo_capacity = 6
-    machine = _machine(cfg)
+    machine = Machine(cfg)
     HotSpot(words=8, ops=60).run(machine, nprocs=16)
     halts = sum(ring.halts.value for ring in machine.net.rings.values())
     record = {
@@ -249,7 +243,7 @@ def _backpressure_storm():
 
 
 def _plain_iterator():
-    machine = _machine(small_2ring())
+    machine = Machine(small_2ring())
     a = machine.allocate(64, placement="local:0").addr(0)
     # a program without ``send`` gets next()
     machine.run({0: iter([Write(a, 1), Read(a), Read(a), Write(a, 2)])})
@@ -300,7 +294,6 @@ def check(case: str):
 
 
 if __name__ == "__main__":
-    _BACKEND = "interp"
     if FIXTURE.exists():
         fixture = json.loads(FIXTURE.read_text())
     else:

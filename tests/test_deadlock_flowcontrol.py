@@ -113,7 +113,7 @@ def test_full_machine_backpressure_past_high_water_drains_cleanly():
         # high-water fired (the halt path is what kept it below capacity)
         assert fifo.max_depth <= fifo.capacity, f"{fifo.name} overflowed"
         # every halted link resumed: nothing may remain queued at the end
-        assert fifo.empty, f"{fifo.name} failed to drain"
+        assert len(fifo) == 0, f"{fifo.name} failed to drain"
 
     # data integrity end to end under sustained backpressure
     for c in range(n):

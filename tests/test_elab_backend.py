@@ -1,49 +1,25 @@
-"""The elaborated backend's contract.
+"""The station core against references pinned from the interpreted core.
 
-The specialized core generated by :mod:`repro.elab.codegen` must be
-bit-identical to the interpreted classes on the whole metrics snapshot
-(``Machine.obs_snapshot(include_wall=False)``: event count, simulated time,
-every counter, accumulator and FIFO statistic, utilizations) for every
-machine shape, workload and processor count, and on every trace, checker
-count, monitor table and triggered fault.  What the interpreted classes
-produce is pinned in ``tests/data/core_references.json`` (see
-``tests/core_references.py``), so each case runs once and is compared
-with its reference.  These tests also pin the one selection rule (every
-hook runs on the generated core; only ``backend="interp"`` or a failed
-elaboration keeps the interpreted classes), the dispatch tables against
-the interpreted handler maps, and the in-memory compile of generated
-cores.
+Every machine runs one set of station classes.  Before the generated
+station core was folded into them, the tests compared each default run
+with the same run on the interpreted classes; what those produced is
+pinned in ``tests/data/core_references.json`` (see
+``tests/core_references.py``).  Each case here runs once and is compared
+with its reference: the whole metrics snapshot
+(``Machine.obs_snapshot(include_wall=False)``: event count, simulated
+time, every counter, accumulator and FIFO statistic, utilizations) for
+every machine shape, workload and processor count, and every checker
+count, monitor table and triggered fault of the hooked runs.  The
+``backend=`` label, kept only for the numabench harness, is checked too.
 """
 
 from __future__ import annotations
 
-import dis
-import sys
-import traceback
-import types
-import warnings
-
 import pytest
 
-from repro.elab import backend as elab_backend
-from repro.elab import codegen
-from repro.elab.ir import MachineIR
-from repro.fault import FaultPlan
-from repro.monitor import Monitor
-from repro.obs import Observability, Profiler
+import core_references
 from repro.system.config import MachineConfig
 from repro.system.machine import Machine
-from repro.workloads.synthetic import HotSpot
-
-import core_references
-
-
-def _fingerprint(machine: Machine) -> dict:
-    return machine.obs_snapshot(include_wall=False)
-
-
-def _small_2ring() -> MachineConfig:
-    return MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
 
 
 # ----------------------------------------------------------------------
@@ -54,71 +30,6 @@ def _small_2ring() -> MachineConfig:
 @pytest.mark.parametrize("workload", sorted(core_references.WORKLOADS))
 def test_backends_bit_identical(workload, shape):
     core_references.check(f"bit_identical/{workload}-{shape}")
-
-
-def test_every_hook_runs_on_the_generated_core():
-    machines = {
-        hook: Machine(_small_2ring())
-        for hook in ("tracer", "probes", "checker", "monitor", "watchdog",
-                     "profiler", "fault")
-    }
-    Observability(probes=False).attach(machines["tracer"])
-    Observability(trace=False).attach(machines["probes"])
-    machines["checker"].attach_verifier()
-    machines["monitor"].attach_monitor(Monitor())
-    machines["watchdog"].attach_watchdog(max_events=10_000_000)
-    profiler = Profiler(sample_every=4).install(machines["profiler"].engine)
-    machines["fault"].attach_fault(FaultPlan(seed=3, events=[]))
-    for m in machines.values():
-        HotSpot(words=16, ops=10).run(m, nprocs=4)
-    profiler.uninstall()
-    assert {hook: m.backend for hook, m in machines.items()} == {
-        hook: "elab" for hook in machines
-    }
-
-
-def test_failed_elaboration_warns_once_and_pins_interp(monkeypatch):
-    reference = Machine(_small_2ring(), backend="interp")
-    HotSpot(words=16, ops=20).run(reference, nprocs=4)
-    calls = []
-
-    def broken(ir):
-        calls.append(ir)
-        raise RuntimeError("generator broken")
-
-    monkeypatch.setattr(codegen, "generate_source", broken)
-    m = Machine(_small_2ring())
-    with pytest.warns(RuntimeWarning, match="generator broken") as caught:
-        HotSpot(words=16, ops=20).run(m, nprocs=4)
-    assert len(caught) == 1
-    assert m.backend == "interp"
-    assert _fingerprint(m) == _fingerprint(reference)
-    # pinned: the next run neither warns nor calls the generator again
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        m.run({})
-    assert len(calls) == 1
-    assert m.backend == "interp"
-
-
-def test_unknown_backend_is_rejected():
-    cfg = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
-    for backend in ("jit", "auto"):
-        with pytest.raises(ValueError):
-            Machine(cfg, backend=backend)
-
-
-def test_attach_after_elab_run_keeps_the_core():
-    m = Machine(_small_2ring())
-    HotSpot(words=16, ops=20).run(m, nprocs=4)
-    assert m.backend == "elab"
-    m.attach_verifier()
-    obs = Observability(probes=False)
-    m.attach_observability(obs)
-    assert m.backend == "elab"
-    HotSpot(words=16, ops=20).run(m, nprocs=4)
-    assert m.backend == "elab"
-    assert obs.tracer.finished
 
 
 # ----------------------------------------------------------------------
@@ -140,153 +51,14 @@ def test_faulted_run_matches_interp(nprocs):
     assert all(fault.triggered.values()), fault.triggered
 
 
-def test_plain_iterator_program_on_both_cores():
-    # a program without ``send`` gets next(): its hits resolve in the
-    # batch loop just like a generator's
-    machine, a = core_references.check("plain_iterator")
-    cpu = machine.cpus[0]
-    assert cpu.stats.counter("write_misses").value == 1
-    assert cpu.stats.counter("reads").value == 2
-    assert cpu.stats.counter("writes").value == 1
-    assert machine.read_word(a) == 2
-
-
 # ----------------------------------------------------------------------
-# dispatch tables pinned against the interpreted handler maps
+# the backend= label (numabench only)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("protocol", ["numachine", "msi"])
-def test_dispatch_tables_match_interp(protocol):
-    from repro.interconnect.packet import MsgType
-    from repro.protocol import get_protocol
-
-    proto = get_protocol(protocol)
-
-    # run a real workload interpreted so the lazy per-instance handler
-    # dicts get built the way production dispatch builds them
+def test_unknown_backend_is_rejected():
     cfg = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
-    cfg.protocol = protocol
-    m = Machine(cfg, backend="interp")
-    HotSpot(words=16, ops=20).run(m, nprocs=8)
-    nc = next(st.nc for st in m.stations if st.nc._handlers is not None)
-    mem = next(
-        st.memory for st in m.stations if st.memory._handlers is not None
-    )
-
-    # the plug-in's DISPATCH declarations (the elaborator's table source)
-    # name exactly the interp-registered handlers, and point at the same
-    # underlying functions
-    nc_table = {MsgType[name]: fname for name, fname in proto.nc_class.DISPATCH}
-    assert set(nc_table) == set(nc._handlers)
-    for mt, bound in nc._handlers.items():
-        assert bound.__func__ is getattr(proto.nc_class, nc_table[mt])
-
-    mem_table = {
-        MsgType[name]: fname for name, fname in proto.memory_class.DISPATCH
-    }
-    assert set(mem_table) == set(mem._handlers)
-    for mt, bound in mem._handlers.items():
-        assert bound.__func__ is getattr(proto.memory_class, mem_table[mt])
-
-
-# ----------------------------------------------------------------------
-# codegen determinism + in-memory compile
-# ----------------------------------------------------------------------
-def test_codegen_is_deterministic():
-    cfg = MachineConfig.small(stations_per_ring=2, rings=2, cpus=2)
-    a = codegen.generate_source(MachineIR.from_machine(Machine(cfg)))
-    b = codegen.generate_source(MachineIR.from_machine(Machine(cfg)))
-    assert a == b
-    other = codegen.generate_source(
-        MachineIR.from_machine(Machine(MachineConfig.prototype()))
-    )
-    assert other != a
-
-
-def test_default_run_writes_nothing_to_disk(tmp_path, monkeypatch):
-    monkeypatch.setenv("NUMACHINE_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("NUMACHINE_CACHE", "1")
-    # a shape no other test elaborates: a writer that skips cores this
-    # process already compiled would still be caught
-    m = Machine(MachineConfig.small(stations_per_ring=3, rings=2, cpus=1))
-    HotSpot(words=16, ops=10).run(m, nprocs=6)
-    assert m.backend == "elab"
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_one_compiled_core_per_config():
-    from repro.interconnect.interfaces import (
-        InterRingInterface,
-        StationRingInterface,
-    )
-    from repro.interconnect.ring import Ring
-    from repro.system.bus import Bus
-    from repro.system.station import Station
-
-    a, b, traced = (Machine(_small_2ring()) for _ in range(3))
-    Observability(probes=False).attach(traced)
-    for m in (a, b, traced):
-        HotSpot(words=16, ops=10).run(m, nprocs=4)
-    # a traced machine holds the same generated classes as untraced ones
-    for m in (b, traced):
-        assert type(m.cpus[0]) is type(a.cpus[0])
-        assert type(m.stations[0].bus) is type(a.stations[0].bus)
-        assert type(m.stations[0].nc) is type(a.stations[0].nc)
-    # the generated core specializes the station side only: rings, ring
-    # interfaces and stations run the hand-written classes on both cores
-    assert a.backend == "elab"
-    assert all(type(st) is Station for st in a.stations)
-    assert all(type(st.bus) is not Bus for st in a.stations)
-    assert all(
-        type(st.ring_interface) is StationRingInterface for st in a.stations
-    )
-    assert all(type(ring) is Ring for ring in a.net.rings.values())
-    assert a.net.iris
-    assert all(type(iri) is InterRingInterface for iri in a.net.iris)
-
-
-def test_generated_code_tracebacks_show_source_lines():
-    ir = MachineIR.from_machine(Machine(_small_2ring()))
-    mod = elab_backend.load(codegen.generate_source(ir))
-    with pytest.raises(TypeError) as info:
-        mod._bus_complete(None)  # not an (bus, start, on_complete) tuple
-    text = "".join(traceback.format_exception(info.value))
-    assert "in _bus_complete" in text
-    assert "bus, start, on_complete = arg" in text
-
-
-@pytest.mark.skipif(
-    sys.implementation.name != "cpython"
-    or sys.version_info[:2] not in ((3, 11), (3, 12)),
-    reason="inspects the CPython 3.11/3.12 specializing interpreter",
-)
-def test_reclassed_components_keep_specialized_attribute_loads():
-    """After ``sync`` re-classes a component, an attribute load on it must
-    stay specialized.  An instance whose attributes still sit in the old
-    class's inline layout deopts on every load and keeps dropping back to
-    the adaptive form, so the opcode is sampled across a long warm-up."""
-    m = Machine(MachineConfig.prototype())
-    elab_backend.sync(m)
-    st = m.stations[0]
-    generic = {"LOAD_ATTR", "LOAD_ATTR_ADAPTIVE"}
-    for comp in (st.bus, st.memory, st.memory.out_port, st.nc, st.cpus[0]):
-        loader = _engine_loader()
-        seen = set()
-        for i in range(2000):
-            loader(comp)
-            if i % 50 == 49:
-                seen.update(
-                    ins.opname
-                    for ins in dis.get_instructions(loader, adaptive=True)
-                    if ins.opname.startswith("LOAD_ATTR")
-                )
-        assert seen and not seen & generic, (type(comp).__name__, seen)
-
-
-def _load_engine(obj):
-    return obj.engine
-
-
-def _engine_loader():
-    """A copy of ``_load_engine`` with its own code object, so its inline
-    caches start cold."""
-    return types.FunctionType(_load_engine.__code__.replace(), {})
+    for backend in ("jit", "auto"):
+        with pytest.raises(ValueError):
+            Machine(cfg, backend=backend)
+    # the label is echoed and changes nothing else
+    labels = {b: Machine(cfg, backend=b).backend for b in (None, "elab", "interp")}
+    assert labels == {None: "elab", "elab": "elab", "interp": "interp"}

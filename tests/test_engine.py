@@ -100,14 +100,6 @@ def test_negative_delay_rejected():
         engine.schedule(-1, lambda: None)
 
 
-def test_schedule_at_past_rejected():
-    engine = Engine()
-    engine.schedule(10, lambda: None)
-    engine.run()
-    with pytest.raises(SimulationError):
-        engine.schedule_at(5, lambda: None)
-
-
 def test_check_quiescent_raises_when_watcher_reports():
     engine = Engine()
     engine.blocked_watchers.append(lambda: "cpu 3 stuck")

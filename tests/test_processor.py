@@ -16,6 +16,7 @@ from repro.cpu.processor import Processor
 from repro.interconnect.routing import Geometry
 from repro.system.station import Station
 
+import core_references
 from conftest import single, small_config
 
 
@@ -232,6 +233,18 @@ def test_phase_register_tags_requests():
 
     m.run({0: prog()})
     assert mon.phase_table.total(col=9) >= 1
+
+
+def test_plain_iterator_program():
+    # a program without ``send`` gets next(): its hits resolve in the
+    # batch loop just like a generator's, and the run's snapshot equals
+    # the pinned reference
+    machine, a = core_references.check("plain_iterator")
+    cpu = machine.cpus[0]
+    assert cpu.stats.counter("write_misses").value == 1
+    assert cpu.stats.counter("reads").value == 2
+    assert cpu.stats.counter("writes").value == 1
+    assert machine.read_word(a) == 2
 
 
 def test_batching_does_not_change_results():

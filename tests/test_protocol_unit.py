@@ -3,8 +3,11 @@ with crafted packets (no workload in the loop) and assert the Fig. 5 /
 Fig. 6 transitions, NACK behaviour, and stale-answer filtering."""
 
 
+import pytest
+
 from repro import Machine, MsgType, Packet
 from repro.core.states import LineState
+from repro.protocol import get_protocol
 
 from conftest import small_config
 
@@ -281,3 +284,40 @@ def test_nc_multicast_data_adopted():
     assert line.state is LineState.GV
     assert line.data == [11] * 8
     assert nc.stats.counter("multicast_fills").value == 1
+
+
+# ----------------------------------------------------------------------
+# dispatch: each engine class's MsgType-indexed tuple
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("protocol", ["numachine", "msi"])
+def test_dispatch_tuples_follow_declared_tables(protocol):
+    proto = get_protocol(protocol)
+    for cls in (proto.memory_class, proto.nc_class):
+        declared = {MsgType[name]: getattr(cls, fn) for name, fn in cls.DISPATCH}
+        assert len(cls.HANDLERS) == max(mt._value_ for mt in MsgType) + 1
+        for mt in MsgType:
+            # unlisted types go to _on_other, the soft-control entry
+            # (tests/test_softctl.py drives it end to end)
+            want = declared.get(mt, cls._on_other)
+            assert cls.HANDLERS[mt._value_] is want, (cls.__name__, mt)
+
+
+def test_dispatch_tuple_picks_up_a_subclass_override():
+    base = get_protocol("numachine").memory_class
+    reads = []
+
+    class CountingMemory(base):
+        def _on_read(self, pkt, entry, local):
+            reads.append(pkt.addr)
+            return super()._on_read(pkt, entry, local)
+
+    assert CountingMemory.HANDLERS[MsgType.READ._value_] is CountingMemory._on_read
+    assert base.HANDLERS[MsgType.READ._value_] is base._on_read
+    m = Machine(small_config(protocol="numachine"))
+    st = m.stations[0]
+    st.memory = mem = CountingMemory(m.engine, m.config, st)
+    mem.write_line(0, [7] * 8)
+    mem.handle(remote_pkt(m, MsgType.READ, 0, src_station=1, requester=2))
+    drain(m)
+    assert reads == [0]
+    assert mem.directory.entry(0).state is LineState.GV

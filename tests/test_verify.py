@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Machine, MachineConfig
+from repro import Machine, MachineConfig, Observability
 from repro.cache.nc_array import NCLine
 from repro.core.states import CacheState, LineState
 from repro.verify import CoherenceChecker, InvariantViolation
@@ -263,3 +263,14 @@ def test_checker_is_bit_identical(nprocs):
     assert _hotspot_fingerprint(nprocs, checked=False) == _hotspot_fingerprint(
         nprocs, checked=True
     )
+
+
+def test_checker_and_tracer_attached_after_a_run_observe_the_next_run():
+    machine = Machine(MachineConfig.small(stations_per_ring=2, rings=2, cpus=2))
+    HotSpot(words=16, ops=20).run(machine, nprocs=4)
+    checker = machine.attach_verifier()
+    obs = Observability(probes=False)
+    machine.attach_observability(obs)
+    HotSpot(words=16, ops=20).run(machine, nprocs=4)
+    assert sum(checker.checks.values()) > 0
+    assert obs.tracer.finished
