@@ -71,7 +71,7 @@ class NetworkCache:
     #: transition table for ring-side traffic
     DISPATCH: tuple = ()
     #: ``DISPATCH`` as handler functions indexed by ``MsgType._value_``,
-    #: built once per class; unlisted types go to ``_on_other``
+    #: built once per protocol subclass; unlisted types go to ``_on_other``
     HANDLERS: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -698,9 +698,6 @@ class NetworkCache:
                 "outstanding fetches"
             )
         return None
-
-
-NetworkCache.HANDLERS = dispatch_table(NetworkCache, "_on_other")
 
 
 def _nc_service_done(nc: NetworkCache) -> None:

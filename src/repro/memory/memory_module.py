@@ -61,7 +61,7 @@ class MemoryModule:
     #: transition table
     DISPATCH: tuple = ()
     #: ``DISPATCH`` as handler functions indexed by ``MsgType._value_``,
-    #: built once per class; unlisted types go to ``_on_other``
+    #: built once per protocol subclass; unlisted types go to ``_on_other``
     HANDLERS: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -483,9 +483,6 @@ class MemoryModule:
 
     def _dram_write_ticks(self) -> int:
         return self._dram_write
-
-
-MemoryModule.HANDLERS = dispatch_table(MemoryModule, "_on_other")
 
 
 def _mem_service_done(mem: MemoryModule) -> None:
