@@ -20,8 +20,8 @@ from repro.system.machine import Machine
 from repro.workloads.synthetic import HotSpot
 
 
-def _profiled_run(sample_every: int = 1, nprocs: int = 8):
-    machine = Machine(MachineConfig.prototype())
+def _profiled_run(sample_every: int = 1, nprocs: int = 8, backend=None):
+    machine = Machine(MachineConfig.prototype(), backend=backend)
     prof = Profiler(sample_every=sample_every).install(machine.engine)
     HotSpot(words=16, ops=20).run(machine, nprocs=nprocs)
     prof.uninstall()
@@ -31,10 +31,14 @@ def _profiled_run(sample_every: int = 1, nprocs: int = 8):
 # ----------------------------------------------------------------------
 # attribution
 # ----------------------------------------------------------------------
-def test_every_event_attributed_and_run_unperturbed():
+# ``backend=`` is only a label now: either value runs the same classes, so
+# both must profile to the same exact, unperturbed run
+@pytest.mark.parametrize("backend", ["interp", "elab"])
+def test_every_event_attributed_and_run_unperturbed(backend):
     plain = Machine(MachineConfig.prototype())
     HotSpot(words=16, ops=20).run(plain, nprocs=8)
-    machine, prof = _profiled_run()
+    machine, prof = _profiled_run(backend=backend)
+    assert machine.backend == backend
     # profiling never schedules or reorders: bit-identical run
     assert machine.engine.events_run == plain.engine.events_run
     assert machine.engine.now == plain.engine.now
