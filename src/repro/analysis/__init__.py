@@ -1,4 +1,4 @@
-"""Analysis: the Table 1 latency harness and run reporting."""
+"""Analysis: the Table 1 latency harness."""
 
 from .latency import (
     PAPER_TABLE1,
@@ -8,7 +8,6 @@ from .latency import (
     measure_table1,
     render_table1,
 )
-from .report import cpu_latency_summary, format_report, machine_report
 
 __all__ = [
     "PAPER_TABLE1",
@@ -17,7 +16,4 @@ __all__ = [
     "measure_scenario",
     "measure_table1",
     "render_table1",
-    "cpu_latency_summary",
-    "format_report",
-    "machine_report",
 ]

@@ -18,8 +18,9 @@ interventions are answered from NC DRAM or by a bus intervention to the
 owning secondary cache, and invalidations for ejected lines are broadcast
 to all four processors.
 
-A ``bypass`` mode (config ``nc_enabled=False``) turns the NC into a pure
-forwarding agent with no storage — the baseline for the NC ablation bench.
+:class:`BypassNC` is a pure forwarding agent with no storage: the flat
+MSI protocol's NC, and every station's with ``nc_enabled=False`` — the
+baseline for the NC ablation bench.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class NetworkCache:
     state machine lives in a protocol plug-in (:mod:`repro.protocol`): a
     subclass supplies the transition handlers and declares them in
     ``DISPATCH``.  This base keeps the NC array, the service loop, the
-    intervention/bypass machinery, softctl handlers and the send helpers.
+    intervention machinery, softctl handlers and the send helpers.
     """
 
     #: (MsgType name, handler method name) pairs — the protocol subclass's
@@ -84,7 +85,6 @@ class NetworkCache:
         self.station = station
         self.station_id = station.station_id
         self.codec = station.codec
-        self.enabled = config.nc_enabled
         self.array = NCArray(
             f"S{self.station_id}.nc", config.nc_size_bytes, config.line_bytes
         )
@@ -107,18 +107,7 @@ class NetworkCache:
         self._line_flits = config.line_flits
         self._nc_read = ns_to_ticks(config.nc_dram_read_ns)
         self._nc_write = ns_to_ticks(config.nc_dram_write_ns)
-        #: bypass-mode pending records keyed by (line_addr, cpu)
-        self._bypass_pending: Dict[Tuple[int, Optional[int]], NCPending] = {}
         self._retry_ticks = 4 * config.nack_retry_cpu_cycles * config.cpu_cycle_ticks
-        # hot request-path counters, bound lazily on first use so the stat
-        # group's contents (and creation order) match the original exactly
-        self._ctr_requests = None
-        self._ctr_hits = None
-        self._ctr_misses = None
-        self._ctr_caching_hits = None
-        self._ctr_migration_hits = None
-        self._ctr_nacks = None
-        self._ctr_conflict_nacks = None
         #: content key of the service-done event (see repro.sim.engine)
         self._done_key = ~engine.alloc_uid()
         engine.blocked_watchers.append(self._blocked_reason)
@@ -188,50 +177,18 @@ class NetworkCache:
     # request accounting (hit/miss/migration/caching counters)
     # ==================================================================
     def _count_hit_kind(self, line: NCLine, cpu: int) -> None:
-        ctr = self._ctr_requests
-        if ctr is None:
-            ctr = self._ctr_requests = self.stats.counter("requests")
-        ctr.value += 1
-        ctr = self._ctr_hits
-        if ctr is None:
-            ctr = self._ctr_hits = self.stats.counter("hits")
-        ctr.value += 1
+        c = self.stats.counters
+        c["requests"] = c.get("requests", 0) + 1
+        c["hits"] = c.get("hits", 0) + 1
         if line.brought_by is not None and line.brought_by == cpu:
-            ctr = self._ctr_caching_hits
-            if ctr is None:
-                ctr = self._ctr_caching_hits = self.stats.counter("caching_hits")
-            ctr.value += 1
+            c["caching_hits"] = c.get("caching_hits", 0) + 1
         else:
-            ctr = self._ctr_migration_hits
-            if ctr is None:
-                ctr = self._ctr_migration_hits = self.stats.counter("migration_hits")
-            ctr.value += 1
+            c["migration_hits"] = c.get("migration_hits", 0) + 1
 
-    def _count_resolution(self, pkt: Packet, hit: bool, line, cpu) -> None:
-        ctr = self._ctr_requests
-        if ctr is None:
-            ctr = self._ctr_requests = self.stats.counter("requests")
-        ctr.value += 1
-        if hit:
-            ctr = self._ctr_hits
-            if ctr is None:
-                ctr = self._ctr_hits = self.stats.counter("hits")
-            ctr.value += 1
-            if line is not None and line.brought_by is not None and line.brought_by == cpu:
-                ctr = self._ctr_caching_hits
-                if ctr is None:
-                    ctr = self._ctr_caching_hits = self.stats.counter("caching_hits")
-                ctr.value += 1
-            else:
-                ctr = self._ctr_migration_hits
-                if ctr is None:
-                    ctr = self._ctr_migration_hits = self.stats.counter("migration_hits")
-                ctr.value += 1
-        else:
-            ctr = self._ctr_misses
-            if ctr is None:
-                ctr = self._ctr_misses = self.stats.counter("misses")
-            ctr.value += 1
+    def _count_miss(self) -> None:
+        c = self.stats.counters
+        c["requests"] = c.get("requests", 0) + 1
+        c["misses"] = c.get("misses", 0) + 1
 
     # ==================================================================
     # local write-backs (dirty L2 evictions of remote lines)
@@ -244,7 +201,7 @@ class NetworkCache:
             dest_mask=self.codec.station_mask(home),
             data=list(data), flits=self._line_flits,
         )
-        self.stats.counter("wb_forwarded").incr()
+        self.stats.count("wb_forwarded")
         self._send_packet(wb, has_data=True)
 
     # ==================================================================
@@ -253,10 +210,7 @@ class NetworkCache:
     def _on_intervention(self, pkt: Packet) -> int:
         exclusive = pkt.mtype is MsgType.INTERVENTION_EX
         if pkt.meta.get("false_remote"):
-            self.stats.counter("false_remotes").incr()
-        if not self.enabled:
-            self._broadcast_intervention(pkt, exclusive)
-            return 0
+            self.stats.count("false_remotes")
         line = self.array.probe(pkt.addr)
         if line is None or line.state is LineState.GI or (
             line.locked and line.pending is not None and line.pending.kind == "fetch"
@@ -272,7 +226,7 @@ class NetworkCache:
         ):
             data = list(line.data)
             self._answer_intervention(pkt, data, exclusive, line)
-            return self._nc_read_ticks()
+            return self._nc_read
         if line.state is LineState.LI:
             owner_idx = line.proc_mask.bit_length() - 1
             line.locked = True
@@ -282,7 +236,7 @@ class NetworkCache:
             owner = self.station.cpus[owner_idx]
             self.out_port.send(
                 0, self._cmd_ticks,
-                lambda start, c=owner, a=pkt.addr, e=exclusive: c.handle_intervention(
+                lambda c=owner, a=pkt.addr, e=exclusive: c.handle_intervention(
                     a, e, lambda data, a2=a: self._local_intervention_done(a2, data)
                 ),
             )
@@ -298,7 +252,7 @@ class NetworkCache:
         the would-be-downgraded sharer, a kept shared copy could never be
         invalidated again.  The reply to requester and home still follows
         the requested (shared/exclusive) semantics."""
-        self.stats.counter("intervention_broadcasts").incr()
+        self.stats.count("intervention_broadcasts")
         cpus = list(self.station.cpus)
         results: List[Optional[List]] = []
 
@@ -315,7 +269,7 @@ class NetworkCache:
 
         self.out_port.send(
             0, self._cmd_ticks,
-            lambda start: [
+            lambda: [
                 c.handle_intervention(pkt.addr, True, on_reply) for c in cpus
             ],
         )
@@ -426,83 +380,6 @@ class NetworkCache:
             v.observe(self, addr)
 
     # ==================================================================
-    # bypass mode (NC ablation)
-    # ==================================================================
-    def _bypass_local_request(self, pkt: Packet) -> int:
-        cpu = pkt.requester
-        key = (pkt.addr, cpu)
-        self.stats.counter("requests").incr()
-        self.stats.counter("misses").incr()
-        if key in self._bypass_pending:
-            # the processor retried while the fetch is still outstanding
-            self._nack_cpu(cpu, pkt.addr)
-            return 0
-        p = NCPending(kind="fetch", op=pkt.mtype, cpu=cpu,
-                      first_issue=self.engine.now,
-                      phase=pkt.meta.get("phase"))
-        self._bypass_pending[key] = p
-        self._send_home(pkt.addr, pkt.mtype, cpu, retry=False, phase=p.phase)
-        return 0
-
-    def _bypass_on_data(self, pkt: Packet) -> int:
-        key = (pkt.addr, pkt.requester)
-        p = self._bypass_pending.get(key)
-        if p is None:
-            return 0
-        p.data = list(pkt.data)
-        p.data_exclusive = pkt.mtype is MsgType.DATA_RESP_EX
-        p.inv_follows = bool(pkt.meta.get("inv_follows"))
-        self._bypass_maybe_complete(key, p)
-        return 0
-
-    def _bypass_on_invalidate(self, pkt: Packet) -> int:
-        writer = pkt.meta.get("writer_station") == self.station_id
-        completed = False
-        if writer:
-            key = (pkt.addr, pkt.requester)
-            p = self._bypass_pending.get(key)
-            if p is not None and p.op in (
-                MsgType.READ_EX, MsgType.UPGRADE, MsgType.SPECIAL_READ
-            ):
-                p.inv_arrived = True
-                self._invalidate_local_all(pkt.addr, keep=p.cpu)
-                self._bypass_maybe_complete(key, p)
-                completed = True
-        if not completed:
-            self._invalidate_local_all(pkt.addr)
-        return 0
-
-    def _bypass_maybe_complete(self, key, p: NCPending) -> None:
-        cfg = self.config
-        if p.op is MsgType.READ:
-            if p.data is None:
-                return
-        elif p.op is MsgType.UPGRADE and p.data is None:
-            if not p.inv_arrived:
-                return
-            del self._bypass_pending[key]
-            if self._cpu_has_copy(p.cpu, key[0]):
-                self._grant_cpu(p.cpu, key[0], None, exclusive=True)
-            else:
-                self.stats.counter("special_reads").incr()
-                p2 = NCPending(kind="fetch", op=MsgType.SPECIAL_READ,
-                               cpu=p.cpu, phase=p.phase)
-                self._bypass_pending[key] = p2
-                self._send_home(key[0], MsgType.SPECIAL_READ, p.cpu,
-                                retry=False, phase=p.phase)
-            return
-        else:
-            if p.data is None:
-                return
-            if cfg.sc_locking and p.inv_follows and not p.inv_arrived:
-                return
-        del self._bypass_pending[key]
-        self._grant_cpu(
-            p.cpu, key[0], list(p.data),
-            exclusive=p.op is not MsgType.READ,
-        )
-
-    # ==================================================================
     # eviction
     # ==================================================================
     def _eject(self, occupant: NCLine) -> None:
@@ -515,7 +392,7 @@ class NetworkCache:
         the directory info is what seeds the paper's false remote requests
         (§4.6, Table 3); it stays safe because interventions for untracked
         lines are broadcast to all processors."""
-        self.stats.counter("ejections").incr()
+        self.stats.count("ejections")
         if occupant.state is LineState.LV:
             # NC is the owner of record: the data must go home
             if occupant.data is None:
@@ -525,7 +402,7 @@ class NetworkCache:
         elif occupant.state is LineState.GV:
             self._invalidate_local(occupant.addr, occupant.proc_mask, keep=None)
         elif occupant.state is LineState.LI:
-            self.stats.counter("li_info_lost").incr()
+            self.stats.count("li_info_lost")
         self.array.evict(occupant.addr)
 
     # ==================================================================
@@ -550,8 +427,8 @@ class NetworkCache:
         line.state = LineState.GV
         line.data = list(pkt.data)
         line.brought_by = None
-        self.stats.counter("multicast_fills").incr()
-        return self._nc_write_ticks()
+        self.stats.count("multicast_fills")
+        return self._nc_write
 
     def _on_kill(self, pkt: Packet) -> int:
         """Software kill: drop every local copy, dirty or not (§3.2)."""
@@ -559,7 +436,7 @@ class NetworkCache:
         self._invalidate_local_all(pkt.addr, include_dirty=True)
         if line is not None and not line.locked:
             self.array.evict(pkt.addr)
-        self.stats.counter("kills").incr()
+        self.stats.count("kills")
         return 0
 
     # ==================================================================
@@ -591,7 +468,7 @@ class NetworkCache:
 
         self.out_port.send(
             delay, ticks,
-            lambda start, cc=c, a=addr, d=data, e=exclusive: cc.complete_fill(
+            lambda cc=c, a=addr, d=data, e=exclusive: cc.complete_fill(
                 a, d, exclusive=e
             ),
         )
@@ -611,7 +488,7 @@ class NetworkCache:
             v.note_local_inval(self.station_id, addr, [c.cpu_id for c in victims])
         self.out_port.send(
             0, self._cmd_ticks,
-            lambda start, vs=victims, a=addr: [
+            lambda vs=victims, a=addr: [
                 c.invalidate_line(a, only_shared=True) for c in vs
             ],
         )
@@ -632,7 +509,7 @@ class NetworkCache:
             v.note_local_inval(self.station_id, addr, [c.cpu_id for c in victims])
         self.out_port.send(
             0, self._cmd_ticks,
-            lambda start, vs=victims, a=addr, d=include_dirty: [
+            lambda vs=victims, a=addr, d=include_dirty: [
                 c.invalidate_line(a, only_shared=not d) for c in vs
             ],
         )
@@ -673,14 +550,8 @@ class NetworkCache:
             self._line_ticks if has_data else 0
         )
         self.out_port.send(
-            delay, ticks, lambda start, p=pkt: self.station.ring_interface.send(p)
+            delay, ticks, lambda p=pkt: self.station.ring_interface.send(p)
         )
-
-    def _nc_read_ticks(self) -> int:
-        return self._nc_read
-
-    def _nc_write_ticks(self) -> int:
-        return self._nc_write
 
     def _blocked_reason(self) -> Optional[str]:
         stuck = [
@@ -691,11 +562,6 @@ class NetworkCache:
             return (
                 f"S{self.station_id} NC has {len(stuck)} lines locked awaiting "
                 f"remote responses: {stuck[:3]}"
-            )
-        if self._bypass_pending:
-            return (
-                f"S{self.station_id} NC(bypass) has {len(self._bypass_pending)} "
-                "outstanding fetches"
             )
         return None
 
@@ -715,3 +581,131 @@ def _nc_service_done(nc: NetworkCache) -> None:
     seq = engine._seq + 1
     engine._seq = seq
     engine._push((now + nc._tag_ticks, 1, seq, nc._service, pkt))
+
+
+class BypassNC(NetworkCache):
+    """No network cache: a pure forwarding agent with an always-empty array.
+
+    The flat MSI protocol's NC, and every station's NC when
+    ``nc_enabled=False`` (the NC ablation).  Every local miss goes straight
+    to the home station and its response completes the matching pending
+    record; a remote intervention finds no line, so it is answered by a
+    processor broadcast.
+    """
+
+    DISPATCH = (
+        ("DATA_RESP", "_on_data"),
+        ("DATA_RESP_EX", "_on_data"),
+        ("NACK", "_on_nack"),
+        ("INVALIDATE", "_on_invalidate"),
+        ("INTERVENTION", "_on_intervention"),
+        ("INTERVENTION_EX", "_on_intervention"),
+        ("MULTICAST_DATA", "_on_multicast_data"),
+        ("KILL", "_on_kill"),
+    )
+
+    def __init__(self, engine: Engine, config, station) -> None:
+        super().__init__(engine, config, station)
+        #: outstanding fetches keyed by (line_addr, cpu)
+        self._pending: Dict[Tuple[int, Optional[int]], NCPending] = {}
+
+    def _on_local_request(self, pkt: Packet) -> int:
+        cpu = pkt.requester
+        key = (pkt.addr, cpu)
+        self._count_miss()
+        if key in self._pending:
+            # the processor retried while the fetch is still outstanding
+            self._nack_cpu(cpu, pkt.addr)
+            return 0
+        p = NCPending(kind="fetch", op=pkt.mtype, cpu=cpu,
+                      first_issue=self.engine.now,
+                      phase=pkt.meta.get("phase"))
+        self._pending[key] = p
+        self._send_home(pkt.addr, pkt.mtype, cpu, retry=False, phase=p.phase)
+        return 0
+
+    def _on_local_writeback(self, pkt: Packet) -> int:
+        self._forward_wb_home(pkt.addr, pkt.data)
+        return 0
+
+    def _on_data(self, pkt: Packet) -> int:
+        key = (pkt.addr, pkt.requester)
+        p = self._pending.get(key)
+        if p is None:
+            return 0
+        p.data = list(pkt.data)
+        p.data_exclusive = pkt.mtype is MsgType.DATA_RESP_EX
+        p.inv_follows = bool(pkt.meta.get("inv_follows"))
+        self._maybe_complete(key, p)
+        return 0
+
+    def _on_nack(self, pkt: Packet) -> int:
+        p = self._pending.get((pkt.addr, pkt.requester))
+        if p is not None:
+            p.retries += 1
+            self.engine.schedule(
+                self._retry_ticks,
+                lambda a=pkt.addr, c=pkt.requester, o=p.op, ph=p.phase:
+                    self._send_home(a, o, c, retry=True, phase=ph),
+            )
+        return 0
+
+    def _on_invalidate(self, pkt: Packet) -> int:
+        if pkt.meta.get("writer_station") == self.station_id:
+            key = (pkt.addr, pkt.requester)
+            p = self._pending.get(key)
+            if p is not None and p.op in (
+                MsgType.READ_EX, MsgType.UPGRADE, MsgType.SPECIAL_READ
+            ):
+                p.inv_arrived = True
+                self._invalidate_local_all(pkt.addr, keep=p.cpu)
+                self._maybe_complete(key, p)
+                return 0
+        self._invalidate_local_all(pkt.addr)
+        return 0
+
+    def _on_multicast_data(self, pkt: Packet) -> int:
+        """Software update multicast (§3.2) with no NC line to adopt it:
+        nothing here names the local sharers, so invalidate every local
+        copy; re-reads refetch the updated line from home, which adopted
+        the data when the multicast reached it."""
+        self._invalidate_local_all(pkt.addr)
+        self.stats.count("multicast_fills")
+        return 0
+
+    def _maybe_complete(self, key, p: NCPending) -> None:
+        if p.op is MsgType.READ:
+            if p.data is None:
+                return
+        elif p.op is MsgType.UPGRADE and p.data is None:
+            if not p.inv_arrived:
+                return
+            del self._pending[key]
+            if self._cpu_has_copy(p.cpu, key[0]):
+                self._grant_cpu(p.cpu, key[0], None, exclusive=True)
+            else:
+                self.stats.count("special_reads")
+                p2 = NCPending(kind="fetch", op=MsgType.SPECIAL_READ,
+                               cpu=p.cpu, phase=p.phase)
+                self._pending[key] = p2
+                self._send_home(key[0], MsgType.SPECIAL_READ, p.cpu,
+                                retry=False, phase=p.phase)
+            return
+        else:
+            if p.data is None:
+                return
+            if self.config.sc_locking and p.inv_follows and not p.inv_arrived:
+                return
+        del self._pending[key]
+        self._grant_cpu(
+            p.cpu, key[0], list(p.data),
+            exclusive=p.op is not MsgType.READ,
+        )
+
+    def _blocked_reason(self) -> Optional[str]:
+        if self._pending:
+            return (
+                f"S{self.station_id} NC(bypass) has {len(self._pending)} "
+                "outstanding fetches"
+            )
+        return None

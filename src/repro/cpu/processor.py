@@ -27,7 +27,7 @@ barrier registers, and the phase-identifier register of §3.2/§3.3.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..cache.base import CacheArray, CacheLine
 from ..core.states import CacheState
@@ -119,6 +119,9 @@ class Processor:
             f"P{cpu_id}.l2", config.l2_size_bytes, config.line_bytes
         )
         self.stats = StatGroup(f"P{cpu_id}")
+        # the hit counts exist from construction: the batch loop adds its
+        # tallies to them with no get() default
+        self.stats.counters.update(reads=0, writes=0, rmws=0)
         self.program = None
         self.finished_at: Optional[int] = None
         self.started = False
@@ -151,17 +154,11 @@ class Processor:
         # home routing of a request (Station.module_for)
         self._station_mem_bytes = config.station_mem_bytes
         self._num_stations = config.num_stations
-        # hit-path address helpers and counters, bound once: these run for
-        # every batched cache hit, not just for misses
+        # hit-path address helpers, bound once: these run for every batched
+        # cache hit, not just for misses
         self._line_mask = config.line_bytes - 1
         self._word_bytes = config.word_bytes
-        self._reads_ctr = self.stats.counter("reads")
-        self._writes_ctr = self.stats.counter("writes")
-        self._rmws_ctr = self.stats.counter("rmws")
         self._program_send = None
-        # per-kind miss counters, created lazily on first use so the stat
-        # group's contents match the original creation order exactly
-        self._miss_ctrs: Dict[str, Any] = {}
         engine.blocked_watchers.append(self._blocked_reason)
 
     # ==================================================================
@@ -209,112 +206,119 @@ class Processor:
         l1_hit, l2_hit = self._l1_hit, self._l2_hit
         lmask = self._line_mask
         wb = self._word_bytes
-        for _ in range(cfg.cpu_batch):
-            try:
-                if send is not None:
-                    v, value = value, None
-                    op = send(v)
-                elif self.started:
-                    # plain iterators are fine for programs that ignore
-                    # read values
-                    value = None
-                    op = next(program)
-                else:
-                    # the first op starts the program and leaves the resume
-                    # value alone
-                    self.started = True
-                    send = self._program_send
-                    op = next(program)
-            except StopIteration:
-                self._resume_value = value
-                self._finish(acc)
-                return
-            cls = type(op)
-            if cls is Read:
-                addr = op.addr
-                la = addr & ~lmask
-                line = l2_lookup(la)
-                if line is not None and line.state.readable:
-                    self._reads_ctr.value += 1
-                    if l1_lookup(la) is not None:
-                        acc += l1_hit
+        # hits are tallied in locals and added to the counts once per call
+        reads = writes = 0
+        try:
+            for _ in range(cfg.cpu_batch):
+                try:
+                    if send is not None:
+                        v, value = value, None
+                        op = send(v)
+                    elif self.started:
+                        # plain iterators are fine for programs that ignore
+                        # read values
+                        value = None
+                        op = next(program)
                     else:
-                        l1.install(la, line.state, None)
-                        acc += l2_hit
-                    value = line.data[(addr & lmask) // wb]
-                    continue
-                self._resume_value = value
-                schedule(acc, self._issue, ("read", addr, None))
-                return
-            if cls is Write:
-                addr = op.addr
-                la = addr & ~lmask
-                line = l2_lookup(la)
-                if line is not None and line.state.writable:
-                    self._writes_ctr.value += 1
-                    if l1_lookup(la) is not None:
-                        acc += l1_hit
-                    else:
-                        l1.install(la, line.state, None)
-                        acc += l2_hit
-                    line.data[(addr & lmask) // wb] = op.value
-                    continue
-                self._resume_value = value
-                schedule(acc, self._issue, ("write", addr, op.value))
-                return
-            if cls is Compute:
-                acc += int(op.cycles * cfg.compute_scale) * self._cpu
-                continue
-            if cls is O.ReadRun:
-                stride = op.stride or self._word_bytes
-                run = self._run = {
-                    "kind": "read", "addr": op.addr, "stride": stride,
-                    "end": op.addr + op.count * stride,
-                    "out": [], "values": None, "vi": 0, "awaiting": False,
-                }
-                self._resume_value = value
-                acc = self._advance_run(run, acc)
-                if acc is None:
+                        # the first op starts the program and leaves the resume
+                        # value alone
+                        self.started = True
+                        send = self._program_send
+                        op = next(program)
+                except StopIteration:
+                    self._resume_value = value
+                    self._finish(acc)
                     return
-                value = self._resume_value
-                continue
-            if cls is O.WriteRun:
-                stride = op.stride or self._word_bytes
-                vals = op.values
-                run = self._run = {
-                    "kind": "write", "addr": op.addr, "stride": stride,
-                    "end": op.addr + len(vals) * stride,
-                    "out": None, "values": vals, "vi": 0, "awaiting": False,
-                }
-                self._resume_value = value
-                acc = self._advance_run(run, acc)
-                if acc is None:
+                cls = type(op)
+                if cls is Read:
+                    addr = op.addr
+                    la = addr & ~lmask
+                    line = l2_lookup(la)
+                    if line is not None and line.state.readable:
+                        reads += 1
+                        if l1_lookup(la) is not None:
+                            acc += l1_hit
+                        else:
+                            l1.install(la, line.state, None)
+                            acc += l2_hit
+                        value = line.data[(addr & lmask) // wb]
+                        continue
+                    self._resume_value = value
+                    schedule(acc, self._issue, ("read", addr, None))
                     return
-                value = self._resume_value
-                continue
-            if cls is AtomicRMW:
-                hit, ticks, old = self._try_rmw(op.addr, op.fn)
-                if hit:
-                    acc += ticks
-                    value = old
+                if cls is Write:
+                    addr = op.addr
+                    la = addr & ~lmask
+                    line = l2_lookup(la)
+                    if line is not None and line.state.writable:
+                        writes += 1
+                        if l1_lookup(la) is not None:
+                            acc += l1_hit
+                        else:
+                            l1.install(la, line.state, None)
+                            acc += l2_hit
+                        line.data[(addr & lmask) // wb] = op.value
+                        continue
+                    self._resume_value = value
+                    schedule(acc, self._issue, ("write", addr, op.value))
+                    return
+                if cls is Compute:
+                    acc += int(op.cycles * cfg.compute_scale) * self._cpu
                     continue
-                self._resume_value = value
-                schedule(acc, self._issue, ("rmw", op.addr, op.fn))
-                return
-            if cls is O.Barrier:
-                self._resume_value = value
-                schedule(acc, self._do_barrier, op)
-                return
-            if cls is O.Phase:
-                self.phase = op.pid
-                continue
-            if cls is O.SoftOp:
-                self._resume_value = value
-                schedule(acc, self._do_softop, op)
-                return
-            raise SimulationError(f"unknown op {op!r} from program on P{self.cpu_id}")
-        self._resume_value = value
-        schedule(max(acc, 1), self._step)
+                if cls is O.ReadRun:
+                    stride = op.stride or self._word_bytes
+                    run = self._run = {
+                        "kind": "read", "addr": op.addr, "stride": stride,
+                        "end": op.addr + op.count * stride,
+                        "out": [], "values": None, "vi": 0, "awaiting": False,
+                    }
+                    self._resume_value = value
+                    acc = self._advance_run(run, acc)
+                    if acc is None:
+                        return
+                    value = self._resume_value
+                    continue
+                if cls is O.WriteRun:
+                    stride = op.stride or self._word_bytes
+                    vals = op.values
+                    run = self._run = {
+                        "kind": "write", "addr": op.addr, "stride": stride,
+                        "end": op.addr + len(vals) * stride,
+                        "out": None, "values": vals, "vi": 0, "awaiting": False,
+                    }
+                    self._resume_value = value
+                    acc = self._advance_run(run, acc)
+                    if acc is None:
+                        return
+                    value = self._resume_value
+                    continue
+                if cls is AtomicRMW:
+                    hit, ticks, old = self._try_rmw(op.addr, op.fn)
+                    if hit:
+                        acc += ticks
+                        value = old
+                        continue
+                    self._resume_value = value
+                    schedule(acc, self._issue, ("rmw", op.addr, op.fn))
+                    return
+                if cls is O.Barrier:
+                    self._resume_value = value
+                    schedule(acc, self._do_barrier, op)
+                    return
+                if cls is O.Phase:
+                    self.phase = op.pid
+                    continue
+                if cls is O.SoftOp:
+                    self._resume_value = value
+                    schedule(acc, self._do_softop, op)
+                    return
+                raise SimulationError(f"unknown op {op!r} from program on P{self.cpu_id}")
+            self._resume_value = value
+            schedule(max(acc, 1), self._step)
+        finally:
+            counts = self.stats.counters
+            counts["reads"] += reads
+            counts["writes"] += writes
 
     # ------------------------------------------------------------------
     # cache fast paths
@@ -326,7 +330,7 @@ class Processor:
         la = addr & ~self._line_mask
         line = self.l2.lookup(la)
         if line is not None and line.state.writable:
-            self._rmws_ctr.value += 1
+            self.stats.counters["rmws"] += 1
             idx = (addr & self._line_mask) // self._word_bytes
             old = line.data[idx]
             line.data[idx] = fn(old)
@@ -406,13 +410,13 @@ class Processor:
             w0 = (addr & lmask) // wb
             data = line.data
             if read:
-                self._reads_ctr.value += n
+                self.stats.counters["reads"] += n
                 if step == 1:
                     run["out"].extend(data[w0:w0 + n])
                 else:
                     run["out"].extend(data[w0:w0 + (n - 1) * step + 1:step])
             else:
-                self._writes_ctr.value += n
+                self.stats.counters["writes"] += n
                 vi = run["vi"]
                 vals = run["values"]
                 if step == 1:
@@ -444,10 +448,7 @@ class Processor:
             "exclusive_only": bool(attrs is not None and attrs.exclusive_only),
         }
         self._request_start = self.engine.now
-        ctr = self._miss_ctrs.get(kind)
-        if ctr is None:
-            ctr = self._miss_ctrs[kind] = self.stats.counter(f"{kind}_misses")
-        ctr.value += 1
+        self.stats.count(kind + "_misses")
         tr = self.tracer
         if tr is not None:
             tr.begin(self.cpu_id, kind, la, self.engine.now)
@@ -528,8 +529,8 @@ class Processor:
         # permission-only acks restart quickly; line fills pay the full
         # external-agent + cache-fill pipeline
         restart = self._fill if data is not None else 2 * self._cpu
-        self.stats.accumulator(f"{p['kind']}_latency").add(
-            self.engine.now + restart - self._request_start
+        self.stats.add(
+            p["kind"] + "_latency", self.engine.now + restart - self._request_start
         )
         tr = self.tracer
         if tr is not None:
@@ -548,7 +549,7 @@ class Processor:
                 self._write_back(victim)
 
     def _write_back(self, victim: CacheLine) -> None:
-        self.stats.counter("writebacks").incr()
+        self.stats.count("writebacks")
         target = self.station.module_for(victim.addr)
         wb = Packet(
             mtype=MsgType.WRITE_BACK,
@@ -561,14 +562,14 @@ class Processor:
         )
         self.station.bus.request(
             self._cmd_ticks + self._line_ticks,
-            lambda start, t=target, k=wb: t.handle(k),
+            lambda t=target, k=wb: t.handle(k),
         )
 
     # ------------------------------------------------------------------
     # uncached word accesses (cacheable=False pages, §3.2)
     # ------------------------------------------------------------------
     def _issue_uncached(self, kind: str, addr: int, payload) -> None:
-        self.stats.counter("uncached_ops").incr()
+        self.stats.count("uncached_ops")
         home = self.config.home_station(addr)
         local = home == self.station.station_id
         if kind == "rmw":
@@ -597,13 +598,13 @@ class Processor:
         if local:
             self.station.bus.request(
                 self._cmd_ticks,
-                lambda start, p=pkt: self.station.memory.handle(p),
+                lambda p=pkt: self.station.memory.handle(p),
             )
         else:
             pkt.dest_mask = self.station.codec.station_mask(home)
             self.station.bus.request(
                 self._cmd_ticks,
-                lambda start, p=pkt: self.station.ring_interface.send(p),
+                lambda p=pkt: self.station.ring_interface.send(p),
             )
 
     def complete_uncached(self, addr: int, value) -> None:
@@ -612,16 +613,15 @@ class Processor:
             return
         self._pending = None
         self._resume_value = value
-        self.stats.accumulator("uncached_latency").add(
-            self.engine.now - self._request_start
-        )
+        self.stats.add("uncached_latency", self.engine.now - self._request_start)
         self.engine.schedule(2 * self._cpu, self._step)
 
     def nack_from_module(self, la: int) -> None:
         p = self._pending
         if p is None or p["la"] != la:
             return
-        self.stats.counter("retries").incr()
+        c = self.stats.counters
+        c["retries"] = c.get("retries", 0) + 1
         engine = self.engine
         tr = self.tracer
         if tr is not None:
@@ -644,11 +644,11 @@ class Processor:
                 # a dirty copy means this processor owns the line; the
                 # invalidation is from an older epoch (see the NC's
                 # stale-owner rule) and must not destroy the data
-                self.stats.counter("stale_invalidations_ignored").incr()
+                self.stats.count("stale_invalidations_ignored")
                 return
         self.l1.invalidate(la)
         self.l2.invalidate(la)
-        self.stats.counter("invalidations_received").incr()
+        self.stats.count("invalidations_received")
 
     def handle_intervention(
         self, la: int, exclusive: bool, respond: Callable[[Optional[List]], None]
@@ -667,11 +667,11 @@ class Processor:
             l1 = self.l1.lookup(la)
             if l1 is not None:
                 l1.state = CacheState.SHARED
-        self.stats.counter("interventions").incr()
+        self.stats.count("interventions")
         # the CPU drives the data onto the bus
         self.station.bus.request(
             self._cmd_ticks + self._line_ticks,
-            lambda start, d=data: respond(d),
+            lambda d=data: respond(d),
         )
 
     # ------------------------------------------------------------------
@@ -691,10 +691,10 @@ class Processor:
             meta={"groups": groups, "bit": 1 << self.cpu_id, "sense": sense},
         )
         self._barrier_wait = (sense, full)
-        self.stats.counter("barriers").incr()
+        self.stats.count("barriers")
         self.station.bus.request(
             self._cmd_ticks,
-            lambda start, k=pkt: self.station.ring_interface.send(k),
+            lambda k=pkt: self.station.ring_interface.send(k),
         )
         # writing no bit runs the release check alone
         self.barrier_write(0, sense)

@@ -22,9 +22,9 @@ The host work per packet follows the hardware's: the routing masks each
 interface tests are precomputed from the codec at construction (one AND
 decides ascend-or-stay), a packet costs one push and one pop per FIFO it
 passes (emptiness is tested on the FIFO's deque, pressure comes back from
-the push), the delay accumulators are bound on first use, and the pump
-loops push their event tuples straight onto the engine queue, as the
-station bus's grants do (:mod:`repro.system.bus`).
+the push), a delay sample is one :meth:`~repro.sim.stats.StatGroup.add`,
+and the pump loops push their event tuples straight onto the engine
+queue, as the station bus's grants do (:mod:`repro.system.bus`).
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ class StationRingInterface:
         "_drain_pkt",
         "_bus_done_cb",
         "_out_done_key",
-        "_send_delay",
-        "_down_delay_sink",
-        "_down_delay_nonsink",
         "stats",
         "tracer",
         "verifier",
@@ -150,11 +147,6 @@ class StationRingInterface:
         #: content key of the output-port release (see repro.sim.engine)
         self._out_done_key = ~engine.alloc_uid()
         self.stats = StatGroup(f"S{station_id}.ri")
-        # delay accumulators, bound on first use: the StatGroup (and so
-        # the snapshot) holds only the accumulators a station has used
-        self._send_delay = None
-        self._down_delay_sink = None
-        self._down_delay_nonsink = None
         #: transaction tracer (repro.obs), or None when tracing is off
         self.tracer = None
         #: invariant checker (repro.verify), or None when checking is off
@@ -182,7 +174,7 @@ class StationRingInterface:
         if not packet.mtype.sinkable:
             if self._nonsink_credits == 0:
                 self._pending_out.append(packet)
-                self.stats.counter("nonsink_credit_waits").incr()
+                self.stats.count("nonsink_credit_waits")
                 return
             self._nonsink_credits -= 1
             packet.credit_home = self
@@ -250,10 +242,7 @@ class StationRingInterface:
             start = ring.inject(self.pos, packet)
             enq = packet.send_enq
             packet.send_enq = -1
-            acc = self._send_delay
-            if acc is None:
-                acc = self._send_delay = self.stats.accumulator("send_delay")
-            acc.add(start - enq if enq >= 0 else 0)
+            self.stats.add("send_delay", start - enq if enq >= 0 else 0)
             tr = self.tracer
             if tr is not None:
                 tr.stamp_pkt(packet, "ring.inject", start)
@@ -371,7 +360,7 @@ class StationRingInterface:
         if self.in_fifo.push(packet, now):
             ring = self.ring
             ring.halt_link(self.pos, ring.slot_ticks * 4)
-            self.stats.counter("input_halts").incr()
+            self.stats.count("input_halts")
         if not self._handler_busy:
             self._pump_handler()
 
@@ -420,7 +409,7 @@ class StationRingInterface:
         )
         self.bus_granter(cycles, self._bus_done_cb)
 
-    def _bus_done(self, start: int) -> None:
+    def _bus_done(self) -> None:
         """The drained packet crossed the station bus: hand it to the
         station."""
         packet = self._drain_pkt
@@ -430,17 +419,9 @@ class StationRingInterface:
         if arr < 0:
             arr = now
         sinkable = packet.mtype.sinkable
-        if sinkable:
-            acc = self._down_delay_sink
-            if acc is None:
-                acc = self._down_delay_sink = self.stats.accumulator("down_delay_sink")
-        else:
-            acc = self._down_delay_nonsink
-            if acc is None:
-                acc = self._down_delay_nonsink = self.stats.accumulator(
-                    "down_delay_nonsink"
-                )
-        acc.add(now - arr)
+        self.stats.add(
+            "down_delay_sink" if sinkable else "down_delay_nonsink", now - arr
+        )
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "ri.deliver", now)
@@ -492,8 +473,6 @@ class InterRingInterface:
         "_down_busy",
         "_up_done_key",
         "_down_done_key",
-        "_up_delay",
-        "_down_delay",
         "stats",
         "tracer",
     )
@@ -543,9 +522,6 @@ class InterRingInterface:
         self._up_done_key = ~engine.alloc_uid()
         self._down_done_key = ~engine.alloc_uid()
         self.stats = StatGroup(name)
-        # delay accumulators, bound on first use (see StationRingInterface)
-        self._up_delay = None
-        self._down_delay = None
         #: transaction tracer (repro.obs), or None when tracing is off
         self.tracer = None
 
@@ -611,10 +587,7 @@ class InterRingInterface:
         start = parent.inject(self.parent_pos, packet)
         enq = packet.up_enq
         packet.up_enq = -1
-        acc = self._up_delay
-        if acc is None:
-            acc = self._up_delay = self.stats.accumulator("up_delay")
-        acc.add(start - enq if enq >= 0 else 0)
+        self.stats.add("up_delay", start - enq if enq >= 0 else 0)
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "iri.up_inject", start)
@@ -703,10 +676,7 @@ class InterRingInterface:
         start = child.inject(self.child_pos, packet)
         enq = packet.down_enq
         packet.down_enq = -1
-        acc = self._down_delay
-        if acc is None:
-            acc = self._down_delay = self.stats.accumulator("down_delay")
-        acc.add(start - enq if enq >= 0 else 0)
+        self.stats.add("down_delay", start - enq if enq >= 0 else 0)
         tr = self.tracer
         if tr is not None:
             tr.stamp_pkt(packet, "iri.down_inject", start)

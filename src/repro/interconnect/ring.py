@@ -42,7 +42,6 @@ from __future__ import annotations
 from typing import List, Optional, Protocol
 
 from ..sim.engine import Engine
-from ..sim.stats import BusyTracker, Counter
 from .packet import Packet
 
 
@@ -80,7 +79,7 @@ class Ring:
         "uid",
         "members",
         "_link_free",
-        "busy",
+        "busy_ticks",
         "packets_carried",
         "halts",
         "_abase",
@@ -115,9 +114,11 @@ class Ring:
         self.members: List[Optional[RingMember]] = [None] * size
         #: earliest tick at which the outgoing link of position i is free
         self._link_free = [0] * size
-        self.busy = BusyTracker(f"{name}.links")
-        self.packets_carried = Counter(f"{name}.packets")
-        self.halts = Counter(f"{name}.halts")
+        #: link ticks reserved over all positions, packets injected or
+        #: forwarded, and backpressure halts
+        self.busy_ticks = 0
+        self.packets_carried = 0
+        self.halts = 0
 
     # ------------------------------------------------------------------
     def attach(self, pos: int, member: RingMember) -> None:
@@ -143,8 +144,8 @@ class Ring:
             start = now
         occupy = packet.flits * self.slot_ticks
         link_free[pos] = start + occupy
-        self.busy.busy += occupy
-        self.packets_carried.value += 1
+        self.busy_ticks += occupy
+        self.packets_carried += 1
         np = pos + 1
         if np >= self.size:
             np = 0
@@ -165,18 +166,14 @@ class Ring:
         target = self.engine.now + duration
         if target > self._link_free[upstream]:
             self._link_free[upstream] = target
-            self.halts.incr()
+            self.halts += 1
 
     # ------------------------------------------------------------------
     def utilization(self, now: int) -> float:
-        """Mean link utilization across the ring since the last window reset."""
-        elapsed = now - self.busy._window_start
-        if elapsed <= 0:
+        """Mean link utilization across the ring over ``[0, now]``, at most 1."""
+        if now <= 0:
             return 0.0
-        return min(1.0, self.busy.busy / (elapsed * self.size))
-
-    def start_window(self, now: int) -> None:
-        self.busy.start_window(now)
+        return min(1.0, self.busy_ticks / (now * self.size))
 
 
 def _ring_arrive(arg) -> None:

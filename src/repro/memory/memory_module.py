@@ -192,12 +192,12 @@ class MemoryModule:
     def _on_read_uncached(self, pkt: Packet, entry: DirEntry, local: bool) -> int:
         la = self.config.line_addr(pkt.addr)
         value = self.read_line(la)[self._word_index(pkt.addr)]
-        self.stats.counter("uncached_reads").incr()
+        self.stats.count("uncached_reads")
         if local:
             cpu = self.station.cpu_by_global(pkt.requester)
             self.out_port.send(
-                self._dram_read_ticks(), self._cmd_ticks,
-                lambda start, c=cpu, a=pkt.addr, v=value: c.complete_uncached(a, v),
+                self._dram_read, self._cmd_ticks,
+                lambda c=cpu, a=pkt.addr, v=value: c.complete_uncached(a, v),
             )
         else:
             resp = Packet(
@@ -206,16 +206,16 @@ class MemoryModule:
                 dest_mask=self.codec.station_mask(pkt.src_station),
                 requester=pkt.requester, data=value,
             )
-            self._send_packet(resp, has_data=False, delay=self._dram_read_ticks())
-        return self._dram_read_ticks()
+            self._send_packet(resp, has_data=False, delay=self._dram_read)
+        return self._dram_read
 
     def _on_write_uncached(self, pkt: Packet, entry: DirEntry, local: bool) -> int:
         la = self.config.line_addr(pkt.addr)
         line = self.read_line(la)
         line[self._word_index(pkt.addr)] = pkt.data
         self.write_line(la, line)
-        self.stats.counter("uncached_writes").incr()
-        return self._dram_write_ticks()
+        self.stats.count("uncached_writes")
+        return self._dram_write
 
     # ------------------------------------------------------------------
     # helpers
@@ -226,7 +226,8 @@ class MemoryModule:
         return softops.memory_dispatch(self, pkt, entry, local)
 
     def _nack(self, pkt: Packet, local: bool) -> int:
-        self.stats.counter("nacks").incr()
+        c = self.stats.counters
+        c["nacks"] = c.get("nacks", 0) + 1
         if local:
             # delivered as a data tuple (see repro.system.bus._bus_complete)
             cpu = self.station.cpu_by_global(pkt.requester)
@@ -303,7 +304,7 @@ class MemoryModule:
 
         self.out_port.send(
             delay, ticks,
-            lambda start, c=cpu, a=pkt.addr, d=data, e=exclusive: c.complete_fill(
+            lambda c=cpu, a=pkt.addr, d=data, e=exclusive: c.complete_fill(
                 a, d, exclusive=e
             ) if not prefetch else None,
         )
@@ -319,7 +320,7 @@ class MemoryModule:
 
         self.out_port.send(
             delay, ticks,
-            lambda start, c=cpu, a=addr, d=data, e=exclusive: c.complete_fill(
+            lambda c=cpu, a=addr, d=data, e=exclusive: c.complete_fill(
                 a, d, exclusive=e
             ),
         )
@@ -380,7 +381,7 @@ class MemoryModule:
             ordered=True,
             meta={"home": self.station_id, "writer_station": req_station},
         )
-        self.stats.counter("invalidates_sent").incr()
+        self.stats.count("invalidates_sent")
         v = self.verifier
         if v is not None:
             v.note_invalidate_sent(self, inv)
@@ -391,7 +392,7 @@ class MemoryModule:
             self._line_ticks if has_data else 0
         )
         self.out_port.send(
-            delay, ticks, lambda start, p=pkt: self.station.ring_interface.send(p)
+            delay, ticks, lambda p=pkt: self.station.ring_interface.send(p)
         )
 
     def _local_intervention(self, addr: int, entry: DirEntry, exclusive: bool) -> None:
@@ -401,7 +402,7 @@ class MemoryModule:
         cpu = self.station.cpus[owner_idx]
         self.out_port.send(
             0, self._cmd_ticks,
-            lambda start, c=cpu, a=addr, e=exclusive: c.handle_intervention(
+            lambda c=cpu, a=addr, e=exclusive: c.handle_intervention(
                 a, e, lambda data, a2=a, e2=e: self._local_intervention_done(a2, e2, data)
             ),
         )
@@ -474,15 +475,8 @@ class MemoryModule:
         entry.proc_mask &= ~mask
         self.out_port.send(
             0, self._cmd_ticks,
-            lambda start, vs=victims, a=addr: [c.invalidate_line(a) for c in vs],
+            lambda vs=victims, a=addr: [c.invalidate_line(a) for c in vs],
         )
-
-    # ---- timing helpers ---------------------------------------------------
-    def _dram_read_ticks(self) -> int:
-        return self._dram_read
-
-    def _dram_write_ticks(self) -> int:
-        return self._dram_write
 
 
 def _mem_service_done(mem: MemoryModule) -> None:

@@ -111,7 +111,7 @@ class Observability:
         ps = self.probes
         for st in machine.stations:
             s = f"S{st.station_id}"
-            ps.add_rate(f"{s}.bus.util", lambda b=st.bus: b.busy.busy)
+            ps.add_rate(f"{s}.bus.util", lambda b=st.bus: b.busy_ticks)
             ps.add_gauge(f"{s}.mem.in.depth",
                          lambda f=st.memory.in_fifo: len(f), "pkts")
             ps.add_gauge(f"{s}.nc.in.depth",
@@ -126,7 +126,7 @@ class Observability:
                          lambda f=ri.nonsink_q: len(f), "pkts")
         for _key, ring in sorted(machine.net.rings.items()):
             ps.add_rate(f"{ring.name}.util",
-                        lambda r=ring: r.busy.busy, scale=ring.size)
+                        lambda r=ring: r.busy_ticks, scale=ring.size)
         for iri in machine.net.iris:
             ps.add_gauge(f"{iri.name}.up.depth", lambda f=iri.up_fifo: len(f), "pkts")
             ps.add_gauge(f"{iri.name}.down.depth",

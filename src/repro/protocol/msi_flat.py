@@ -7,8 +7,10 @@ hierarchical, so ablation runs can price those mechanisms:
   as a *global* CPU bitmask (one bit per processor in the machine), not a
   per-station mask.  Invalidations go exactly to sharer stations, never
   over-delivered;
-* **no network cache** — the NC runs in bypass (pure forwarding) mode:
-  no combining, no migration/caching hits, no coherence localization;
+* **no network cache** — every station's NC is the pure forwarding
+  :class:`~repro.cache.network_cache.BypassNC` (the same one the
+  ``nc_enabled=False`` ablation uses): no combining, no migration/caching
+  hits, no coherence localization;
 * **three stable states** — LV = uncached at home (mask empty), GV =
   shared (mask lists every cacher), GI = modified (mask holds exactly the
   owner's bit).  The per-station LI state is unused; local dirty owners on
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cache.network_cache import NetworkCache
+from ..cache.network_cache import BypassNC
 from ..core.directory import DirEntry
 from ..core.states import LineState
 from ..interconnect.packet import MsgType, Packet
@@ -106,7 +108,7 @@ class MsiMemory(MemoryModule):
         entry.proc_mask &= ~(local_mask << base)
         self.out_port.send(
             0, self._cmd_ticks,
-            lambda start, vs=victims, a=addr: [c.invalidate_line(a) for c in vs],
+            lambda vs=victims, a=addr: [c.invalidate_line(a) for c in vs],
         )
 
     # ------------------------------------------------------------------
@@ -118,7 +120,7 @@ class MsiMemory(MemoryModule):
         if entry.state is not LineState.GI:
             # LV (uncached) or GV (shared): serve from DRAM, grow the map
             data = self.read_line(pkt.addr)
-            dram = self._dram_read_ticks()
+            dram = self._dram_read
             if pkt.requester is not None:
                 entry.proc_mask |= 1 << pkt.requester
             entry.state = LineState.GV if entry.proc_mask else LineState.LV
@@ -142,7 +144,7 @@ class MsiMemory(MemoryModule):
             return 0
         false_remote = owner_station == pkt.src_station and not local
         if false_remote:
-            self.stats.counter("false_remote_bounces").incr()
+            self.stats.count("false_remote_bounces")
         self._lock(entry, Pending(
             kind="fetch", req_type=pkt.mtype, requester=pkt.requester,
             req_station=pkt.src_station, is_local=local, grant="data",
@@ -171,7 +173,7 @@ class MsiMemory(MemoryModule):
             return 0
         false_remote = owner_station == pkt.src_station and not local
         if false_remote:
-            self.stats.counter("false_remote_bounces").incr()
+            self.stats.count("false_remote_bounces")
         self._lock(entry, Pending(
             kind="fetch", req_type=pkt.mtype, requester=pkt.requester,
             req_station=pkt.src_station, is_local=local, grant="data",
@@ -184,7 +186,7 @@ class MsiMemory(MemoryModule):
     def _grant_exclusive(self, pkt: Packet, entry: DirEntry, local: bool) -> int:
         """LV/GV -> GI, invalidating every other sharer in the full map."""
         requester = pkt.requester
-        dram = self._dram_read_ticks()
+        dram = self._dram_read
         remote_route = self._remote_sharer_route(entry, keep=requester)
         if remote_route:
             # Ordered multicast invalidation; completion at its return.
@@ -218,7 +220,7 @@ class MsiMemory(MemoryModule):
     def _on_upgrade(self, pkt: Packet, entry: DirEntry, local: bool) -> int:
         if entry.locked:
             return self._nack(pkt, local)
-        self.stats.counter("upgrade_data_sent").incr()
+        self.stats.count("upgrade_data_sent")
         data_pkt = Packet(
             mtype=MsgType.READ_EX, addr=pkt.addr,
             src_station=pkt.src_station, dest_mask=0,
@@ -231,9 +233,9 @@ class MsiMemory(MemoryModule):
         ordered invalidation beat the direct data and the copy was lost)."""
         if entry.locked:
             return self._nack(pkt, local)
-        self.stats.counter("special_reads_served").incr()
+        self.stats.count("special_reads_served")
         data = self.read_line(pkt.addr)
-        dram = self._dram_read_ticks()
+        dram = self._dram_read
         if local:
             self._respond_local(pkt, data, exclusive=True, delay=dram)
         else:
@@ -263,12 +265,12 @@ class MsiMemory(MemoryModule):
                 # intervention's own answer (data or NACK) returns.
                 pending.extra["wb_arrived"] = True
             # kind "inv": the in-flight transition owns state and map
-            return self._dram_write_ticks()
+            return self._dram_write
         # the owner returned the line: home holds the only copy again
         entry.state = LineState.LV
         entry.proc_mask = 0
         self.directory.set_station(entry, self.station_id)
-        return self._dram_write_ticks()
+        return self._dram_write
 
     def _complete_after_wb(self, addr: int, entry: DirEntry, pending: Pending) -> None:
         req = Packet(
@@ -285,9 +287,9 @@ class MsiMemory(MemoryModule):
     def _on_data_home(self, pkt: Packet, entry: DirEntry, local: bool) -> int:
         """Intervention answers returning to home."""
         if not self._txn_matches(pkt, entry):
-            self.stats.counter("stale_answers").incr()
+            self.stats.count("stale_answers")
             self.write_line(pkt.addr, pkt.data)
-            return self._dram_write_ticks()
+            return self._dram_write
         pending = entry.pending
         self.write_line(pkt.addr, pkt.data)
         exclusive = pkt.mtype is MsgType.DATA_RESP_EX
@@ -314,7 +316,7 @@ class MsiMemory(MemoryModule):
             if pending.is_local:
                 self._respond_local_pending(pkt.addr, pending, pkt.data,
                                             exclusive=False)
-        return self._dram_write_ticks()
+        return self._dram_write
 
     def _on_xfer_ack(self, pkt: Packet, entry: DirEntry, local: bool) -> int:
         """Ownership moved directly between remote stations."""
@@ -332,7 +334,7 @@ class MsiMemory(MemoryModule):
         """The owner could not supply data and no write-back is coming:
         bounce the original requester so it retries from scratch."""
         if not self._txn_matches(pkt, entry):
-            self.stats.counter("stale_answers").incr()
+            self.stats.count("stale_answers")
             return 0
         pending = entry.pending
         self._unlock(entry)
@@ -346,7 +348,7 @@ class MsiMemory(MemoryModule):
             cpu = self.station.cpu_by_global(pending.requester)
             self.out_port.send(
                 0, self._cmd_ticks,
-                lambda start, c=cpu, a=pkt.addr: c.nack_from_module(a),
+                lambda c=cpu, a=pkt.addr: c.nack_from_module(a),
             )
         else:
             nack = Packet(
@@ -366,7 +368,7 @@ class MsiMemory(MemoryModule):
                 and entry.pending.kind == "inv"):
             # exact delivery: memory-side invalidations always match a
             # pending write; anything else is a late duplicate to drop
-            self.stats.counter("stray_invalidates").incr()
+            self.stats.count("stray_invalidates")
             return 0
         pending = entry.pending
         self._unlock(entry)
@@ -379,7 +381,7 @@ class MsiMemory(MemoryModule):
             self.directory.set_station(entry, self.station_id)
             self._respond_local_pending(
                 pkt.addr, pending, self.read_line(pkt.addr), exclusive=True,
-                delay=self._dram_read_ticks(),
+                delay=self._dram_read,
             )
         else:
             self.directory.set_station(entry, pending.req_station)
@@ -394,7 +396,7 @@ class MsiMemory(MemoryModule):
         cpu = self.station.cpus[self._local_index(owner_cpu)]
         self.out_port.send(
             0, self._cmd_ticks,
-            lambda start, c=cpu, a=addr, e=exclusive: c.handle_intervention(
+            lambda c=cpu, a=addr, e=exclusive: c.handle_intervention(
                 a, e,
                 lambda data, a2=a, e2=e: self._local_intervention_done(a2, e2, data),
             ),
@@ -457,79 +459,18 @@ class MsiMemory(MemoryModule):
             v.observe(self, addr)
 
 
-class MsiNC(NetworkCache):
-    """Flat MSI has no network cache: a pure forwarding agent.
-
-    Reuses the base bypass machinery (also exercised by the
-    ``nc_enabled=False`` ablation): every local miss goes straight to the
-    home station, responses complete the matching pending record, and
-    remote interventions are answered by a processor broadcast."""
-
-    DISPATCH = (
-        ("DATA_RESP", "_on_data"),
-        ("DATA_RESP_EX", "_on_data"),
-        ("NACK", "_on_nack"),
-        ("INVALIDATE", "_on_invalidate"),
-        ("INTERVENTION", "_on_intervention"),
-        ("INTERVENTION_EX", "_on_intervention"),
-        ("MULTICAST_DATA", "_on_multicast_data"),
-        ("KILL", "_on_kill"),
-    )
-
-    def __init__(self, engine, config, station) -> None:
-        super().__init__(engine, config, station)
-        # forwarding-only regardless of the machine-level NC knob
-        self.enabled = False
-
-    def _on_local_request(self, pkt: Packet) -> int:
-        return self._bypass_local_request(pkt)
-
-    def _on_local_writeback(self, pkt: Packet) -> int:
-        self._forward_wb_home(pkt.addr, pkt.data)
-        return 0
-
-    def _on_data(self, pkt: Packet) -> int:
-        return self._bypass_on_data(pkt)
-
-    def _on_invalidate(self, pkt: Packet) -> int:
-        return self._bypass_on_invalidate(pkt)
-
-    def _on_multicast_data(self, pkt: Packet) -> int:
-        """Software update multicast (§3.2) without an NC to adopt it: the
-        base handler invalidates L2 copies via the NC line's processor mask,
-        which a bypass NC never populates — it would invalidate nobody and
-        leave spinners reading stale copies forever.  Here sharer tracking
-        lives solely in home's full map, so broadcast-invalidate every local
-        copy; re-reads refetch the updated line from home (which adopted the
-        data on the multicast's arrival there)."""
-        self._invalidate_local_all(pkt.addr)
-        self.stats.counter("multicast_fills").incr()
-        return 0
-
-    def _on_nack(self, pkt: Packet) -> int:
-        p = self._bypass_pending.get((pkt.addr, pkt.requester))
-        if p is not None:
-            p.retries += 1
-            self.engine.schedule(
-                self._retry_ticks,
-                lambda a=pkt.addr, c=pkt.requester, o=p.op, ph=p.phase:
-                    self._send_home(a, o, c, retry=True, phase=ph),
-            )
-        return 0
-
-
 class MsiFlatProtocol(CoherenceProtocol):
     """Flat full-map MSI directory: the hierarchy ablation baseline."""
 
     name = "msi"
     memory_class = MsiMemory
-    nc_class = MsiNC
+    nc_class = BypassNC
 
     #: GI -> LV happens on every owner write-back (exact map, no
     #: hierarchical epoch rules): no transition pair is illegal per se
     illegal_mem = frozenset()
     illegal_nc = frozenset()
-    #: unreachable — the NC holds no lines in bypass mode
+    #: unreachable — a BypassNC holds no lines
     valid_nc_states = (LineState.LV, LineState.GV)
     conformance_invariants = (
         "legal-transition",

@@ -19,8 +19,9 @@ alternative plug-ins.  Its signature features:
   interventions and special reads.
 
 The two engine classes below hold *only* the state machines; all
-serialization plumbing, bypass machinery, softctl handlers and packet
-helpers stay in the protocol-agnostic base classes.
+serialization plumbing, softctl handlers and packet helpers stay in the
+protocol-agnostic base classes, and a station with ``nc_enabled=False``
+runs the forwarding-only :class:`~repro.cache.network_cache.BypassNC`.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class NumachineMemory(MemoryModule):
         st = entry.state
         if st in (LineState.LV, LineState.GV):
             data = self.read_line(pkt.addr)
-            dram = self._dram_read_ticks()
+            dram = self._dram_read
             if local:
                 entry.proc_mask |= 1 << self._local_index(pkt.requester)
                 self._respond_local(pkt, data, exclusive=False, delay=dram)
@@ -97,7 +98,7 @@ class NumachineMemory(MemoryModule):
         owner = self._owner_station(entry)
         if owner == pkt.src_station and not local:
             # false remote: requester's own station still owns it (§4.6)
-            self.stats.counter("false_remote_bounces").incr()
+            self.stats.count("false_remote_bounces")
             self._lock(entry, Pending(
                 kind="fetch", req_type=pkt.mtype, requester=pkt.requester,
                 req_station=pkt.src_station, is_local=False, grant="data",
@@ -132,7 +133,7 @@ class NumachineMemory(MemoryModule):
         # GI: forward to the owning station
         owner = self._owner_station(entry)
         if owner == pkt.src_station and not local:
-            self.stats.counter("false_remote_bounces").incr()
+            self.stats.count("false_remote_bounces")
             self._lock(entry, Pending(
                 kind="fetch", req_type=pkt.mtype, requester=pkt.requester,
                 req_station=pkt.src_station, is_local=False, grant="data",
@@ -157,13 +158,13 @@ class NumachineMemory(MemoryModule):
             if not local and grant == "data":
                 # fig 7: data goes out first, the invalidation follows
                 self._send_data(pkt, self.read_line(pkt.addr), exclusive=True,
-                                inv_follows=True, delay=self._dram_read_ticks())
+                                inv_follows=True, delay=self._dram_read)
             self._lock(entry, Pending(
                 kind="inv", req_type=pkt.mtype, requester=pkt.requester,
                 req_station=pkt.src_station, is_local=local, grant=grant,
             ))
             self._send_invalidate(pkt, entry, remote_mask)
-            return self._dram_read_ticks() if grant == "data" else 0
+            return self._dram_read if grant == "data" else 0
         # only local copies: invalidate over the bus and answer immediately
         self._invalidate_local(pkt.addr, entry, keep=pkt.requester if local else None)
         if local:
@@ -176,9 +177,9 @@ class NumachineMemory(MemoryModule):
                 return 0
             self._respond_local(
                 pkt, self.read_line(pkt.addr), exclusive=True,
-                delay=self._dram_read_ticks(),
+                delay=self._dram_read,
             )
-            return self._dram_read_ticks()
+            return self._dram_read
         entry.state = LineState.GI
         entry.proc_mask = 0
         self.directory.set_station(entry, pkt.src_station)
@@ -188,8 +189,8 @@ class NumachineMemory(MemoryModule):
             self._send_invalidate(pkt, entry, 0, include_home=False)
             return 0
         self._send_data(pkt, self.read_line(pkt.addr), exclusive=True,
-                        inv_follows=False, delay=self._dram_read_ticks())
-        return self._dram_read_ticks()
+                        inv_follows=False, delay=self._dram_read)
+        return self._dram_read
 
     # ------------------------------------------------------------------
     # upgrades (write permission without data)
@@ -206,7 +207,7 @@ class NumachineMemory(MemoryModule):
                     pkt, entry, local, had_remote=(st is LineState.GV)
                 )
             # pessimistic (or known-stale): answer with data like a READ_EX
-            self.stats.counter("upgrade_data_sent").incr()
+            self.stats.count("upgrade_data_sent")
             data_pkt = Packet(
                 mtype=MsgType.READ_EX, addr=pkt.addr,
                 src_station=pkt.src_station, dest_mask=0,
@@ -214,7 +215,7 @@ class NumachineMemory(MemoryModule):
             )
             return self._on_read_ex(data_pkt, entry, local)
         # The requester's copy is long gone (LI/GI): fall back to READ_EX.
-        self.stats.counter("upgrade_fallback").incr()
+        self.stats.count("upgrade_fallback")
         data_pkt = Packet(
             mtype=MsgType.READ_EX, addr=pkt.addr,
             src_station=pkt.src_station, dest_mask=0,
@@ -226,9 +227,9 @@ class NumachineMemory(MemoryModule):
         """§4.6: the requester owns the line but never received data."""
         if entry.locked:
             return self._nack(pkt, local)
-        self.stats.counter("special_reads_served").incr()
+        self.stats.count("special_reads_served")
         data = self.read_line(pkt.addr)
-        dram = self._dram_read_ticks()
+        dram = self._dram_read
         if local:
             self._respond_local(pkt, data, exclusive=True, delay=dram)
         else:
@@ -248,7 +249,7 @@ class NumachineMemory(MemoryModule):
             pending = entry.pending
             self._unlock(entry)
             self._complete_after_wb(pkt, entry, pending)
-            return self._dram_write_ticks()
+            return self._dram_write
         if local:
             # dirty secondary-cache eviction on the home station
             entry.state = LineState.LV
@@ -259,7 +260,7 @@ class NumachineMemory(MemoryModule):
             # a network cache ejected its (exclusively held) copy
             entry.state = LineState.GV
             self.directory.add_station(entry, self.station_id)
-        return self._dram_write_ticks()
+        return self._dram_write
 
     def _complete_after_wb(self, pkt: Packet, entry: DirEntry, pending: Pending) -> None:
         req = Packet(
@@ -280,9 +281,9 @@ class NumachineMemory(MemoryModule):
         """A copy of the line returning to its home (intervention answers)."""
         if not self._txn_matches(pkt, entry):
             # stray copy (e.g. late duplicate); just absorb the data
-            self.stats.counter("stale_answers").incr()
+            self.stats.count("stale_answers")
             self.write_line(pkt.addr, pkt.data)
-            return self._dram_write_ticks()
+            return self._dram_write
         pending = entry.pending
         self.write_line(pkt.addr, pkt.data)
         exclusive = pkt.mtype is MsgType.DATA_RESP_EX
@@ -307,7 +308,7 @@ class NumachineMemory(MemoryModule):
                 idx = self._local_index(pending.requester)
                 entry.proc_mask |= 1 << idx
                 self._respond_local_pending(pkt.addr, pending, pkt.data, exclusive=False)
-        return self._dram_write_ticks()
+        return self._dram_write
 
     def _on_xfer_ack(self, pkt: Packet, entry: DirEntry, local: bool) -> int:
         """Ownership-transfer notification from the old owner's NC."""
@@ -323,7 +324,7 @@ class NumachineMemory(MemoryModule):
         """The owner's NC could not supply data and no write-back is coming:
         bounce the original requester so it retries from scratch."""
         if not self._txn_matches(pkt, entry):
-            self.stats.counter("stale_answers").incr()
+            self.stats.count("stale_answers")
             return 0
         pending = entry.pending
         self._unlock(entry)
@@ -331,7 +332,7 @@ class NumachineMemory(MemoryModule):
             cpu = self.station.cpu_by_global(pending.requester)
             self.out_port.send(
                 0, self._cmd_ticks,
-                lambda start, c=cpu, a=pkt.addr: c.nack_from_module(a),
+                lambda c=cpu, a=pkt.addr: c.nack_from_module(a),
             )
         else:
             nack = Packet(
@@ -353,7 +354,7 @@ class NumachineMemory(MemoryModule):
             if entry.proc_mask and entry.state in (LineState.LV, LineState.GV):
                 self._invalidate_local(pkt.addr, entry, keep=None)
                 entry.state = LineState.GI
-            self.stats.counter("stray_invalidates").incr()
+            self.stats.count("stray_invalidates")
             return 0
         pending = entry.pending
         self._unlock(entry)
@@ -369,7 +370,7 @@ class NumachineMemory(MemoryModule):
             else:
                 self._respond_local_pending(
                     pkt.addr, pending, self.read_line(pkt.addr), exclusive=True,
-                    delay=self._dram_read_ticks(),
+                    delay=self._dram_read,
                 )
         else:
             entry.state = LineState.GI
@@ -397,8 +398,6 @@ class NumachineNC(NetworkCache):
     # local processor requests
     # ==================================================================
     def _on_local_request(self, pkt: Packet) -> int:
-        if not self.enabled:
-            return self._bypass_local_request(pkt)
         line = self.array.probe(pkt.addr)
         op = pkt.mtype
         cpu = pkt.requester
@@ -406,21 +405,15 @@ class NumachineNC(NetworkCache):
             p = line.pending
             if p is not None and p.kind == "fetch" and cpu != p.cpu:
                 p.combined.add(cpu)
-            ctr = self._ctr_nacks
-            if ctr is None:
-                ctr = self._ctr_nacks = self.stats.counter("nacks")
-            ctr.value += 1
+            c = self.stats.counters
+            c["nacks"] = c.get("nacks", 0) + 1
             self._nack_cpu(cpu, pkt.addr)
             return 0
         if line is None:
             occupant = self.array.occupant(pkt.addr)
             if occupant is not None and occupant.locked:
-                ctr = self._ctr_conflict_nacks
-                if ctr is None:
-                    ctr = self._ctr_conflict_nacks = self.stats.counter(
-                        "conflict_nacks"
-                    )
-                ctr.value += 1
+                c = self.stats.counters
+                c["conflict_nacks"] = c.get("conflict_nacks", 0) + 1
                 self._nack_cpu(cpu, pkt.addr)
                 return 0
             if occupant is not None:
@@ -441,7 +434,7 @@ class NumachineNC(NetworkCache):
             if op is MsgType.READ:
                 return self._serve_hit(line, cpu)
             # coherence localization: grant exclusivity without home traffic
-            self._count_resolution(pkt, hit=True, line=line, cpu=cpu)
+            self._count_hit_kind(line, cpu)
             self._invalidate_local(pkt.addr, line.proc_mask, keep=cpu)
             line.state = LineState.LI
             line.proc_mask = 1 << self._local_index(cpu)
@@ -454,14 +447,14 @@ class NumachineNC(NetworkCache):
                 raise SimulationError(f"LV NC line {pkt.addr:#x} without data")
             line.data = None
             self._grant_cpu(cpu, pkt.addr, data, exclusive=True,
-                            delay=self._nc_read_ticks())
-            return self._nc_read_ticks()
+                            delay=self._nc_read)
+            return self._nc_read
         # LI: dirty in a local secondary cache
         owner_idx = line.proc_mask.bit_length() - 1
         if line.proc_mask == 0:
             raise SimulationError(f"NC LI line {pkt.addr:#x} with empty proc mask")
         exclusive = op is not MsgType.READ
-        self._count_resolution(pkt, hit=True, line=line, cpu=cpu)
+        self._count_hit_kind(line, cpu)
         line.locked = True
         line.pending = NCPending(
             kind="local_intervention", op=op, cpu=cpu, exclusive=exclusive
@@ -469,7 +462,7 @@ class NumachineNC(NetworkCache):
         owner = self.station.cpus[owner_idx]
         self.out_port.send(
             0, self._cmd_ticks,
-            lambda start, c=owner, a=pkt.addr, e=exclusive: c.handle_intervention(
+            lambda c=owner, a=pkt.addr, e=exclusive: c.handle_intervention(
                 a, e, lambda data, a2=a: self._local_intervention_done(a2, data)
             ),
         )
@@ -477,7 +470,7 @@ class NumachineNC(NetworkCache):
 
     def _start_fetch(self, line: NCLine, op: MsgType, pkt: Packet) -> int:
         cpu = pkt.requester
-        self._count_resolution(pkt, hit=False, line=line, cpu=cpu)
+        self._count_miss()
         line.locked = True
         line.pending = NCPending(
             kind="fetch", op=op, cpu=cpu, first_issue=self.engine.now,
@@ -498,16 +491,13 @@ class NumachineNC(NetworkCache):
         if data is None:
             raise SimulationError(f"NC hit on {line!r} without data")
         self._grant_cpu(cpu, line.addr, data, exclusive=False,
-                        delay=self._nc_read_ticks())
-        return self._nc_read_ticks()
+                        delay=self._nc_read)
+        return self._nc_read
 
     # ==================================================================
     # local write-backs (dirty L2 evictions of remote lines)
     # ==================================================================
     def _on_local_writeback(self, pkt: Packet) -> int:
-        if not self.enabled:
-            self._forward_wb_home(pkt.addr, pkt.data)
-            return 0
         line = self.array.probe(pkt.addr)
         cpu = pkt.requester
         if line is not None and line.locked:
@@ -515,7 +505,7 @@ class NumachineNC(NetworkCache):
             if p is not None and p.kind in ("local_intervention", "intervention"):
                 # the write-back crossed our bus intervention; use its data
                 self._local_intervention_done(pkt.addr, pkt.data, from_wb=True)
-                return self._nc_write_ticks()
+                return self._nc_write
             if p is not None and p.kind == "fetch":
                 # stale WB racing a new fetch; push home so nothing is lost
                 self._forward_wb_home(pkt.addr, pkt.data)
@@ -527,7 +517,7 @@ class NumachineNC(NetworkCache):
             if cpu is not None:
                 line.proc_mask &= ~(1 << self._local_index(cpu))
             line.brought_by = cpu
-            return self._nc_write_ticks()
+            return self._nc_write
         occupant = self.array.occupant(pkt.addr)
         if occupant is None:
             # re-adopt the line: home still believes this station owns it
@@ -536,7 +526,7 @@ class NumachineNC(NetworkCache):
                 brought_by=cpu,
             )
             self.array.insert(line)
-            return self._nc_write_ticks()
+            return self._nc_write
         # slot busy with another line: hand the data back to home memory
         self._forward_wb_home(pkt.addr, pkt.data)
         return 0
@@ -545,37 +535,24 @@ class NumachineNC(NetworkCache):
     # responses from the network
     # ==================================================================
     def _on_data(self, pkt: Packet) -> int:
-        if not self.enabled:
-            return self._bypass_on_data(pkt)
         line = self.array.probe(pkt.addr)
         if line is None or not line.locked or line.pending is None:
-            self.stats.counter("stray_data").incr()
+            self.stats.count("stray_data")
             return 0
         p = line.pending
         p.data = list(pkt.data)
         p.data_exclusive = pkt.mtype is MsgType.DATA_RESP_EX
         p.inv_follows = bool(pkt.meta.get("inv_follows"))
         self._maybe_complete(line)
-        return self._nc_write_ticks()
+        return self._nc_write
 
     def _on_nack(self, pkt: Packet) -> int:
-        if not self.enabled:
-            key = (pkt.addr, pkt.requester)
-            p = self._bypass_pending.get(key)
-            if p is not None:
-                p.retries += 1
-                self.engine.schedule(
-                    self._retry_ticks,
-                    lambda a=pkt.addr, c=pkt.requester, o=p.op, ph=p.phase:
-                        self._send_home(a, o, c, retry=True, phase=ph),
-                )
-            return 0
         line = self.array.probe(pkt.addr)
         if line is None or not line.locked or line.pending is None:
             return 0
         p = line.pending
         p.retries += 1
-        self.stats.counter("remote_retries").incr()
+        self.stats.count("remote_retries")
         # linear-capped backoff keeps NACK storms from flooding the rings
         self.engine.schedule(
             self._retry_ticks * min(p.retries, 8),
@@ -591,12 +568,10 @@ class NumachineNC(NetworkCache):
                         prefetch=(p.cpu is None), phase=p.phase)
 
     def _on_invalidate(self, pkt: Packet) -> int:
-        line = self.array.probe(pkt.addr) if self.enabled else None
-        if not self.enabled:
-            return self._bypass_on_invalidate(pkt)
+        line = self.array.probe(pkt.addr)
         if line is None:
             # ejected from the NC: broadcast to all four processors (§2.3)
-            self.stats.counter("invalidate_broadcasts").incr()
+            self.stats.count("invalidate_broadcasts")
             self._invalidate_local_all(pkt.addr)
             return 0
         if line.locked and line.pending is not None and line.pending.kind == "fetch":
@@ -625,7 +600,7 @@ class NumachineNC(NetworkCache):
             line.proc_mask = 0
             line.state = LineState.GI
             line.data = None
-            self.stats.counter("invalidations_applied").incr()
+            self.stats.count("invalidations_applied")
             return 0
         if line.state in (LineState.LV, LineState.LI):
             # This station owns the line exclusively, so the home directory
@@ -633,10 +608,10 @@ class NumachineNC(NetworkCache):
             # invalidation: this one is from an older write epoch, still in
             # flight when ownership moved.  Ignoring it is the only safe
             # action — applying it would destroy the current dirty data.
-            self.stats.counter("invalidate_stale_owner").incr()
+            self.stats.count("invalidate_stale_owner")
             return 0
         # GI: the inexact routing mask over-delivered; nothing to do (§2.3)
-        self.stats.counter("invalidate_ignored_gi").incr()
+        self.stats.count("invalidate_ignored_gi")
         return 0
 
     # ==================================================================
@@ -661,8 +636,8 @@ class NumachineNC(NetworkCache):
                 self._grant_cpu(p.cpu, line.addr, list(p.data), exclusive=False)
             else:
                 line.proc_mask = 0
-                self.stats.counter("prefetch_fills").incr()
-            self.stats.counter("combined_requests").incr(len(p.combined))
+                self.stats.count("prefetch_fills")
+            self.stats.count("combined_requests", len(p.combined))
             return
         if op in (MsgType.READ_EX, MsgType.SPECIAL_READ):
             if p.data is None:
@@ -676,7 +651,7 @@ class NumachineNC(NetworkCache):
             line.brought_by = p.cpu
             line.proc_mask = 1 << self._local_index(p.cpu)
             self._grant_cpu(p.cpu, line.addr, list(p.data), exclusive=True)
-            self.stats.counter("combined_requests").incr(len(p.combined))
+            self.stats.count("combined_requests", len(p.combined))
             return
         if op is MsgType.UPGRADE:
             if p.data is not None:
@@ -690,7 +665,7 @@ class NumachineNC(NetworkCache):
                 line.brought_by = p.cpu
                 line.proc_mask = 1 << self._local_index(p.cpu)
                 self._grant_cpu(p.cpu, line.addr, list(p.data), exclusive=True)
-                self.stats.counter("combined_requests").incr(len(p.combined))
+                self.stats.count("combined_requests", len(p.combined))
                 return
             if not p.inv_arrived:
                 return
@@ -703,7 +678,7 @@ class NumachineNC(NetworkCache):
                 line.brought_by = p.cpu
                 line.proc_mask = 1 << self._local_index(p.cpu)
                 self._grant_cpu(p.cpu, line.addr, None, exclusive=True)
-                self.stats.counter("combined_requests").incr(len(p.combined))
+                self.stats.count("combined_requests", len(p.combined))
                 return
             if not p.copy_invalidated and line.data is not None:
                 data = list(line.data)
@@ -714,11 +689,11 @@ class NumachineNC(NetworkCache):
                 line.brought_by = p.cpu
                 line.proc_mask = 1 << self._local_index(p.cpu)
                 self._grant_cpu(p.cpu, line.addr, data, exclusive=True)
-                self.stats.counter("combined_requests").incr(len(p.combined))
+                self.stats.count("combined_requests", len(p.combined))
                 return
             # ownership granted but no valid data anywhere on the station:
             # the rare special read request of §4.6
-            self.stats.counter("special_reads").incr()
+            self.stats.count("special_reads")
             p.op = MsgType.SPECIAL_READ
             p.inv_arrived = False
             self._send_home(line.addr, MsgType.SPECIAL_READ, p.cpu,
@@ -781,7 +756,7 @@ class NumachineProtocol(CoherenceProtocol):
             checks["routing-mask-coverage"] = checks.get("routing-mask-coverage", 0) + 1
             inflight = checker._inval_inflight
             for st in checker.machine.stations:
-                if st.station_id == mem.station_id or not st.nc.enabled:
+                if st.station_id == mem.station_id:
                     continue
                 nline = st.nc.array.probe(la)
                 if nline is None or nline.locked or nline.state not in self.valid_nc_states:

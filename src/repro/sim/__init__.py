@@ -9,7 +9,7 @@ from .engine import (
     ticks_to_ns,
 )
 from .fifo import Fifo, FifoFullError
-from .stats import Accumulator, BusyTracker, Counter, StatGroup
+from .stats import Accumulator, StatGroup
 
 __all__ = [
     "TICKS_PER_NS",
@@ -21,7 +21,5 @@ __all__ = [
     "Fifo",
     "FifoFullError",
     "Accumulator",
-    "BusyTracker",
-    "Counter",
     "StatGroup",
 ]

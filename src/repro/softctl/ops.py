@@ -75,11 +75,11 @@ def _mem_dir_lock_read(mem, pkt: Packet, entry, local: bool) -> int:
         cpu = mem.station.cpu_by_global(pkt.requester)
         mem.station.bus.request(
             mem.config.cmd_bus_ticks,
-            lambda start, c=cpu, i=info: c.resume(i),
+            lambda c=cpu, i=info: c.resume(i),
         )
     else:
         mem._send_packet(resp, has_data=False)
-    mem.stats.counter("soft_dir_locks").incr()
+    mem.stats.count("soft_dir_locks")
     return 0
 
 
@@ -101,8 +101,8 @@ def _mem_multicast_data(mem, pkt: Packet, entry) -> int:
     mem._invalidate_local(pkt.addr, entry, keep=keep)
     if keep is not None:
         entry.proc_mask |= 1 << mem._local_index(keep)
-    mem.stats.counter("soft_updates").incr()
-    return mem._dram_write_ticks()
+    mem.stats.count("soft_updates")
+    return mem._dram_write
 
 
 def _mem_kill(mem, pkt: Packet, entry) -> int:
@@ -122,7 +122,7 @@ def _mem_kill(mem, pkt: Packet, entry) -> int:
     entry.state = LineState.LV
     entry.proc_mask = 0
     mem.directory.set_station(entry, mem.station_id)
-    mem.stats.counter("kills").incr()
+    mem.stats.count("kills")
     return 0
 
 
@@ -161,7 +161,7 @@ def _mem_block_op(mem, pkt: Packet, entry, local: bool) -> int:
         else:
             raise SimulationError(f"unknown block op {op!r}")
     _interrupt_initiator(mem, pkt)
-    mem.stats.counter("block_ops").incr()
+    mem.stats.count("block_ops")
     return busy
 
 
@@ -197,8 +197,8 @@ def _mem_block_copy_source(mem, pkt: Packet) -> int:
         meta={"nlines": nlines, "initiator": pkt.meta.get("initiator")},
     )
     mem._send_packet(data_pkt, has_data=True)
-    mem.stats.counter("block_copy_served").incr()
-    return mem._dram_read_ticks() * max(1, nlines // 4)
+    mem.stats.count("block_copy_served")
+    return mem._dram_read * max(1, nlines // 4)
 
 
 def _mem_block_data(mem, pkt: Packet) -> int:
@@ -215,8 +215,8 @@ def _mem_block_data(mem, pkt: Packet) -> int:
         e.proc_mask = 0
         mem.directory.set_station(e, mem.station_id)
     _interrupt_initiator(mem, pkt)
-    mem.stats.counter("block_copy_completed").incr()
-    return mem._dram_write_ticks() * max(1, len(pkt.data) // 4)
+    mem.stats.count("block_copy_completed")
+    return mem._dram_write * max(1, len(pkt.data) // 4)
 
 
 def _interrupt_initiator(mem, pkt: Packet) -> None:
@@ -247,7 +247,7 @@ def nc_dispatch(nc, pkt: Packet) -> int:
         cpu = nc.station.cpu_by_global(pkt.requester)
         nc.station.bus.request(
             nc.config.cmd_bus_ticks,
-            lambda start, c=cpu, i=pkt.meta["info"]: c.resume(i),
+            lambda c=cpu, i=pkt.meta["info"]: c.resume(i),
         )
         return 0
     if mtype is MsgType.INTERRUPT:  # pragma: no cover - routed at station
@@ -259,27 +259,18 @@ def nc_dispatch(nc, pkt: Packet) -> int:
 # processor side: SoftOp execution
 # ======================================================================
 def cpu_softop(cpu, op) -> None:
-    kind = op.kind
-    args = op.args
-    handler = {
-        "prefetch_nc": _soft_prefetch,
-        "writeback": _soft_writeback,
-        "invalidate_self": _soft_invalidate_self,
-        "kill": _soft_kill,
-        "block_op": _soft_block_op,
-        "block_copy": _soft_block_copy,
-        "update_shared": _soft_update_shared,
-        "zero_page": _soft_zero_page,
-        "copy_page_incache": _soft_copy_page_incache,
-        "multicast_interrupt": _soft_multicast_interrupt,
-        "wait_interrupt": _soft_wait_interrupt,
-        "multicast_writeback": _soft_multicast_writeback,
-        "io_read": lambda cpu, a: _soft_io(cpu, dict(a, kind="read")),
-        "io_write": lambda cpu, a: _soft_io(cpu, dict(a, kind="write")),
-    }.get(kind)
+    handler = _SOFTOPS.get(op.kind)
     if handler is None:
-        raise SimulationError(f"unknown SoftOp kind {kind!r}")
-    handler(cpu, args)
+        raise SimulationError(f"unknown SoftOp kind {op.kind!r}")
+    handler(cpu, op.args)
+
+
+def _send_toward_home(cpu, pkt: Packet, local: bool) -> None:
+    """Put a command on the station bus: to the station's memory module
+    when ``pkt``'s home is this station, else to the ring interface."""
+    st = cpu.station
+    target = st.memory.handle if local else st.ring_interface.send
+    st.bus.request(cpu.config.cmd_bus_ticks, lambda: target(pkt))
 
 
 def _soft_prefetch(cpu, args) -> None:
@@ -296,7 +287,7 @@ def _soft_prefetch(cpu, args) -> None:
     )
     cpu.station.bus.request(
         cpu.config.cmd_bus_ticks,
-        lambda start, p=pkt: cpu.station.nc.handle(p),
+        lambda p=pkt: cpu.station.nc.handle(p),
     )
     cpu.resume(delay=cpu.config.cpu_cycle_ticks)
 
@@ -321,7 +312,7 @@ def _soft_writeback(cpu, args) -> None:
     )
     cpu.station.bus.request(
         cpu.config.cmd_bus_ticks + cpu.config.line_bus_ticks,
-        lambda start, t=target, p=wb: t.handle(p),
+        lambda t=target, p=wb: t.handle(p),
     )
     cpu.resume(delay=cpu.config.cpu_cycle_ticks)
 
@@ -350,7 +341,7 @@ def _soft_multicast_writeback(cpu, args) -> None:
     )
     cpu.station.bus.request(
         cpu.config.cmd_bus_ticks + cpu.config.line_bus_ticks,
-        lambda start, p=mc: cpu.station.ring_interface.send(p),
+        lambda p=mc: cpu.station.ring_interface.send(p),
     )
     cpu.resume(delay=cpu.config.cpu_cycle_ticks)
 
@@ -372,16 +363,7 @@ def _soft_kill(cpu, args) -> None:
         dest_mask=cpu.station.codec.station_mask(home),
         requester=cpu.cpu_id, meta={"local": local},
     )
-    if local:
-        cpu.station.bus.request(
-            cpu.config.cmd_bus_ticks,
-            lambda start, p=pkt: cpu.station.memory.handle(p),
-        )
-    else:
-        cpu.station.bus.request(
-            cpu.config.cmd_bus_ticks,
-            lambda start, p=pkt: cpu.station.ring_interface.send(p),
-        )
+    _send_toward_home(cpu, pkt, local)
     cpu.resume(delay=cpu.config.cpu_cycle_ticks)
 
 
@@ -416,16 +398,7 @@ def _soft_block_op(cpu, args) -> None:
             meta={"op": opname, "nlines": nlines, "local": local,
                   "initiator": cpu.cpu_id},
         )
-        if local:
-            cpu.station.bus.request(
-                cfg.cmd_bus_ticks,
-                lambda start, p=pkt: cpu.station.memory.handle(p),
-            )
-        else:
-            cpu.station.bus.request(
-                cfg.cmd_bus_ticks,
-                lambda start, p=pkt: cpu.station.ring_interface.send(p),
-            )
+        _send_toward_home(cpu, pkt, local)
 
 
 def _soft_block_copy(cpu, args) -> None:
@@ -454,16 +427,7 @@ def _soft_block_copy(cpu, args) -> None:
         requester=cpu.cpu_id,
         meta={"nlines": nlines, "target_addr": dst, "initiator": cpu.cpu_id},
     )
-    if src_home == cpu.station.station_id:
-        cpu.station.bus.request(
-            cfg.cmd_bus_ticks,
-            lambda start, p=req: cpu.station.memory.handle(p),
-        )
-    else:
-        cpu.station.bus.request(
-            cfg.cmd_bus_ticks,
-            lambda start, p=req: cpu.station.ring_interface.send(p),
-        )
+    _send_toward_home(cpu, req, src_home == cpu.station.station_id)
 
 
 def _soft_update_shared(cpu, args) -> None:
@@ -500,7 +464,7 @@ def _soft_update_shared(cpu, args) -> None:
         )
         cpu.station.bus.request(
             cfg.cmd_bus_ticks + cfg.line_bus_ticks,
-            lambda start, p=mc: cpu.station.ring_interface.send(p),
+            lambda p=mc: cpu.station.ring_interface.send(p),
         )
         cpu.resume(_UPDATE_OK, delay=cfg.cpu_cycle_ticks)
 
@@ -527,16 +491,7 @@ def _soft_dir_lock(cpu, la: int, home: int, local: bool, cont) -> None:
         cont(value)
 
     cpu.resume = resume_hook
-    if local:
-        cpu.station.bus.request(
-            cpu.config.cmd_bus_ticks,
-            lambda start, p=pkt: cpu.station.memory.handle(p),
-        )
-    else:
-        cpu.station.bus.request(
-            cpu.config.cmd_bus_ticks,
-            lambda start, p=pkt: cpu.station.ring_interface.send(p),
-        )
+    _send_toward_home(cpu, pkt, local)
 
 
 def _soft_zero_page(cpu, args) -> None:
@@ -597,15 +552,7 @@ def _send_own_block(cpu, base: int, nlines: int) -> None:
             meta={"op": "own", "nlines": nlines, "local": local,
                   "initiator": cpu.cpu_id},
         )
-        if local:
-            cpu.station.bus.request(
-                cfg.cmd_bus_ticks, lambda start, p=pkt: cpu.station.memory.handle(p)
-            )
-        else:
-            cpu.station.bus.request(
-                cfg.cmd_bus_ticks,
-                lambda start, p=pkt: cpu.station.ring_interface.send(p),
-            )
+        _send_toward_home(cpu, pkt, local)
 
 
 def _soft_io(cpu, args) -> None:
@@ -651,7 +598,7 @@ def _soft_multicast_interrupt(cpu, args) -> None:
     )
     cpu.station.bus.request(
         cfg.cmd_bus_ticks,
-        lambda start, p=pkt: cpu.station.ring_interface.send(p),
+        lambda p=pkt: cpu.station.ring_interface.send(p),
     )
     cpu.resume(delay=cfg.cpu_cycle_ticks)
 
@@ -669,3 +616,22 @@ def _soft_wait_interrupt(cpu, args) -> None:
         cpu.resume(got)
 
     cpu.on_interrupt = on_intr
+
+
+#: SoftOp kind -> handler(cpu, args)
+_SOFTOPS = {
+    "prefetch_nc": _soft_prefetch,
+    "writeback": _soft_writeback,
+    "invalidate_self": _soft_invalidate_self,
+    "kill": _soft_kill,
+    "block_op": _soft_block_op,
+    "block_copy": _soft_block_copy,
+    "update_shared": _soft_update_shared,
+    "zero_page": _soft_zero_page,
+    "copy_page_incache": _soft_copy_page_incache,
+    "multicast_interrupt": _soft_multicast_interrupt,
+    "wait_interrupt": _soft_wait_interrupt,
+    "multicast_writeback": _soft_multicast_writeback,
+    "io_read": lambda cpu, a: _soft_io(cpu, dict(a, kind="read")),
+    "io_write": lambda cpu, a: _soft_io(cpu, dict(a, kind="write")),
+}

@@ -19,7 +19,6 @@ from collections import deque
 from typing import Deque, Tuple
 
 from ..sim.engine import Engine
-from ..sim.stats import BusyTracker, Counter
 
 _PRIO_NORMAL = Engine.PRIO_NORMAL
 
@@ -32,12 +31,12 @@ _PRIO_NORMAL = Engine.PRIO_NORMAL
 def _bus_complete(arg) -> None:
     """A transfer finished: run its completion, then grant the next one.
 
-    A completion is a callable ``on_complete(start_tick)`` or, for the two
-    hottest transfers, a data tuple: ``(target, pkt)`` delivers
+    A completion is a callable ``on_complete()`` or, for the two hottest
+    transfers, a data tuple: ``(target, pkt)`` delivers
     ``target.handle(pkt)`` (a processor's request), and ``(cpu, addr,
     None)`` calls ``cpu.nack_from_module(addr)`` (a NACK to a processor).
     """
-    bus, start, on_complete = arg
+    bus, on_complete = arg
     if type(on_complete) is tuple:
         if len(on_complete) == 2:
             target, pkt = on_complete
@@ -45,20 +44,19 @@ def _bus_complete(arg) -> None:
         else:
             on_complete[0].nack_from_module(on_complete[1])
     else:
-        on_complete(start)
+        on_complete()
     queue = bus._queue
     if not queue:
         bus._busy = False
         return
     duration, on_complete = queue.popleft()
-    bus.busy.busy += duration
-    bus.transactions.value += 1
+    bus.busy_ticks += duration
+    bus.transactions += 1
     engine = bus.engine
-    start = engine.now + bus.arb_ticks
     seq = engine._seq + 1
     engine._seq = seq
-    engine._push((start + duration, _PRIO_NORMAL, seq, _bus_complete,
-                  (bus, start, on_complete)))
+    engine._push((engine.now + bus.arb_ticks + duration, _PRIO_NORMAL, seq,
+                  _bus_complete, (bus, on_complete)))
 
 
 def _port_issue(arg) -> None:
@@ -72,13 +70,12 @@ def _port_issue(arg) -> None:
         bus._queue.append((duration, on_complete))
     else:
         bus._busy = True
-        bus.busy.busy += duration
-        bus.transactions.value += 1
-        start = engine.now + bus.arb_ticks
+        bus.busy_ticks += duration
+        bus.transactions += 1
         seq = engine._seq + 1
         engine._seq = seq
-        engine._push((start + duration, _PRIO_NORMAL, seq, _bus_complete,
-                      (bus, start, on_complete)))
+        engine._push((engine.now + bus.arb_ticks + duration, _PRIO_NORMAL, seq,
+                      _bus_complete, (bus, on_complete)))
     queue = port._queue
     if not queue:
         port._busy = False
@@ -96,14 +93,16 @@ class Bus:
     """A single arbitrated station bus.
 
     :meth:`request` queues a transaction of ``duration`` ticks; when the
-    transfer *completes*, ``on_complete(start_tick)`` is invoked (or the
-    data tuple is delivered, see :func:`_bus_complete`).  A fixed
-    arbitration cost is charged per transaction (it does not occupy the
-    data path and so is not counted as busy time when overlapped).  An
-    idle bus has an empty queue: a request to it is granted at once.
+    transfer *completes*, ``on_complete()`` is invoked (or the data tuple
+    is delivered, see :func:`_bus_complete`).  A fixed arbitration cost is
+    charged per transaction (it does not occupy the data path and so is
+    not counted in ``busy_ticks``).  An idle bus has an empty queue: a
+    request to it is granted at once.
     """
 
-    __slots__ = ("engine", "name", "arb_ticks", "_queue", "_busy", "busy", "transactions")
+    __slots__ = (
+        "engine", "name", "arb_ticks", "_queue", "_busy", "busy_ticks", "transactions",
+    )
 
     def __init__(self, engine: Engine, name: str, arb_ticks: int) -> None:
         self.engine = engine
@@ -111,8 +110,9 @@ class Bus:
         self.arb_ticks = arb_ticks
         self._queue: Deque[Tuple[int, object]] = deque()
         self._busy = False
-        self.busy = BusyTracker(f"{name}.busy")
-        self.transactions = Counter(f"{name}.transactions")
+        #: ticks of transfer granted so far, and the number of transfers
+        self.busy_ticks = 0
+        self.transactions = 0
 
     def request(self, duration: int, on_complete) -> None:
         """Queue a transaction occupying the bus for ``duration`` ticks."""
@@ -120,20 +120,19 @@ class Bus:
             self._queue.append((duration, on_complete))
             return
         self._busy = True
-        self.busy.busy += duration
-        self.transactions.value += 1
+        self.busy_ticks += duration
+        self.transactions += 1
         engine = self.engine
-        start = engine.now + self.arb_ticks
         seq = engine._seq + 1
         engine._seq = seq
-        engine._push((start + duration, _PRIO_NORMAL, seq, _bus_complete,
-                      (self, start, on_complete)))
+        engine._push((engine.now + self.arb_ticks + duration, _PRIO_NORMAL, seq,
+                      _bus_complete, (self, on_complete)))
 
     def utilization(self, now: int) -> float:
-        return self.busy.utilization(now)
-
-    def start_window(self, now: int) -> None:
-        self.busy.start_window(now)
+        """Busy fraction of ``[0, now]``, at most 1."""
+        if now <= 0:
+            return 0.0
+        return min(1.0, self.busy_ticks / now)
 
 
 class OrderedPort:
@@ -159,8 +158,8 @@ class OrderedPort:
 
     def send(self, delay: int, duration: int, on_complete) -> None:
         """Issue a bus transaction of ``duration`` ticks that becomes ready
-        ``delay`` ticks from now; ``on_complete(start)`` fires (or the data
-        tuple is delivered) when the bus transfer finishes."""
+        ``delay`` ticks from now; ``on_complete()`` fires (or the data tuple
+        is delivered) when the bus transfer finishes."""
         engine = self.engine
         now = engine.now
         if self._busy:

@@ -61,7 +61,7 @@ class IOModule:
     # ------------------------------------------------------------------
     def submit(self, request: IORequest) -> None:
         self._queue.append(request)
-        self.stats.counter("requests").incr()
+        self.stats.count("requests")
         self._pump()
 
     def _pump(self) -> None:
@@ -98,7 +98,7 @@ class IOModule:
                 la = req.addr + i * cfg.line_bytes
                 req.payload.append(self._coherent_line(la))
             busy = req.nlines * ns_to_ticks(cfg.dram_read_ns)
-        self.stats.counter(f"{req.kind}s").incr()
+        self.stats.count(f"{req.kind}s")
         self.engine.schedule(busy, self._interrupt, req)
 
     def _coherent_line(self, la: int) -> List:
@@ -135,8 +135,8 @@ class IOModule:
             )
             self.station.bus.request(
                 cfg.cmd_bus_ticks,
-                lambda start, p=intr: self.station.ring_interface.send(p),
+                lambda p=intr: self.station.ring_interface.send(p),
             )
-        self.stats.counter("interrupts").incr()
+        self.stats.count("interrupts")
         self._busy = False
         self._pump()

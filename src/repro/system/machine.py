@@ -260,15 +260,15 @@ class Machine:
     def nc_stats(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for st in self.stations:
-            for name, c in st.nc.stats.counters.items():
-                out[name] = out.get(name, 0) + c.value
+            for name, value in st.nc.stats.counters.items():
+                out[name] = out.get(name, 0) + value
         return out
 
     def memory_stats(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for st in self.stations:
-            for name, c in st.memory.stats.counters.items():
-                out[name] = out.get(name, 0) + c.value
+            for name, value in st.memory.stats.counters.items():
+                out[name] = out.get(name, 0) + value
         return out
 
     def nc_hit_rate(self) -> Dict[str, float]:

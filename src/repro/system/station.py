@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..cache.network_cache import BypassNC
 from ..cpu.processor import Processor
 from ..interconnect.packet import MsgType, Packet
 from ..interconnect.routing import RoutingMaskCodec
@@ -52,7 +53,9 @@ class Station:
             for i in range(config.cpus_per_station)
         ]
         self.memory = protocol.memory_class(engine, config, self)
-        self.nc = protocol.nc_class(engine, config, self)
+        # the NC ablation runs every protocol over the forwarding-only NC
+        nc_class = protocol.nc_class if config.nc_enabled else BypassNC
+        self.nc = nc_class(engine, config, self)
         from .io import IOModule
 
         self.io = IOModule(engine, config, self)

@@ -86,8 +86,8 @@ class _LineLog:
     network cache).
 
     ``lookup(la)`` is the module's record of a line (the directory's
-    ``peek``, the NC array's ``probe``: bound dict ``get`` methods), or
-    ``None`` for a network cache in bypass mode, which holds no lines.
+    ``peek``, the NC array's ``probe``: bound dict ``get`` methods; a
+    forwarding-only NC's array stays empty, so its lookups find nothing).
     ``last`` maps each observed line to its last observed state.
     ``since`` maps each line whose last observation found it locked to
     the tick of the first observation of that locked dwell, so a line was
@@ -162,8 +162,8 @@ class CoherenceChecker:
                 policy.check_mem_masks,
             )
             self._logs[nc] = _LineLog(
-                nc.array.probe if nc.enabled else None, policy.illegal_nc,
-                f"nc@S{sid}", policy.check_nc_masks,
+                nc.array.probe, policy.illegal_nc, f"nc@S{sid}",
+                policy.check_nc_masks,
             )
             mem.verifier = nc.verifier = st.ring_interface.verifier = self
         self._pending_inval = [{} for _ in machine.stations]
@@ -225,10 +225,7 @@ class CoherenceChecker:
         log = self._logs[module]
         if pkt is not None and pkt.mtype is _INVALIDATE:
             self._inval_delivered(module.station_id, la)
-        lookup = log.lookup
-        if lookup is None:
-            return
-        rec = lookup(la)
+        rec = log.lookup(la)
         last = log.last
         if rec is None:
             # line evicted / never present: epoch reset
@@ -374,16 +371,15 @@ class CoherenceChecker:
                         f"P{other.cpu_id} holds {line.state.value}",
                         la=la, where=f"P{cpu.cpu_id}",
                     )
-            if station.nc.enabled:
-                nline = station.nc.array.probe(la)
-                if nline is not None and not nline.locked \
-                        and nline.state in self._policy.valid_nc_states:
-                    self._violate(
-                        "single-writer",
-                        f"P{cpu.cpu_id} installed DIRTY while its NC still "
-                        f"claims {nline.state.value}",
-                        la=la, where=f"P{cpu.cpu_id}",
-                    )
+            nline = station.nc.array.probe(la)
+            if nline is not None and not nline.locked \
+                    and nline.state in self._policy.valid_nc_states:
+                self._violate(
+                    "single-writer",
+                    f"P{cpu.cpu_id} installed DIRTY while its NC still "
+                    f"claims {nline.state.value}",
+                    la=la, where=f"P{cpu.cpu_id}",
+                )
         else:
             checks["writer-reader-exclusion"] = checks.get("writer-reader-exclusion", 0) + 1
             for other in station.cpus:

@@ -232,7 +232,7 @@ def _backpressure_storm():
     cfg.ring_in_fifo_capacity = 6
     machine = Machine(cfg)
     HotSpot(words=8, ops=60).run(machine, nprocs=16)
-    halts = sum(ring.halts.value for ring in machine.net.rings.values())
+    halts = sum(ring.halts for ring in machine.net.rings.values())
     record = {
         **_head(machine),
         "halts": halts,

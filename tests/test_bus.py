@@ -8,32 +8,51 @@ def test_bus_serializes_transactions():
     engine = Engine()
     bus = Bus(engine, "b", arb_ticks=10)
     done = []
-    bus.request(100, lambda start: done.append(("a", start, engine.now)))
-    bus.request(50, lambda start: done.append(("b", start, engine.now)))
+    bus.request(100, lambda: done.append(("a", engine.now)))
+    bus.request(50, lambda: done.append(("b", engine.now)))
     engine.run()
-    assert [d[0] for d in done] == ["a", "b"]
     # first: arb 10 + 100 = completes at 110; second: grant at 110 + arb + 50
-    assert done[0][2] == 110
-    assert done[1][2] == 170
+    assert done == [("a", 110), ("b", 170)]
 
 
 def test_bus_busy_accounting_excludes_arbitration():
     engine = Engine()
     bus = Bus(engine, "b", arb_ticks=10)
-    bus.request(100, lambda start: None)
+    bus.request(100, lambda: None)
     engine.run()
-    assert bus.busy.busy == 100
-    assert bus.transactions.value == 1
+    assert bus.busy_ticks == 100
+    assert bus.transactions == 1
 
 
 def test_bus_utilization():
     engine = Engine()
     bus = Bus(engine, "b", arb_ticks=0)
-    bus.request(30, lambda start: None)
+    bus.request(30, lambda: None)
     engine.run()
     engine.schedule(70, lambda: None)
     engine.run()
     assert abs(bus.utilization(engine.now) - 0.3) < 1e-9
+
+
+def test_bus_utilization_covers_the_whole_run():
+    engine = Engine()
+    bus = Bus(engine, "b", arb_ticks=0)
+    assert bus.utilization(0) == 0.0
+    bus.request(30, lambda: None)
+    engine.run()
+    assert bus.utilization(now=100) == 0.30
+    bus.request(50, lambda: None)
+    engine.run()
+    assert bus.utilization(now=200) == 0.40
+
+
+def test_bus_utilization_clamps_to_one():
+    # busy ticks are credited at grant time, so a window that ends inside
+    # a transfer would read above 1 without the clamp
+    engine = Engine()
+    bus = Bus(engine, "b", arb_ticks=0)
+    bus.request(500, lambda: None)
+    assert bus.utilization(now=100) == 1.0
 
 
 def test_ordered_port_preserves_issue_order_despite_delays():
@@ -43,8 +62,8 @@ def test_ordered_port_preserves_issue_order_despite_delays():
     bus = Bus(engine, "b", arb_ticks=0)
     port = OrderedPort(engine, bus)
     order = []
-    port.send(500, 10, lambda start: order.append("slow-first"))
-    port.send(0, 10, lambda start: order.append("fast-second"))
+    port.send(500, 10, lambda: order.append("slow-first"))
+    port.send(0, 10, lambda: order.append("fast-second"))
     engine.run()
     assert order == ["slow-first", "fast-second"]
 
@@ -54,7 +73,7 @@ def test_ordered_port_respects_ready_time():
     bus = Bus(engine, "b", arb_ticks=0)
     port = OrderedPort(engine, bus)
     times = []
-    port.send(300, 10, lambda start: times.append(engine.now))
+    port.send(300, 10, lambda: times.append(engine.now))
     engine.run()
     assert times[0] == 310  # waits for readiness, then 10 ticks of transfer
 
@@ -67,7 +86,7 @@ def test_ordered_port_interleaves_with_direct_requests():
     bus = Bus(engine, "b", arb_ticks=0)
     port = OrderedPort(engine, bus)
     order = []
-    port.send(0, 10, lambda start: order.append("port"))
-    bus.request(10, lambda start: order.append("direct"))
+    port.send(0, 10, lambda: order.append("port"))
+    bus.request(10, lambda: order.append("direct"))
     engine.run()
     assert sorted(order) == ["direct", "port"]

@@ -63,7 +63,7 @@ def test_remote_write_follows_fig7():
     wline = nc_line(m, 0, r.addr(0))
     assert wline.state is LineState.LI
     assert wline.proc_mask == 0b01
-    assert m.stations[2].memory.stats.counter("invalidates_sent").value >= 1
+    assert m.stations[2].memory.stats.counters.get("invalidates_sent", 0) >= 1
     # the reader's stale copies are gone
     la = m.config.line_addr(r.addr(0))
     assert m.cpus[reader].l2.lookup(la) is None

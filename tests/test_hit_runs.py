@@ -20,10 +20,10 @@ from conftest import small_config
 
 def _counters(cpu):
     return {
-        "reads": cpu.stats.counter("reads").value,
-        "writes": cpu.stats.counter("writes").value,
-        "read_misses": cpu.stats.counter("read_misses").value,
-        "write_misses": cpu.stats.counter("write_misses").value,
+        "reads": cpu.stats.counters.get("reads", 0),
+        "writes": cpu.stats.counters.get("writes", 0),
+        "read_misses": cpu.stats.counters.get("read_misses", 0),
+        "write_misses": cpu.stats.counters.get("write_misses", 0),
     }
 
 
@@ -126,8 +126,8 @@ def test_run_suspends_on_miss_and_resumes():
     m.run({other: reader()})
     assert got["vals"] == [float(i) for i in range(nwords)]
     reader_cpu = m.cpus[other]
-    assert reader_cpu.stats.counter("read_misses").value == 4
-    assert reader_cpu.stats.counter("reads").value == nwords - 4
+    assert reader_cpu.stats.counters.get("read_misses", 0) == 4
+    assert reader_cpu.stats.counters.get("reads", 0) == nwords - 4
 
 
 def test_read_run_with_stride():

@@ -25,8 +25,8 @@ def test_dma_read_deposits_lines_and_interrupts():
 
     m.run({0: prog()})
     io = m.stations[0].io
-    assert io.stats.counter("reads").value == 1
-    assert io.stats.counter("interrupts").value == 1
+    assert io.stats.counters.get("reads", 0) == 1
+    assert io.stats.counters.get("interrupts", 0) == 1
 
 
 def test_dma_read_kills_stale_cached_copies():
@@ -63,7 +63,7 @@ def test_dma_write_sees_coherent_dirty_data():
 
     m.run({0: prog()})
     io = m.stations[0].io
-    assert io.stats.counter("writes").value == 1
+    assert io.stats.counters.get("writes", 0) == 1
 
 
 def test_io_interrupt_can_target_remote_cpu():
@@ -105,6 +105,6 @@ def test_io_requests_queue_fifo():
         ))
     m.cpus[2].on_interrupt = lambda bits: done.append(m.cpus[2].read_interrupt_reg())
     m.engine.run()
-    assert io.stats.counter("reads").value == 3
+    assert io.stats.counters.get("reads", 0) == 3
     la0 = cfg.line_addr(buf.addr(0))
     assert m.stations[1].memory.read_line(la0)[0] == 0

@@ -24,8 +24,8 @@ def test_uncached_page_never_caches():
     m.run({0: prog()})
     la = m.config.line_addr(r.addr(0))
     assert m.cpus[0].l2.lookup(la) is None
-    assert m.cpus[0].stats.counter("uncached_ops").value == 3
-    assert m.stations[0].memory.stats.counter("uncached_reads").value == 2
+    assert m.cpus[0].stats.counters.get("uncached_ops", 0) == 3
+    assert m.stations[0].memory.stats.counters.get("uncached_reads", 0) == 2
     assert m.stations[0].memory.read_line(la)[0] == 5
 
 
@@ -79,7 +79,7 @@ def test_exclusive_only_page_reads_take_ownership():
     e = m.stations[0].memory.directory.entry(la)
     assert e.state is LineState.LI
     # the write after the exclusive read generated no extra request
-    assert m.cpus[0].stats.counter("write_misses").value == 0
+    assert m.cpus[0].stats.counters.get("write_misses", 0) == 0
 
 
 def test_exclusive_only_page_migrates_between_readers():
@@ -119,4 +119,4 @@ def test_default_pages_unaffected():
     m.run({0: prog()})
     la = m.config.line_addr(r.addr(0))
     assert m.cpus[0].l2.lookup(la) is not None
-    assert m.cpus[0].stats.counter("uncached_ops").value == 0
+    assert m.cpus[0].stats.counters.get("uncached_ops", 0) == 0

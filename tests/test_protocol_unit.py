@@ -46,7 +46,7 @@ def test_mem_remote_read_lv_to_gv():
     # the response reached station 1's NC and was granted to cpu 2
     line = m.stations[1].nc.array.probe(la)
     assert line is None or True  # no pending existed: counted as stray
-    assert m.stations[1].nc.stats.counter("stray_data").value == 1
+    assert m.stations[1].nc.stats.counters.get("stray_data", 0) == 1
 
 
 def test_mem_remote_readex_lv_sends_exclusive_data():
@@ -72,7 +72,7 @@ def test_mem_nacks_requests_to_locked_line():
                          req_station=3, is_local=False))
     mem.handle(remote_pkt(m, MsgType.READ, la, src_station=1, requester=2))
     drain(m)
-    assert mem.stats.counter("nacks").value == 1
+    assert mem.stats.counters.get("nacks", 0) == 1
     # the requester's NC got a NACK (no pending -> silently dropped there)
     assert e.locked
 
@@ -95,7 +95,7 @@ def test_mem_stale_intervention_answer_ignored():
     mem.handle(stale)
     drain(m)
     assert e.locked                       # still waiting for the real answer
-    assert mem.stats.counter("stale_answers").value == 1
+    assert mem.stats.counters.get("stale_answers", 0) == 1
 
 
 def test_mem_stale_nack_intervention_ignored():
@@ -140,7 +140,7 @@ def test_mem_upgrade_fallback_sends_data_when_sharer_unknown():
     mem.directory.set_station(e, 2)       # station 1 NOT a sharer
     mem.handle(remote_pkt(m, MsgType.UPGRADE, la, src_station=1, requester=2))
     drain(m)
-    assert mem.stats.counter("upgrade_data_sent").value == 1
+    assert mem.stats.counters.get("upgrade_data_sent", 0) == 1
 
 
 def test_mem_special_read_served_from_dram():
@@ -154,7 +154,7 @@ def test_mem_special_read_served_from_dram():
     mem.handle(remote_pkt(m, MsgType.SPECIAL_READ, la, src_station=1,
                           requester=3))
     drain(m)
-    assert mem.stats.counter("special_reads_served").value == 1
+    assert mem.stats.counters.get("special_reads_served", 0) == 1
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +175,8 @@ def test_nc_invalidate_on_gi_ignored():
                  meta={"writer_station": 3})
     nc.handle(inv)
     drain(m)
-    assert nc.stats.counter("invalidate_ignored_gi").value == 1
-    assert m.cpus[2].stats.counter("invalidations_received").value == 0
+    assert nc.stats.counters.get("invalidate_ignored_gi", 0) == 1
+    assert m.cpus[2].stats.counters.get("invalidations_received", 0) == 0
 
 
 def test_nc_invalidate_on_owned_line_is_stale_and_ignored():
@@ -192,7 +192,7 @@ def test_nc_invalidate_on_owned_line_is_stale_and_ignored():
                  meta={"writer_station": 3})
     nc.handle(inv)
     drain(m)
-    assert nc.stats.counter("invalidate_stale_owner").value == 1
+    assert nc.stats.counters.get("invalidate_stale_owner", 0) == 1
     assert nc.array.probe(la).state is LineState.LV   # untouched
 
 
@@ -205,7 +205,7 @@ def test_nc_invalidate_not_in_broadcasts_to_all_cpus():
                  meta={"writer_station": 3})
     nc.handle(inv)
     drain(m)
-    assert nc.stats.counter("invalidate_broadcasts").value == 1
+    assert nc.stats.counters.get("invalidate_broadcasts", 0) == 1
 
 
 def test_nc_intervention_from_lv_serves_and_goes_gv():
@@ -255,7 +255,7 @@ def test_nc_intervention_nothing_found_nacks_home():
     drain(m)
     # home unlocked and bounced the requester
     assert not e.locked
-    assert nc.stats.counter("intervention_broadcasts").value == 1
+    assert nc.stats.counters.get("intervention_broadcasts", 0) == 1
 
 
 def test_nc_false_remote_counter():
@@ -268,7 +268,7 @@ def test_nc_false_remote_counter():
                       "txn": None})
     nc.handle(iv)
     drain(m)
-    assert nc.stats.counter("false_remotes").value == 1
+    assert nc.stats.counters.get("false_remotes", 0) == 1
 
 
 def test_nc_multicast_data_adopted():
@@ -283,7 +283,7 @@ def test_nc_multicast_data_adopted():
     line = nc.array.probe(la)
     assert line.state is LineState.GV
     assert line.data == [11] * 8
-    assert nc.stats.counter("multicast_fills").value == 1
+    assert nc.stats.counters.get("multicast_fills", 0) == 1
 
 
 # ----------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_utilization_accounting():
     ring.inject(0, pkt(dest_pos=2, flits=9))
     engine.run()
     # 9 flits over 2 links = 18 slot-times of busy
-    assert ring.busy.busy == 18 * SLOT
+    assert ring.busy_ticks == 18 * SLOT
     assert 0 < ring.utilization(engine.now) <= 1
 
 

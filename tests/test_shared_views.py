@@ -108,7 +108,8 @@ def _flag_run(shared: bool):
     m.run({0: spinner(), 6: writer()})
     cpus = (m.cpus[0], m.cpus[6])
     stats = [
-        {c.name: c.value for c in cpu.stats.counters.values()} for cpu in cpus
+        {f"P{cpu.cpu_id}.{name}": v for name, v in cpu.stats.counters.items()}
+        for cpu in cpus
     ]
     return seen, stats, [cpu.finished_at for cpu in cpus], m.engine.now
 
